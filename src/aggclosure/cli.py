@@ -9,8 +9,13 @@ Exit codes: 0 success, 1 usage or parse error, 2 resource budget
 exceeded; ``verify`` exits with 2 plus the failure count (capped at
 125) when any check fails.
 
-All output is deterministic for fixed inputs and flags, including under
-``--threads``, so command output can be used as golden files.
+All output is deterministic for fixed inputs and flags, so command
+output can be used as golden files.  ``--threads N`` is accepted for
+compatibility and must be at least 1, but all work runs on one thread:
+the hull computations are pure Python and hold the GIL, and a thread
+pool made ``closure pack3x3.txt --grid 8`` slower on two CPUs (1.23 to
+1.32 s at one thread, 1.50 to 1.55 s at two).  ``--budget`` must be at
+least 1 as well.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from .closure import SampleScheme, aggregation_closure, sampled_closure, separate
+from .closure import SampleScheme, aggregation_closure, saturated, separate
 from .errors import ResourceBudgetError, UsageError
 from .knapsack import (
     COVERING,
@@ -30,7 +35,6 @@ from .knapsack import (
     build_relaxation,
     integer_hull,
 )
-from .polyhedra import intersect, orthant
 from .rational import format_rat, parse_rat
 from .verify import failures, run_suite, suite_json, suite_lines
 
@@ -197,15 +201,8 @@ def cmd_hull(args) -> int:
 
 def cmd_closure(args) -> int:
     inst = _read_instance(args.instance)
-    scheme = _scheme(args)
-    art = aggregation_closure(
-        inst, scheme, budget=args.budget, threads=args.threads
-    )
-    sampled = sampled_closure(
-        inst, scheme, budget=args.budget, threads=args.threads
-    )
-    outer = intersect([art.K, art.L, orthant(inst.n)])
-    saturated = outer.hrep == sampled.hrep and outer.feasible == sampled.feasible
+    art = aggregation_closure(inst, _scheme(args), budget=args.budget)
+    is_saturated = saturated(art, args.budget)
 
     lines = ["closure"]
     lines += art.closure.render_lines()
@@ -217,7 +214,7 @@ def cmd_closure(args) -> int:
     lines.append(f"S {len(art.S)}")
     if inst.sense == COVERING and art.gamma is not None:
         lines.append(f"gamma {art.gamma}")
-    lines.append(f"saturation {'true' if saturated else 'false'}")
+    lines.append(f"saturation {'true' if is_saturated else 'false'}")
     _emit(lines)
 
     if args.out:
@@ -232,7 +229,7 @@ def cmd_closure(args) -> int:
             "T_sample": len(art.T_sample),
             "S": len(art.S),
             "gamma": art.gamma,
-            "saturation": saturated,
+            "saturation": is_saturated,
         }
         (out / "closure.json").write_text(json.dumps(record, indent=2) + "\n")
     return 0
@@ -241,9 +238,7 @@ def cmd_closure(args) -> int:
 def cmd_separate(args) -> int:
     inst = _read_instance(args.instance)
     point = _parse_weights(args.point)
-    res = separate(
-        inst, _scheme(args), point, budget=args.budget, threads=args.threads
-    )
+    res = separate(inst, _scheme(args), point, budget=args.budget)
     if res.inside:
         _emit(["inside"])
     else:
@@ -275,7 +270,6 @@ def cmd_verify(args) -> int:
         instances,
         _scheme(args),
         budget=args.budget,
-        threads=args.threads,
         timings=args.timings,
     )
     lines = suite_lines(reports)
@@ -304,6 +298,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text, 10)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got '{text}'")
+    return value
+
+
 def _add_common(sub, k_flag=True, refine_flag=True, out_flag=False):
     sub.add_argument("--grid", type=int, default=4, help="grid denominator D")
     if k_flag:
@@ -312,11 +316,16 @@ def _add_common(sub, k_flag=True, refine_flag=True, out_flag=False):
         sub.add_argument("--refine", type=int, default=1, help="refinement rounds")
     sub.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_CELL_BUDGET,
         help="enumeration cell budget",
     )
-    sub.add_argument("--threads", type=int, default=1, help="worker threads")
+    sub.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="accepted for compatibility; all work runs on one thread",
+    )
     if out_flag:
         sub.add_argument("--out", default="", help="directory for report files")
 
@@ -334,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregation weights, e.g. --lam '1/2 1/2'; repeat for more columns",
     )
     hull.add_argument(
-        "--budget", type=int, default=DEFAULT_CELL_BUDGET, help="enumeration cell budget"
+        "--budget",
+        type=_positive_int,
+        default=DEFAULT_CELL_BUDGET,
+        help="enumeration cell budget",
     )
     hull.set_defaults(func=cmd_hull)
 

@@ -69,14 +69,12 @@ class SampleScheme:
     ``grid_denominator`` D samples every weight vector v/D with v a
     nonnegative integer composition of D, so all sampled weights sum
     to one.  Unit vectors are the extreme compositions and therefore
-    present for every D (``include_units`` records that guarantee).
-    ``k`` picks how many aggregated rows are formed at once, and
-    ``refinement_rounds`` bounds the local grid refinement performed
-    by the separation routine.
+    present for every D.  ``k`` picks how many aggregated rows are
+    formed at once, and ``refinement_rounds`` bounds the local grid
+    refinement performed by the separation routine.
     """
 
     grid_denominator: int = 4
-    include_units: bool = True
     k: int = 1
     refinement_rounds: int = 1
 
@@ -171,29 +169,38 @@ def sample_lambdas(m: int, scheme: SampleScheme) -> list[Aggregation]:
     ]
 
 
-def _hulls(inst, aggs, budget, threads):
-    rels = [build_relaxation(inst, agg) for agg in aggs]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda rel: integer_hull(rel, budget), rels))
-    return [integer_hull(rel, budget) for rel in rels]
+def _hulls(inst, aggs, budget):
+    return [integer_hull(build_relaxation(inst, agg), budget) for agg in aggs]
 
 
 def sampled_closure(
     inst: Instance,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
 ) -> Polyhedron:
     """Intersection of the integer hulls of all sampled aggregations.
 
     Outer approximation of the closure; exact for m = 1 at any grid and
     for one variable at any grid that includes the units (all do).
+    Memoized per (instance, scheme).
     """
-    aggs = sample_lambdas(inst.m, scheme)
-    return intersect(_hulls(inst, aggs, budget, threads))
+    memo_key = (inst.key(), scheme.key(), "sampled")
+    cached = _CLOSURE_MEMO.get(memo_key)
+    if cached is None:
+        aggs = sample_lambdas(inst.m, scheme)
+        cached = _CLOSURE_MEMO[memo_key] = intersect(_hulls(inst, aggs, budget))
+    return cached
+
+
+def saturated(art: ClosureArtifacts, budget: int = DEFAULT_CELL_BUDGET) -> bool:
+    """Whether ``K ∩ L ∩ orthant`` equals the sampled closure exactly.
+
+    ``art.closure`` is that outer intersection in every branch of
+    `aggregation_closure`, so the two are compared as canonical
+    inequality systems.
+    """
+    sc = sampled_closure(art.instance, art.sample, budget)
+    return art.closure.hrep == sc.hrep and art.closure.feasible == sc.feasible
 
 
 def closure_1d(inst: Instance) -> Polyhedron:
@@ -254,7 +261,6 @@ def build_L(
     inst: Instance,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
 ) -> Polyhedron:
     """Intersection over j of the closure of the j-relaxed sub-instance,
     each embedded with coordinate j free."""
@@ -266,7 +272,7 @@ def build_L(
         if sub is None:
             parts.append(orthant(inst.n))
             continue
-        art = aggregation_closure(sub, scheme, budget=budget, threads=threads)
+        art = aggregation_closure(sub, scheme, budget=budget)
         parts.append(embed_with_free_axis(art.closure, j - 1))
     return intersect(parts)
 
@@ -296,7 +302,6 @@ def enumerate_tuples(
     inst: Instance,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
 ) -> list[FacetTuple]:
     """Tight lattice tuples of every positive-normal facet of every
     sampled hull, deduplicated by point tuple and sorted.
@@ -309,7 +314,7 @@ def enumerate_tuples(
     construction honest and logs if it ever fires.
     """
     aggs = sample_lambdas(inst.m, scheme)
-    hulls = _hulls(inst, aggs, budget, threads)
+    hulls = _hulls(inst, aggs, budget)
     found: dict = {}
     for agg, hull in zip(aggs, hulls):
         if not hull.feasible or hull.affine_dim < hull.dim:
@@ -396,7 +401,6 @@ def aggregation_closure(
     inst: Instance,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
 ) -> ClosureArtifacts:
     """Closure of an instance under all sampled aggregations.
 
@@ -439,7 +443,7 @@ def aggregation_closure(
                 tuple(row[:axis] + row[axis + 1 :] for row in inst.A),
                 inst.b,
             )
-            inner = aggregation_closure(sub, scheme, budget=budget, threads=threads)
+            inner = aggregation_closure(sub, scheme, budget=budget)
             body = embed_with_free_axis(inner.closure, axis)
             art = ClosureArtifacts(
                 instance=inst,
@@ -454,8 +458,8 @@ def aggregation_closure(
             _CLOSURE_MEMO[memo_key] = art
             return art
 
-    L = build_L(inst, scheme, budget=budget, threads=threads)
-    T = tuple(enumerate_tuples(inst, scheme, budget=budget, threads=threads))
+    L = build_L(inst, scheme, budget=budget)
+    T = tuple(enumerate_tuples(inst, scheme, budget=budget))
     S = tuple(filter_minimal_tuples(T, inst.sense))
     K = build_K(S, inst.sense, n)
     body = intersect([K, L, orthant(n)])
@@ -483,7 +487,6 @@ def separate(
     scheme: SampleScheme,
     x_star,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
 ) -> SeparationResult:
     """Look for a sampled hull facet that cuts off a nonnegative point.
 

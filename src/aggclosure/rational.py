@@ -22,8 +22,6 @@ RatMatrix = tuple[RatVector, ...]
 
 IntVector = tuple[int, ...]
 
-_CMP_OPS = ("add", "sub", "mul", "div", "cmp")
-
 
 def rat(numerator: int | str | Fraction, denominator: int = 1) -> Rat:
     """Build an exact rational.  Accepts ints, ``"p/q"`` strings, Fractions."""
@@ -44,25 +42,6 @@ def parse_rat(text: str) -> Rat:
 def format_rat(x: Rat) -> str:
     """Render ``p/q`` with the denominator omitted when it is 1."""
     return str(Fraction(x))
-
-
-def rat_arith(x: Rat, y: Rat, op: str) -> Rat | int:
-    """Exact scalar arithmetic.  ``op`` is one of add/sub/mul/div/cmp.
-
-    ``cmp`` returns -1, 0, or 1.  ``div`` raises ZeroDivisionError on a zero
-    divisor.
-    """
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "cmp":
-        return (x > y) - (x < y)
-    raise ValueError(f"unknown op {op!r}, expected one of {_CMP_OPS}")
 
 
 def as_vector(values: Iterable) -> RatVector:

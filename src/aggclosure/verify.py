@@ -24,9 +24,11 @@ from fractions import Fraction
 
 from .closure import (
     SampleScheme,
+    _hulls,
     aggregation_closure,
     sample_lambdas,
     sampled_closure,
+    saturated,
 )
 from .errors import ResourceBudgetError, UsageError
 from .knapsack import (
@@ -43,7 +45,6 @@ from .polyhedra import (
     LinearInequality,
     Polyhedron,
     intersect,
-    orthant,
     render_point,
 )
 from .rational import RatVector, as_vector, format_rat, vdot
@@ -207,7 +208,6 @@ def check_oracle_m1(
     inst: Instance,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
 ) -> CheckReport:
     """Single-row closure against the brute-force hull.
 
@@ -217,7 +217,7 @@ def check_oracle_m1(
     """
     if inst.m != 1:
         raise UsageError("oracle check requires a single row")
-    art = aggregation_closure(inst, scheme, budget=budget, threads=threads)
+    art = aggregation_closure(inst, scheme, budget=budget)
     unit = Aggregation(((Fraction(1),),), normalized=True)
     hull = integer_hull(build_relaxation(inst, unit), budget)
     if art.closure.hrep == hull.hrep and art.closure.feasible == hull.feasible:
@@ -240,7 +240,6 @@ def check_sandwich(
     inst: Instance,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
 ) -> CheckReport:
     """Sampled closure against its two outer bodies.
 
@@ -250,8 +249,8 @@ def check_sandwich(
     the sampled closure is reported as a note, not asserted: sampling
     guarantees it only for special classes.
     """
-    art = aggregation_closure(inst, scheme, budget=budget, threads=threads)
-    sc = sampled_closure(inst, scheme, budget=budget, threads=threads)
+    art = aggregation_closure(inst, scheme, budget=budget)
+    sc = sampled_closure(inst, scheme, budget=budget)
     name = "sandwich"
 
     hit = _escape_witness(sc, art.K)
@@ -277,11 +276,9 @@ def check_sandwich(
                     witness_point=as_vector(p), witness_inequality=row,
                     note="feasible lattice point cut off",
                 )
-    outer = intersect([art.K, art.L, orthant(inst.n)])
-    saturated = outer.hrep == sc.hrep and outer.feasible == sc.feasible
     return CheckReport(
         name, inst.instance_id, PASS,
-        note=f"saturation={'true' if saturated else 'false'}",
+        note=f"saturation={'true' if saturated(art, budget) else 'false'}",
     )
 
 
@@ -289,7 +286,6 @@ def check_gamma(
     inst: Instance,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
     gamma_override: int | None = None,
 ) -> CheckReport:
     """Shift bound for covering instances.
@@ -300,7 +296,7 @@ def check_gamma(
     """
     if inst.sense != COVERING:
         raise UsageError("shift bound check requires a covering instance")
-    art = aggregation_closure(inst, scheme, budget=budget, threads=threads)
+    art = aggregation_closure(inst, scheme, budget=budget)
     if art.gamma is None:
         return CheckReport(
             "gamma", inst.instance_id, SKIPPED,
@@ -308,7 +304,7 @@ def check_gamma(
         )
     gamma = art.gamma if gamma_override is None else gamma_override
     aggs = sample_lambdas(inst.m, scheme)
-    hulls = [integer_hull(build_relaxation(inst, a), budget) for a in aggs]
+    hulls = _hulls(inst, aggs, budget)
     for v in art.L.vrep_points:
         for j in range(inst.n):
             shifted = tuple(
@@ -331,7 +327,6 @@ def check_cg_dominance(
     inst: Instance,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
 ) -> CheckReport:
     """Rounding cuts of sampled weights are valid for the sampled hulls,
     i.e. aggregation cuts are at least as strong."""
@@ -386,7 +381,6 @@ def check_onerow_ratio(
     scheme: SampleScheme,
     objective=None,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
 ) -> CheckReport:
     """Ratio between per-row hull intersection and sampled closure optima.
 
@@ -408,7 +402,7 @@ def check_onerow_ratio(
             integer_hull(build_relaxation(inst, Aggregation((col,))), budget)
         )
     rowwise = intersect(unit_hulls)
-    sc = sampled_closure(inst, scheme, budget=budget, threads=threads)
+    sc = sampled_closure(inst, scheme, budget=budget)
 
     maximize = inst.sense == PACKING
     opt_rows = _optimum(rowwise, c, maximize)
@@ -448,7 +442,6 @@ def run_suite(
     instances,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
     timings: bool = False,
 ) -> list[CheckReport]:
     """All applicable checks over all instances, deterministic order.
@@ -461,7 +454,7 @@ def run_suite(
         for check in _applicable_checks(inst):
             started = time.perf_counter()
             try:
-                rep = check(inst, scheme, budget=budget, threads=threads)
+                rep = check(inst, scheme, budget=budget)
             except (UsageError, ResourceBudgetError) as exc:
                 rep = CheckReport(
                     check.__name__.removeprefix("check_"),

@@ -294,3 +294,32 @@ class TestVerifyCommand:
         second = run_cli(capsys, *argv)
         threaded = run_cli(capsys, *argv, "--threads", "2")
         assert first == second == threaded
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("closure", "--threads"),
+        ("closure", "--budget"),
+        ("separate", "--threads"),
+        ("separate", "--budget"),
+        ("verify", "--threads"),
+        ("verify", "--budget"),
+        ("hull", "--budget"),
+    ],
+)
+@pytest.mark.parametrize("value", ["0", "-1", "-3"])
+def test_nonpositive_numeric_flag_is_usage_error(
+    fixture_dir, capsys, command, flag, value
+):
+    pack = str(fixture_dir / "pack23.txt")
+    base = {
+        "closure": [pack, "--grid", "2"],
+        "separate": [pack, "--point", "3/2 1/2"],
+        "verify": [str(fixture_dir), "--grid", "2"],
+        "hull": [pack, "--lam", "1"],
+    }[command]
+    code, out, err = run_cli(capsys, command, *base, flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "positive integer" in err

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aggclosure.closure import (
     ClosureArtifacts,
@@ -107,6 +107,13 @@ class TestSampledClosure:
         hull = integer_hull(build_relaxation(PACK_23, (1,)))
         for d in (1, 2, 3):
             assert poly_equal(sampled_closure(PACK_23, scheme(d=d)), hull)
+
+    def test_memoized_per_instance_and_scheme(self):
+        a = sampled_closure(PACK_23, scheme())
+        b = sampled_closure(
+            Instance(PACKING, ((2, 3),), (4,), instance_id="copy"), scheme()
+        )
+        assert a is b
 
 
 class TestClosure1d:
@@ -465,13 +472,33 @@ def test_filter_output_is_antichain(point_lists, sense):
 
 @settings(max_examples=15, deadline=None)
 @given(instances(max_n=2))
+# the filter drops the packing cut x + 3y <= 4: it follows from y <= 1
+# (in L) and x + 2y <= 3, but not from the kept tuples on the orthant
+@example(Instance(PACKING, ((0, 1), (1, 2)), (1, 3)))
 def test_filter_preserves_tuple_body_on_orthant(inst):
     sch = scheme()
     T = enumerate_tuples(inst, sch)
     S = filter_minimal_tuples(T, inst.sense)
-    full = intersect([build_K(T, inst.sense, inst.n), orthant(inst.n)])
-    slim = intersect([build_K(S, inst.sense, inst.n), orthant(inst.n)])
+    # the closure only needs K(T) and K(S) to agree inside L ∩ orthant;
+    # covering tuples agree on the orthant alone
+    bodies = [orthant(inst.n)]
+    if inst.sense == PACKING:
+        bodies.append(aggregation_closure(inst, sch).L)
+    full = intersect([build_K(T, inst.sense, inst.n), *bodies])
+    slim = intersect([build_K(S, inst.sense, inst.n), *bodies])
     assert poly_equal(full, slim)
+
+
+@settings(max_examples=20, deadline=None)
+@given(instances(max_n=3))
+@example(Instance(PACKING, ((2,), (3,)), (5, 7)))
+@example(Instance(COVERING, ((2, 0, 1), (1, 0, 3)), (3, 4)))
+def test_closure_is_exactly_K_cap_L_cap_orthant(inst):
+    # `saturated` compares art.closure itself against the sampled closure
+    art = aggregation_closure(inst, scheme())
+    rebuilt = intersect([art.K, art.L, orthant(inst.n)])
+    assert rebuilt.hrep == art.closure.hrep
+    assert rebuilt.feasible == art.closure.feasible
 
 
 @settings(max_examples=15, deadline=None)

@@ -15,7 +15,6 @@ from aggclosure.rational import (
     int_rank,
     parse_rat,
     rat,
-    rat_arith,
     reduce_gcd,
     solve_linear,
     vdot,
@@ -40,27 +39,6 @@ class TestParseFormat:
     @given(st.fractions())
     def test_round_trip(self, x):
         assert parse_rat(format_rat(x)) == x
-
-
-class TestArith:
-    def test_ops(self):
-        assert rat_arith(rat(1, 2), rat(1, 3), "add") == Fraction(5, 6)
-        assert rat_arith(rat(1, 2), rat(1, 3), "sub") == Fraction(1, 6)
-        assert rat_arith(rat(1, 2), rat(1, 3), "mul") == Fraction(1, 6)
-        assert rat_arith(rat(1, 2), rat(1, 3), "div") == Fraction(3, 2)
-
-    def test_cmp_signature(self):
-        assert rat_arith(rat(1, 2), rat(1, 3), "cmp") == 1
-        assert rat_arith(rat(1, 3), rat(1, 2), "cmp") == -1
-        assert rat_arith(rat(2, 4), rat(1, 2), "cmp") == 0
-
-    def test_divide_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_arith(rat(1), rat(0), "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            rat_arith(rat(1), rat(1), "pow")
 
 
 class TestSolveLinear:
