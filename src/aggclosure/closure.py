@@ -38,7 +38,9 @@ from .knapsack import (
     Instance,
     PACKING,
     build_relaxation,
+    integer_aggregated_hull,
     integer_hull,
+    integer_row,
     normalize_aggregation,
 )
 from .polyhedra import (
@@ -144,33 +146,55 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def sample_lambdas(m: int, scheme: SampleScheme) -> list[Aggregation]:
-    """All grid aggregations for m rows, deduplicated and sorted.
+def _grid_aggregation(comps, d: int) -> Aggregation:
+    # the rational weights v/D of integer compositions v
+    return Aggregation(
+        tuple(tuple(Fraction(v, d) for v in comp) for comp in comps),
+        normalized=True,
+    )
 
-    Columns are normalized to sum one before deduplication, so two
-    compositions that differ only by scale collapse.  For k >= 2 the
-    k-tuples of columns are deduplicated up to column order.
+
+def sample_lambdas(m: int, scheme: SampleScheme) -> list[Aggregation]:
+    """All grid aggregations for m rows, in lexicographic order.
+
+    Each column is v/D for a nonnegative integer composition v of D, so
+    it sums to one.  Compositions of a fixed D are distinct and come in
+    lexicographic order, so no column repeats; for k >= 2 the k-tuples
+    of columns are taken up to column order, as
+    ``combinations_with_replacement`` of the columns.
     """
     if m < 1:
         raise UsageError("need at least one row to aggregate")
     d = scheme.grid_denominator
-    columns = sorted(
-        {
-            tuple(Fraction(v, d) for v in comp)
-            for comp in _compositions(d, m)
-            if any(comp)
-        }
-    )
-    if scheme.k == 1:
-        return [Aggregation((col,), normalized=True) for col in columns]
     return [
-        Aggregation(cols, normalized=True)
-        for cols in itertools.combinations_with_replacement(columns, scheme.k)
+        _grid_aggregation(comps, d)
+        for comps in itertools.combinations_with_replacement(
+            _compositions(d, m), scheme.k
+        )
     ]
 
 
-def _hulls(inst, aggs, budget):
-    return [integer_hull(build_relaxation(inst, agg), budget) for agg in aggs]
+def _grid_hulls(inst: Instance, scheme: SampleScheme, budget: int) -> list:
+    """The distinct integer hulls of the grid aggregations.
+
+    Walks the aggregations in `sample_lambdas` order but carries each
+    column v/D as the integer composition v: a hull does not change when
+    its row is scaled, so the aggregated rows are integer dot products.
+    Returns one ``(compositions, hull)`` pair per distinct hull object,
+    with the compositions of its first aggregation, in order of first
+    appearance; `_grid_aggregation` gives back the rational weights.
+    """
+    rows = {
+        comp: integer_row(inst, comp)
+        for comp in _compositions(scheme.grid_denominator, inst.m)
+    }
+    distinct: dict = {}
+    for comps in itertools.combinations_with_replacement(rows, scheme.k):
+        hull = integer_aggregated_hull(
+            inst, comps, [rows[c] for c in comps], budget
+        )
+        distinct.setdefault(id(hull), (comps, hull))
+    return list(distinct.values())
 
 
 def sampled_closure(
@@ -182,13 +206,16 @@ def sampled_closure(
 
     Outer approximation of the closure; exact for m = 1 at any grid and
     for one variable at any grid that includes the units (all do).
-    Memoized per (instance, scheme).
+    Each distinct hull enters the intersection once: in one variable
+    the 4,845 weights of five rows at grid 16 give thousands of distinct
+    rows but only some twenty distinct intervals.  Memoized per
+    (instance, scheme).
     """
     memo_key = (inst.key(), scheme.key(), "sampled")
     cached = _CLOSURE_MEMO.get(memo_key)
     if cached is None:
-        aggs = sample_lambdas(inst.m, scheme)
-        cached = _CLOSURE_MEMO[memo_key] = intersect(_hulls(inst, aggs, budget))
+        hulls = [hull for _, hull in _grid_hulls(inst, scheme, budget)]
+        cached = _CLOSURE_MEMO[memo_key] = intersect(hulls)
     return cached
 
 
@@ -313,10 +340,8 @@ def enumerate_tuples(
     to the orthant face they would have to cut), but the guard keeps the
     construction honest and logs if it ever fires.
     """
-    aggs = sample_lambdas(inst.m, scheme)
-    hulls = _hulls(inst, aggs, budget)
     found: dict = {}
-    for agg, hull in zip(aggs, hulls):
+    for comps, hull in _grid_hulls(inst, scheme, budget):
         if not hull.feasible or hull.affine_dim < hull.dim:
             continue
         for facet in positive_normal_facets(hull):
@@ -329,7 +354,9 @@ def enumerate_tuples(
             pts = facet_lattice_tuple(hull, facet)
             if pts not in found:
                 found[pts] = FacetTuple(
-                    points=pts, source_lambda=agg, source_facet=facet
+                    points=pts,
+                    source_lambda=_grid_aggregation(comps, scheme.grid_denominator),
+                    source_facet=facet,
                 )
     return [found[key] for key in sorted(found)]
 
@@ -503,18 +530,21 @@ def separate(
 
     best: tuple[Rat, Aggregation, LinearInequality] | None = None
 
-    def consider(agg: Aggregation) -> None:
+    def consider(hull: Polyhedron, weights) -> None:
         nonlocal best
-        hull = integer_hull(build_relaxation(inst, agg), budget)
         if not hull.feasible:
             return
         for ineq in hull.hrep:
             gap = _violation(ineq, x)
             if gap > 0 and (best is None or gap > best[0]):
-                best = (gap, agg, ineq)
+                best = (gap, weights, ineq)
 
-    for agg in sample_lambdas(inst.m, scheme):
-        consider(agg)
+    # a repeated hull has the same gaps and cannot beat its first weights;
+    # the winning compositions become the rational weights refined below
+    for comps, hull in _grid_hulls(inst, scheme, budget):
+        consider(hull, comps)
+    if best is not None:
+        best = (best[0], _grid_aggregation(best[1], scheme.grid_denominator), best[2])
 
     if best is not None and scheme.k == 1:
         for round_no in range(1, scheme.refinement_rounds + 1):
@@ -526,7 +556,8 @@ def separate(
                 cand = tuple(w + step * d for w, d in zip(center, delta))
                 if any(w < 0 for w in cand) or not any(cand):
                     continue
-                consider(normalize_aggregation(Aggregation((cand,))))
+                agg = normalize_aggregation(Aggregation((cand,)))
+                consider(integer_hull(build_relaxation(inst, agg), budget), agg)
 
     if best is None:
         return SeparationResult(inside=True)

@@ -30,7 +30,16 @@ from .polyhedra import (
     make_inequality,
     vrep_to_hrep,
 )
-from .rational import RatMatrix, RatVector, as_vector, int_clear, reduce_gcd, vdot
+from .rational import (
+    IntVector,
+    RatMatrix,
+    RatVector,
+    as_vector,
+    idot,
+    int_clear,
+    reduce_gcd,
+    vdot,
+)
 
 PACKING = "packing"
 COVERING = "covering"
@@ -147,7 +156,13 @@ class Instance:
 
 @dataclass(frozen=True)
 class KnapsackRelaxation:
-    """k aggregated knapsack rows over the nonnegative orthant."""
+    """k aggregated knapsack rows over the nonnegative orthant.
+
+    Rows and rhs are Fractions when built from rational weights by
+    `build_relaxation`, and ints when built from integer weights by
+    `integer_aggregated_hull`; the hull depends only on the rows' scale-free
+    key, so both give the same hull.
+    """
 
     parent: Instance | None
     weights: Aggregation
@@ -161,12 +176,21 @@ class KnapsackRelaxation:
         return len(self.aggregated_rows)
 
     def canonical_key(self):
-        # scale-free row set: hulls agree exactly on equal keys
-        rows = set()
-        for row, r in zip(self.aggregated_rows, self.aggregated_rhs):
-            ints, _ = int_clear(tuple(row) + (r,))
-            rows.add(reduce_gcd(ints))
-        return (self.sense, self.n, tuple(sorted(rows)))
+        return _rows_key(
+            self.sense,
+            self.n,
+            (
+                int_clear(tuple(row) + (r,))[0]
+                for row, r in zip(self.aggregated_rows, self.aggregated_rhs)
+            ),
+        )
+
+
+def _rows_key(sense: str, n: int, rows) -> tuple:
+    # scale-free row set: hulls agree exactly on equal keys.  Each row is
+    # integer coefficients followed by the rhs; dividing by the gcd maps
+    # every positive multiple of a row to the same vector
+    return (sense, n, tuple(sorted({reduce_gcd(row) for row in rows})))
 
 
 def build_relaxation(inst: Instance, weights) -> KnapsackRelaxation:
@@ -191,6 +215,44 @@ def build_relaxation(inst: Instance, weights) -> KnapsackRelaxation:
     )
 
 
+def integer_row(inst: Instance, column) -> IntVector:
+    """Aggregated row v·A followed by its rhs v·b, for integer weights v."""
+    return tuple(idot(column, a) for a in zip(*inst.A)) + (idot(column, inst.b),)
+
+
+def integer_aggregated_hull(
+    inst: Instance, columns, rows, budget: int = DEFAULT_CELL_BUDGET
+) -> Polyhedron:
+    """Integer hull of the aggregation with integer weight columns.
+
+    ``rows[t]`` is `integer_row(inst, columns[t])`.  A hull does not
+    change when a row is scaled, so the memo key of the integer rows is
+    exactly the `KnapsackRelaxation.canonical_key` of the weights
+    ``columns / D`` for every D > 0, and the hull is shared with the
+    rational path.  The relaxation, with integer rows, is built only on
+    a memo miss.
+    """
+    key = _rows_key(inst.sense, inst.n, rows)
+    hull = _HULL_MEMO.get(key)
+    if hull is None:
+        rel = KnapsackRelaxation(
+            parent=inst,
+            weights=Aggregation(tuple(columns)),
+            sense=inst.sense,
+            n=inst.n,
+            aggregated_rows=tuple(row[:-1] for row in rows),
+            aggregated_rhs=tuple(row[-1] for row in rows),
+        )
+        hull = integer_hull(rel, budget, key)
+    return hull
+
+
+def _ceil_div(r, a) -> int:
+    # exact for int and Fraction operands, where ceil(r / a) would round
+    # a float quotient of two large ints
+    return -(-r // a)
+
+
 def _check_budget(bounds, budget) -> None:
     cells = 1
     for b in bounds:
@@ -208,7 +270,7 @@ def _packing_bounds(rel: KnapsackRelaxation):
         limit = None
         for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
             if row[j] > 0:
-                q = floor(r / row[j])
+                q = r // row[j]
                 limit = q if limit is None else min(limit, q)
         if limit is None:
             free.add(j)
@@ -238,7 +300,7 @@ def _packing_points(rel: KnapsackRelaxation, bounds, free) -> list:
         if j not in free:
             for t, c in enumerate(cols[j]):
                 if c > 0:
-                    limit = min(limit, floor(residual[t] / c))
+                    limit = min(limit, residual[t] // c)
         for v in range(limit + 1):
             x[j] = v
             if v:
@@ -294,7 +356,7 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
             c = 0
             for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
                 if row[j] > 0 and r > 0:
-                    c = max(c, ceil(r / row[j]))
+                    c = max(c, _ceil_div(r, row[j]))
             bounds.append(c)
         _check_budget(bounds, budget)
         return _covering_minimal(rel, bounds), set()
@@ -339,12 +401,12 @@ def _hull_1d(rel: KnapsackRelaxation) -> Polyhedron:
         c = 0
         for row, r in row_data:
             if row[0] > 0 and r > 0:
-                c = max(c, ceil(r / row[0]))
+                c = max(c, _ceil_div(r, row[0]))
         return _interval_hull(COVERING, c, bounded=False)
     for row, r in row_data:
         if not any(row) and r < 0:
             return empty_polyhedron(1)
-    limits = [floor(r / row[0]) for row, r in row_data if row[0] > 0]
+    limits = [r // row[0] for row, r in row_data if row[0] > 0]
     if not limits:
         return _interval_hull(PACKING, 0, bounded=False)
     c = min(limits)
@@ -372,9 +434,16 @@ def _packing_core(points, bounds, free) -> list:
     return out
 
 
-def integer_hull(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
-    """Exact integer hull of the relaxation as a canonical polyhedron."""
-    key = rel.canonical_key()
+def integer_hull(
+    rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET, key=None
+) -> Polyhedron:
+    """Exact integer hull of the relaxation as a canonical polyhedron.
+
+    ``key`` is ``rel.canonical_key()``, passed by a caller that already
+    holds it.
+    """
+    if key is None:
+        key = rel.canonical_key()
     cached = _HULL_MEMO.get(key)
     if cached is not None:
         return cached

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .closure import (
     SampleScheme,
-    _hulls,
+    _grid_aggregation,
+    _grid_hulls,
     aggregation_closure,
     sample_lambdas,
     sampled_closure,
@@ -303,20 +304,21 @@ def check_gamma(
             note="free coordinate splits off; shift bound undefined",
         )
     gamma = art.gamma if gamma_override is None else gamma_override
-    aggs = sample_lambdas(inst.m, scheme)
-    hulls = _hulls(inst, aggs, budget)
+    hulls = _grid_hulls(inst, scheme, budget)
     for v in art.L.vrep_points:
         for j in range(inst.n):
             shifted = tuple(
                 c + (gamma if i == j else 0) for i, c in enumerate(v)
             )
-            for agg, hull in zip(aggs, hulls):
+            for comps, hull in hulls:
                 row = _violated_row(hull, shifted)
                 if row is not None:
                     return CheckReport(
                         "gamma", inst.instance_id, FAIL,
                         witness_point=shifted,
-                        witness_lambda=agg,
+                        witness_lambda=_grid_aggregation(
+                            comps, scheme.grid_denominator
+                        ),
                         witness_inequality=row,
                         note=f"shift {gamma} leaves a sampled hull",
                     )
@@ -337,6 +339,8 @@ def check_cg_dominance(
         k=1,
         refinement_rounds=scheme.refinement_rounds,
     )
+    # rounding, unlike the hull, changes when a row is scaled, so the cut
+    # is taken from the row aggregated with the rational weights v/D
     for agg in sample_lambdas(inst.m, single):
         rel = build_relaxation(inst, agg)
         cut = cg_cut(rel)

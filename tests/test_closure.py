@@ -1,14 +1,18 @@
 """Closure construction: grid sampling, recursion bound, tuple body."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from aggclosure import closure, knapsack
 from aggclosure.closure import (
     ClosureArtifacts,
     FacetTuple,
     SampleScheme,
+    _compositions,
     aggregation_closure,
     build_K,
     build_L,
@@ -30,13 +34,17 @@ from aggclosure.knapsack import (
     PACKING,
     build_relaxation,
     integer_hull,
+    normalize_aggregation,
 )
 from aggclosure.polyhedra import (
+    LE,
     contains,
+    facet_lattice_tuple,
     intersect,
     orthant,
     poly_equal,
     poly_subset,
+    positive_normal_facets,
     whole_space,
 )
 
@@ -90,6 +98,23 @@ class TestSampleLambdas:
         with pytest.raises(UsageError):
             sample_lambdas(0, scheme())
 
+    def test_single_columns_are_compositions_over_d_in_order(self):
+        for m, d in ((1, 5), (2, 3), (3, 4), (5, 16)):
+            aggs = sample_lambdas(m, scheme(d=d))
+            assert [a.weights for a in aggs] == [
+                (tuple(F(v, d) for v in comp),) for comp in _compositions(d, m)
+            ]
+            assert len(aggs) == math.comb(d + m - 1, m - 1)
+        assert len(sample_lambdas(5, scheme(d=16))) == 4845
+
+    def test_pairs_are_combinations_of_the_columns(self):
+        columns = [a.weights[0] for a in sample_lambdas(3, scheme(d=3))]
+        pairs = sample_lambdas(3, scheme(d=3, k=2))
+        assert [a.weights for a in pairs] == list(
+            itertools.combinations_with_replacement(columns, 2)
+        )
+        assert all(a.normalized for a in pairs)
+
 
 class TestSampledClosure:
     def test_one_variable_packing(self):
@@ -107,6 +132,15 @@ class TestSampledClosure:
         hull = integer_hull(build_relaxation(PACK_23, (1,)))
         for d in (1, 2, 3):
             assert poly_equal(sampled_closure(PACK_23, scheme(d=d)), hull)
+
+    def test_exact_rounding_of_large_ratios(self):
+        # (10**17 + 2) / 3 as a float rounds to 33333333333333336; the
+        # sampled closure goes first so that its integer rows fill the memo
+        for sense, line in ((PACKING, "1 <= 33333333333333334"), (COVERING, "1 >= 33333333333333334")):
+            inst = Instance(sense, ((3,),), (10**17 + 2,))
+            assert line in sampled_closure(inst, scheme(d=16)).render_lines()
+            hull = integer_hull(build_relaxation(inst, (1,)))
+            assert line in hull.render_lines()
 
     def test_memoized_per_instance_and_scheme(self):
         a = sampled_closure(PACK_23, scheme())
@@ -520,3 +554,103 @@ def test_pairwise_aggregation_refines_single(inst):
     single = sampled_closure(inst, scheme(d=1, k=1))
     paired = sampled_closure(inst, scheme(d=1, k=2))
     assert poly_subset(paired, single)
+
+
+# -- the integer grid path against the rational one ---------------------
+#
+# The oracles below walk `sample_lambdas` and build one Fraction
+# relaxation per sampled weight, as the library did before it carried
+# grid weights as integer compositions.
+
+
+def _cold():
+    knapsack._HULL_MEMO.clear()
+    knapsack._INTERVAL_MEMO.clear()
+    closure._CLOSURE_MEMO.clear()
+
+
+def _oracle_hulls(inst, sch):
+    aggs = sample_lambdas(inst.m, sch)
+    return aggs, [integer_hull(build_relaxation(inst, agg)) for agg in aggs]
+
+
+def _oracle_tuples(inst, sch):
+    found = {}
+    for agg, hull in zip(*_oracle_hulls(inst, sch)):
+        if not hull.feasible or hull.affine_dim < hull.dim:
+            continue
+        for facet in positive_normal_facets(hull):
+            if inst.sense == PACKING and facet.rhs <= 0:
+                continue
+            pts = facet_lattice_tuple(hull, facet)
+            found.setdefault(pts, (pts, agg, facet))
+    return [found[key] for key in sorted(found)]
+
+
+def _oracle_separate(inst, sch, x):
+    best = None
+
+    def consider(agg):
+        nonlocal best
+        hull = integer_hull(build_relaxation(inst, agg))
+        if not hull.feasible:
+            return
+        for ineq in hull.hrep:
+            value = ineq.evaluate(x)
+            gap = value - ineq.rhs if ineq.sense == LE else ineq.rhs - value
+            if gap > 0 and (best is None or gap > best[0]):
+                best = (gap, agg, ineq)
+
+    for agg in sample_lambdas(inst.m, sch):
+        consider(agg)
+    if best is not None and sch.k == 1:
+        for round_no in range(1, sch.refinement_rounds + 1):
+            center = best[1].weights[0]
+            step = F(1, sch.grid_denominator * 2**round_no)
+            for delta in itertools.product((-1, 0, 1), repeat=inst.m):
+                if not any(delta):
+                    continue
+                cand = tuple(w + step * d for w, d in zip(center, delta))
+                if any(w < 0 for w in cand) or not any(cand):
+                    continue
+                consider(normalize_aggregation(Aggregation((cand,))))
+    return best
+
+
+@st.composite
+def grid_cases(draw):
+    inst = draw(instances(max_m=3))
+    if inst.sense == COVERING and inst.n > 1 and draw(st.booleans()):
+        axis = draw(st.integers(0, inst.n - 1))
+        rows = tuple(row[:axis] + (0,) + row[axis + 1 :] for row in inst.A)
+        if all(any(row) for row in rows):
+            inst = Instance(COVERING, rows, inst.b)
+    k = draw(st.integers(1, 2))
+    # pairs over a 2x3 or 3x3 instance at grid 6 take seconds each
+    d = draw(st.integers(1, 6 if k == 1 or inst.n * inst.m <= 4 else 3))
+    x = tuple(draw(st.fractions(0, 4, max_denominator=3)) for _ in range(inst.n))
+    return inst, scheme(d=d, k=k), x
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_cases())
+@example((Instance(COVERING, ((2, 0, 1), (1, 0, 3)), (3, 4)), scheme(d=5), (F(1, 2), 0, F(1, 3))))
+@example((Instance(PACKING, ((3, 2), (1, 4), (2, 2)), (5, 6, 4)), scheme(d=3, k=2), (F(4, 3), F(2, 3))))
+def test_integer_grid_path_matches_rational_oracle(case):
+    inst, sch, x = case
+    _cold()
+    sampled = sampled_closure(inst, sch)
+    tuples = [
+        (t.points, t.source_lambda, t.source_facet) for t in enumerate_tuples(inst, sch)
+    ]
+    res = separate(inst, sch, x)
+    _cold()
+    oracle = intersect(_oracle_hulls(inst, sch)[1])
+    assert sampled.hrep == oracle.hrep
+    assert sampled.feasible == oracle.feasible
+    assert tuples == _oracle_tuples(inst, sch)
+    best = _oracle_separate(inst, sch, x)
+    if best is None:
+        assert res.inside
+    else:
+        assert (res.violation, res.witness, res.cut) == best

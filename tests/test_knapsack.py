@@ -15,10 +15,12 @@ from aggclosure.knapsack import (
     PACKING,
     Instance,
     KnapsackRelaxation,
+    _rows_key,
     build_relaxation,
     cg_cut,
     integer_hull,
     integer_hull_multi,
+    integer_row,
     lattice_points,
     relaxation_polyhedron,
 )
@@ -128,6 +130,21 @@ class TestLatticePoints:
         with pytest.raises(ResourceBudgetError):
             lattice_points(single_row(PACKING, (1, 1), 9), budget=50)
 
+    def test_box_bounds_are_exact_for_large_integer_rows(self):
+        # the first bound is (10**17 + 2) / 3 = 33333333333333334 exactly;
+        # a float quotient would make it 33333333333333336
+        for sense in (PACKING, COVERING):
+            rel = KnapsackRelaxation(
+                parent=None,
+                weights=(),
+                sense=sense,
+                n=2,
+                aggregated_rows=((3, 10**17 + 2),),
+                aggregated_rhs=(10**17 + 2,),
+            )
+            with pytest.raises(ResourceBudgetError, match=r"box of 33333333333333335\+ cells"):
+                lattice_points(rel)
+
     def test_points_sorted(self):
         pts, _ = lattice_points(single_row(PACKING, (2, 3), 4))
         assert pts == sorted(pts)
@@ -198,6 +215,15 @@ class TestCgCut:
 
     def test_zero_normal_returns_none(self):
         assert cg_cut(single_row(PACKING, (half(), half(1)), 5)) is None
+
+    def test_rounding_depends_on_the_scale_of_the_weights(self):
+        # unlike the hull, the rounded row changes when the weights scale:
+        # (3/2, 7/2) <= 4 rounds to x + 3y <= 4, (3, 7) <= 8 is integral
+        halves = build_relaxation(PACK_22, (half(), half()))
+        doubled = build_relaxation(PACK_22, (1, 1))
+        assert cg_cut(halves) == make_inequality((1, 3), 4, "<=")
+        assert cg_cut(doubled) == make_inequality((3, 7), 8, "<=")
+        assert integer_hull(halves) is integer_hull(doubled)
 
 
 SENSES = st.sampled_from([PACKING, COVERING])
@@ -293,3 +319,24 @@ class TestHullProperties:
         for col in cols:
             single = integer_hull(build_relaxation(inst, col))
             assert poly_subset(multi, single)
+
+
+@st.composite
+def integer_weighted_instances(draw):
+    inst = draw(small_instances())
+    k = draw(st.integers(1, 2))
+    columns = [
+        tuple(draw(st.lists(st.integers(0, 5), min_size=inst.m, max_size=inst.m).filter(any)))
+        for _ in range(k)
+    ]
+    return inst, columns, draw(st.integers(1, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_weighted_instances())
+def test_integer_rows_key_equals_canonical_key(case):
+    # integer weights v and rational weights v/D share one hull-memo key
+    inst, columns, d = case
+    rows = [integer_row(inst, v) for v in columns]
+    rel = build_relaxation(inst, [[Fraction(w, d) for w in v] for v in columns])
+    assert _rows_key(inst.sense, inst.n, rows) == rel.canonical_key()
