@@ -318,7 +318,7 @@ def _add_common(sub, k_flag=True, refine_flag=True, out_flag=False):
         "--budget",
         type=_positive_int,
         default=DEFAULT_CELL_BUDGET,
-        help="enumeration cell budget",
+        help="work budget per enumeration: lattice cells or kernel subset leaves",
     )
     sub.add_argument(
         "--threads",
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_positive_int,
         default=DEFAULT_CELL_BUDGET,
-        help="enumeration cell budget",
+        help="work budget per enumeration: lattice cells or kernel subset leaves",
     )
     hull.set_defaults(func=cmd_hull)
 

@@ -215,7 +215,7 @@ def sampled_closure(
     cached = _CLOSURE_MEMO.get(memo_key)
     if cached is None:
         hulls = [hull for _, hull in _grid_hulls(inst, scheme, budget)]
-        cached = _CLOSURE_MEMO[memo_key] = intersect(hulls)
+        cached = _CLOSURE_MEMO[memo_key] = intersect(hulls, budget)
     return cached
 
 
@@ -301,7 +301,7 @@ def build_L(
             continue
         art = aggregation_closure(sub, scheme, budget=budget)
         parts.append(embed_with_free_axis(art.closure, j - 1))
-    return intersect(parts)
+    return intersect(parts, budget)
 
 
 def compute_gamma(inst: Instance) -> int:
@@ -418,10 +418,12 @@ def tuple_to_inequality(t, sense: str) -> LinearInequality:
     return make_inequality(normal, 1, LE if sense == PACKING else GE)
 
 
-def build_K(tuples, sense: str, dim: int) -> Polyhedron:
+def build_K(
+    tuples, sense: str, dim: int, budget: int = DEFAULT_CELL_BUDGET
+) -> Polyhedron:
     """Intersection of the tuple inequalities; whole space when empty."""
     ineqs = [tuple_to_inequality(t, sense) for t in tuples]
-    return hrep_to_vrep(ineqs, dim)
+    return hrep_to_vrep(ineqs, dim, budget)
 
 
 def aggregation_closure(
@@ -488,8 +490,8 @@ def aggregation_closure(
     L = build_L(inst, scheme, budget=budget)
     T = tuple(enumerate_tuples(inst, scheme, budget=budget))
     S = tuple(filter_minimal_tuples(T, inst.sense))
-    K = build_K(S, inst.sense, n)
-    body = intersect([K, L, orthant(n)])
+    K = build_K(S, inst.sense, n, budget)
+    body = intersect([K, L, orthant(n)], budget)
     art = ClosureArtifacts(
         instance=inst,
         sample=scheme,

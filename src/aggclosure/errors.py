@@ -6,7 +6,7 @@ class UsageError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """An enumeration box exceeded the configured cell budget."""
+    """An enumeration exceeded the work budget: box cells or subset leaves."""
 
 
 class TrivialAggregationError(UsageError):

@@ -22,6 +22,7 @@ from .errors import (
     UsageError,
 )
 from .polyhedra import (
+    DEFAULT_CELL_BUDGET,
     GE,
     LE,
     Polyhedron,
@@ -43,8 +44,6 @@ from .rational import (
 
 PACKING = "packing"
 COVERING = "covering"
-
-DEFAULT_CELL_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -230,8 +229,11 @@ def integer_aggregated_hull(
     exactly the `KnapsackRelaxation.canonical_key` of the weights
     ``columns / D`` for every D > 0, and the hull is shared with the
     rational path.  The relaxation, with integer rows, is built only on
-    a memo miss.
+    a memo miss.  In one variable the hull is one of a few shared
+    intervals, read straight off the rows without the memo.
     """
+    if inst.n == 1:
+        return _hull_1d(inst.sense, ((row[:-1], row[-1]) for row in rows))
     key = _rows_key(inst.sense, inst.n, rows)
     hull = _HULL_MEMO.get(key)
     if hull is None:
@@ -392,9 +394,10 @@ def _interval_hull(sense: str, c: int, bounded: bool) -> Polyhedron:
     return hull
 
 
-def _hull_1d(rel: KnapsackRelaxation) -> Polyhedron:
-    row_data = list(zip(rel.aggregated_rows, rel.aggregated_rhs))
-    if rel.sense == COVERING:
+def _hull_1d(sense: str, row_data) -> Polyhedron:
+    # integer hull in one variable of the (row, rhs) pairs
+    row_data = list(row_data)
+    if sense == COVERING:
         for row, r in row_data:
             if not any(row) and r > 0:
                 raise EmptyRelaxationError("empty relaxation")
@@ -448,19 +451,19 @@ def integer_hull(
     if cached is not None:
         return cached
     if rel.n == 1:
-        hull = _hull_1d(rel)
+        hull = _hull_1d(rel.sense, zip(rel.aggregated_rows, rel.aggregated_rhs))
     else:
         points, free = lattice_points(rel, budget)
         if not points:
             hull = empty_polyhedron(rel.n)
         elif rel.sense == COVERING:
             rays = [_unit(rel.n, j) for j in range(rel.n)]
-            hull = vrep_to_hrep(points, rays)
+            hull = vrep_to_hrep(points, rays, budget=budget)
         else:
             bounds, _ = _packing_bounds(rel)
             core = _packing_core(points, bounds, free)
             rays = [_unit(rel.n, j) for j in sorted(free)]
-            hull = vrep_to_hrep(core, rays)
+            hull = vrep_to_hrep(core, rays, budget=budget)
     _HULL_MEMO[key] = hull
     return hull
 

@@ -1,9 +1,16 @@
 """Exact rational polyhedra with both inequality and generator descriptions.
 
-Conversions run by exhaustive subset enumeration over integer data, which is
-the right trade at this scale (dimension <= 5, a few dozen generators): no
-floating point, no external geometry dependency, and every representation is
-canonical so polyhedra can be compared field-by-field.
+The kernel runs on plain integers: no floating point, no external geometry
+dependency, and every representation is canonical so polyhedra can be
+compared field-by-field.  V->H enumerates subsets of homogenized generators
+and reads each candidate facet normal off an integer echelon by
+back-substitution; redundant generators are dropped first by an integer
+phase-one simplex.  H->V enumerates vertices and extreme rays from subsets
+of tight rows, then reads the irredundant inequalities from incidence: an
+input row is a facet exactly when the generators tight on it have rank one
+below the span of all of them.  Subset enumeration is the right trade at
+this scale (dimension <= 5, a few dozen rows or generators); every subset
+search counts its leaves against a work budget.
 
 An H-representation is a sorted tuple of canonical ``LinearInequality`` rows;
 lower-dimensional sets carry each implied equality as an opposed pair of
@@ -16,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import DegenerateFacetError
+from .errors import DegenerateFacetError, ResourceBudgetError
 from .rational import (
     IntEchelon,
+    int_echelon,
     int_row_basis,
     IntVector,
     Rat,
@@ -31,11 +39,14 @@ from .rational import (
     int_clear,
     int_nullspace,
     reduce_gcd,
-    vdot,
 )
 
 LE = "<="
 GE = ">="
+
+# default work budget: lattice cells of one enumeration box, and subset
+# leaves of one kernel enumeration
+DEFAULT_CELL_BUDGET = 10**7
 
 _SENSES = (LE, GE)
 
@@ -67,7 +78,7 @@ class LinearInequality:
             raise ValueError("entries not gcd-reduced")
 
     def evaluate(self, x: RatVector) -> Rat:
-        return vdot(as_vector(self.normal), x)
+        return idot(self.normal, x)
 
     def admits_point(self, x: RatVector) -> bool:
         v = self.evaluate(x)
@@ -89,8 +100,7 @@ def make_inequality(normal, rhs, sense: str) -> LinearInequality:
     """Canonicalize arbitrary rational data into a ``LinearInequality``."""
     if sense not in _SENSES:
         raise ValueError(f"bad sense {sense!r}")
-    row = as_vector(tuple(normal) + (rhs,))
-    ints, _ = int_clear(row)
+    ints, _ = int_clear(tuple(normal) + (rhs,))
     ints = reduce_gcd(ints)
     coeffs, r = ints[:-1], ints[-1]
     if not any(coeffs):
@@ -219,70 +229,77 @@ def empty_polyhedron(dim: int, hrep=()) -> Polyhedron:
 
 
 def lp_feasible(columns: list[RatVector], rhs: RatVector) -> bool:
-    """Whether ``rhs`` is a nonnegative combination of ``columns``. Exact."""
+    """Whether ``rhs`` is a nonnegative combination of ``columns``. Exact.
+
+    Phase one runs on an integer tableau: every row, the cost row
+    included, is a positive multiple of its rational counterpart, so the
+    sign tests and the cross-multiplied ratio tests pick the same pivots
+    that rational arithmetic would.
+    """
     m = len(rhs)
     k = len(columns)
-    rows: list[list[Fraction]] = []
-    target: list[Fraction] = []
-    for i in range(m):
-        r = [Fraction(col[i]) for col in columns]
-        t = Fraction(rhs[i])
-        if t < 0:
-            r = [-v for v in r]
-            t = -t
-        rows.append(r)
-        target.append(t)
     # tableau columns: k structural + m artificial + rhs
     width = k + m
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [target[i]] for i in range(m)]
+    tab: list[list[int]] = []
+    dens: list[int] = []
+    for i in range(m):
+        ints, den = int_clear([col[i] for col in columns] + [rhs[i]])
+        if ints[k] < 0:
+            ints = tuple(-v for v in ints)
+        # the artificial column carries the row's scale
+        tab.append(list(ints[:k]) + [den * (i == j) for j in range(m)] + [ints[k]])
+        dens.append(den)
     basis = [k + i for i in range(m)]
-    # objective: minimize sum of artificials; price out the starting basis
-    cost = [Fraction(0)] * (width + 1)
-    for i in range(m):
+    # objective: minimize sum of artificials; price out the starting basis.
+    # The cost row is scaled by the lcm of the row scales.
+    scale = 1
+    for den in dens:
+        scale = lcm(scale, den)
+    cost = [0] * (width + 1)
+    for row, den in zip(tab, dens):
+        f = scale // den
         for j in range(width + 1):
-            cost[j] -= tab[i][j]
+            cost[j] -= f * row[j]
     for i in range(m):
-        cost[k + i] += 1
+        cost[k + i] += scale
     while True:
-        enter = -1
-        for j in range(width):
-            if cost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(width) if cost[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
-        best: Fraction | None = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                # tab[i][width] / a against the best ratio so far
+                lhs = tab[i][width] * tab[leave][enter]
+                best = tab[leave][width] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # cost unbounded below cannot happen in phase one
             raise RuntimeError("phase one lost boundedness")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
+        prow = tab[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if cost[enter]:
-            f = cost[enter]
-            cost = [a - f * b for a, b in zip(cost, tab[leave])]
+            f = tab[i][enter]
+            if i != leave and f:
+                tab[i] = list(reduce_gcd([piv * a - f * b for a, b in zip(tab[i], prow)]))
+        f = cost[enter]
+        cost = list(reduce_gcd([piv * a - f * b for a, b in zip(cost, prow)]))
         basis[leave] = enter
-    return -cost[width] == 0
+    return cost[width] == 0
 
 
 def in_generated_set(x, points, rays) -> bool:
     """Whether x lies in conv(points) + cone(rays), by exact feasibility."""
-    point = as_vector(x)
-    cols = [as_vector(tuple(p) + (1,)) for p in points]
-    cols += [as_vector(tuple(r) + (0,)) for r in rays]
+    cols = [tuple(p) + (1,) for p in points]
+    cols += [tuple(r) + (0,) for r in rays]
     if not cols:
         return False
-    return lp_feasible(cols, point + (Fraction(1),))
+    return lp_feasible(cols, tuple(x) + (1,))
 
 
 def _extreme_generators(points, rays):
@@ -301,9 +318,7 @@ def _extreme_generators(points, rays):
     i = 0
     while i < len(rys):
         rest = rys[:i] + rys[i + 1 :]
-        if rest and lp_feasible(
-            [as_vector(r) for r in rest], as_vector(rys[i])
-        ):
+        if rest and lp_feasible(rest, rys[i]):
             rys.pop(i)
         else:
             i += 1
@@ -314,13 +329,65 @@ def _extreme_generators(points, rays):
 # V-rep -> H-rep
 
 
-def vrep_to_hrep(points, rays=(), reduce_generators: bool = True) -> Polyhedron:
+def _subset_echelons(rows, base: IntEchelon, size: int, cols: int, start: int = 0):
+    # extensions of ``base`` by ``size`` rows taken in index order, each
+    # independent of the ones before it on its first ``cols`` entries
+    if size == 0:
+        yield base
+        return
+    for i in range(start, len(rows) - size + 1):
+        red = base.reduce(rows[i])
+        if any(red[:cols]):
+            yield from _subset_echelons(rows, base.extended(red), size - 1, cols, i + 1)
+
+
+def _subset_leaves(phase: str, budget: int, rows, base: IntEchelon, size: int, cols: int):
+    """The echelons at the leaves of one subset enumeration.
+
+    More than ``budget`` leaves raise `ResourceBudgetError` naming the
+    phase.
+    """
+    for leaves, ech in enumerate(_subset_echelons(rows, base, size, cols), 1):
+        if leaves > budget:
+            raise ResourceBudgetError(
+                f"{phase} enumeration of {leaves}+ subset leaves exceeds budget {budget}"
+            )
+        yield ech
+
+
+def _equalities(nullbasis, dim) -> list[LinearInequality]:
+    # implied equalities of the generator span, as opposed inequality pairs
+    out = []
+    for nu in nullbasis:
+        a, c = nu[:dim], nu[dim]
+        if not any(a):
+            # span misses the homogenizing coordinate entirely: impossible
+            # while at least one point is present
+            raise RuntimeError("generator span lost homogenizing axis")
+        out.append(make_inequality(a, -c, LE))
+        out.append(make_inequality(a, -c, GE))
+    return out
+
+
+def _nullbasis(homog, width) -> list[IntVector]:
+    # RREF'd orthogonal-complement basis: equality rows come out axis-aligned
+    # whenever the span allows it
+    return int_row_basis(int_nullspace(homog, width), width)
+
+
+def vrep_to_hrep(
+    points,
+    rays=(),
+    reduce_generators: bool = True,
+    budget: int = DEFAULT_CELL_BUDGET,
+) -> Polyhedron:
     """Facet description of conv(points) + cone(rays).
 
     Requires at least one point.  Facet normals come from rank-deficient
     generator subsets in homogeneous coordinates; implied equalities come
     from the integer nullspace of the generator span and are emitted as
-    opposed inequality pairs.
+    opposed inequality pairs.  More than ``budget`` subset leaves raise
+    `ResourceBudgetError`.
     """
     pts = sorted(set(as_vector(p) for p in points))
     if not pts:
@@ -331,43 +398,16 @@ def vrep_to_hrep(points, rays=(), reduce_generators: bool = True) -> Polyhedron:
         pts, rys = _extreme_generators(pts, rys)
     homog = _homogenize(pts, rys)
     width = dim + 1
-    # RREF'd orthogonal-complement basis: equality rows come out axis-aligned
-    # whenever the span allows it
-    nullbasis = int_row_basis(int_nullspace(homog, width), width)
-    span_rank = width - len(nullbasis)
-    ineqs: list[LinearInequality] = []
-    for nu in nullbasis:
-        a, c = nu[:dim], nu[dim]
-        if not any(a):
-            # span misses the homogenizing coordinate entirely: impossible
-            # while at least one point is present
-            raise RuntimeError("generator span lost homogenizing axis")
-        ineqs.append(make_inequality(a, -c, LE))
-        ineqs.append(make_inequality(a, -c, GE))
+    nullbasis = _nullbasis(homog, width)
+    depth_target = width - len(nullbasis) - 1
     facets: set[LinearInequality] = set()
-    depth_target = span_rank - 1
     if depth_target >= 1:
-        base = IntEchelon()
-        for nu in nullbasis:
-            base.insert(nu)
-
-        def descend(start: int, ech: IntEchelon, depth: int) -> None:
-            if depth == depth_target:
-                cand = int_nullspace(ech.rows, width)
-                if len(cand) != 1:
-                    raise RuntimeError("hyperplane candidate not unique")
-                _orient_and_add(cand[0], homog, dim, facets)
-                return
-            remaining = len(homog) - start
-            if remaining < depth_target - depth:
-                return
-            for i in range(start, len(homog)):
-                red = ech.reduce(homog[i])
-                if any(red):
-                    descend(i + 1, ech.extended(red), depth + 1)
-
-        descend(0, base, 0)
-    return _build(dim, pts, rys, ineqs + sorted(facets, key=_hrep_sort_key), True)
+        base = int_echelon(nullbasis)
+        for ech in _subset_leaves("vrep_to_hrep", budget, homog, base, depth_target, width):
+            (normal,) = ech.nullspace(width)
+            _orient_and_add(normal, homog, dim, facets)
+    ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
+    return _build(dim, pts, rys, ineqs, True)
 
 
 def _orient_and_add(direction: IntVector, homog, dim, facets) -> None:
@@ -419,97 +459,72 @@ def _satisfies_all(nums: IntVector, den: int, canon) -> bool:
     return True
 
 
-def _enum_vertices(canon, dim) -> list[RatVector]:
+def _enum_vertices(canon, dim, budget: int = DEFAULT_CELL_BUDGET) -> list[RatVector]:
     rows = [iq.normal + (iq.rhs,) for iq in canon]
-    found: set[RatVector] = set()
-
-    def descend(start: int, ech: IntEchelon, depth: int) -> None:
-        if depth == dim:
-            x = _solve_square_echelon(ech, dim)
-            if x is not None:
-                nums, den = int_clear(x)
-                if _satisfies_all(nums, den, canon):
-                    found.add(x)
-            return
-        if len(rows) - start < dim - depth:
-            return
-        for i in range(start, len(rows)):
-            red = ech.reduce(rows[i])
-            if any(red[:dim]):
-                descend(i + 1, ech.extended(red), depth + 1)
-
-    descend(0, IntEchelon(), 0)
-    return sorted(found)
+    # a vertex x as its gcd-reduced integer null vector (-x, 1) * den
+    found: set[IntVector] = set()
+    # every pivot lies off the rhs column, so that column is the free one
+    for ech in _subset_leaves("hrep_to_vrep vertex", budget, rows, IntEchelon(), dim, dim):
+        (v,) = ech.nullspace(dim + 1)
+        if _satisfies_all(tuple(-a for a in v[:dim]), v[dim], canon):
+            found.add(v)
+    return sorted(tuple(Fraction(-a, v[dim]) for a in v[:dim]) for v in found)
 
 
-def _solve_square_echelon(ech: IntEchelon, dim) -> RatVector | None:
-    # Echelon rows span the tight subsystem; pivots must stay off the rhs
-    # column for a unique solution.
-    if any(p == dim for p in ech.pivots):
-        return None
-    if len(ech.rows) != dim:
-        return None
-    x: list[Fraction] = [Fraction(0)] * dim
-    order = sorted(range(dim), key=lambda t: -ech.pivots[t])
-    for t in order:
-        row = ech.rows[t]
-        piv = ech.pivots[t]
-        acc = Fraction(row[dim])
-        for j in range(piv + 1, dim):
-            if row[j]:
-                acc -= row[j] * x[j]
-        x[piv] = acc / row[piv]
-    return tuple(x)
-
-
-def _enum_rays(canon, dim) -> list[IntVector]:
+def _enum_rays(canon, dim, budget: int = DEFAULT_CELL_BUDGET) -> list[IntVector]:
     rows = [iq.normal for iq in canon]
     found: set[IntVector] = set()
-
-    def admit(r: IntVector) -> bool:
-        for iq in canon:
-            v = idot(iq.normal, r)
-            if iq.sense == LE:
-                if v > 0:
-                    return False
-            elif v < 0:
-                return False
-        return True
-
-    def at_depth(ech: IntEchelon) -> None:
-        cand = int_nullspace(ech.rows, dim)
-        if len(cand) != 1:
-            return
-        r = cand[0]
-        if admit(r):
+    # a ray satisfies every row homogeneously, with rhs 0
+    for ech in _subset_leaves("hrep_to_vrep ray", budget, rows, IntEchelon(), dim - 1, dim):
+        (r,) = ech.nullspace(dim)
+        neg = tuple(-a for a in r)
+        if _satisfies_all(r, 0, canon):
             found.add(r)
-        else:
-            neg = tuple(-a for a in r)
-            if admit(neg):
-                found.add(neg)
-
-    def descend(start: int, ech: IntEchelon, depth: int) -> None:
-        if depth == dim - 1:
-            at_depth(ech)
-            return
-        if len(rows) - start < dim - 1 - depth:
-            return
-        for i in range(start, len(rows)):
-            red = ech.reduce(rows[i])
-            if any(red):
-                descend(i + 1, ech.extended(red), depth + 1)
-
-    descend(0, IntEchelon(), 0)
+        elif _satisfies_all(neg, 0, canon):
+            found.add(neg)
     return sorted(found)
 
 
-def hrep_to_vrep(ineqs, dim: int) -> Polyhedron:
+def _hrep_from_incidence(canon, points, rays, dim) -> Polyhedron:
+    """The canonical polyhedron of generators that solve ``canon``.
+
+    Gives what `vrep_to_hrep` gives on the same generators without its
+    subset search.  Every facet of the homogenized cone of the generators
+    is cut out by an input row or, when the rays span it, by the face at
+    infinity ``t >= 0``; such a candidate is a facet exactly when the
+    span's equalities and the generators tight on it have rank
+    ``width - 1``, and its normal is then the null vector of that echelon,
+    the vector any subset leaf of `vrep_to_hrep` reaches for it.
+    """
+    homog = _homogenize(points, rays)
+    width = dim + 1
+    nullbasis = _nullbasis(homog, width)
+    facets: set[LinearInequality] = set()
+    if width - len(nullbasis) >= 2:
+        base = int_echelon(nullbasis)
+        candidates = [iq.normal + (-iq.rhs,) for iq in canon]
+        candidates.append((0,) * dim + (1,))
+        for cand in candidates:
+            ech = IntEchelon(base.rows, base.pivots)
+            for g in homog:
+                if idot(cand, g) == 0 and ech.insert(g) and ech.rank == width:
+                    break
+            if ech.rank == width - 1:
+                (normal,) = ech.nullspace(width)
+                _orient_and_add(normal, homog, dim, facets)
+    ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
+    return _build(dim, points, rays, ineqs, True)
+
+
+def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
     """Vertex/ray description of an inequality system.
 
     Splits off the lineality space first (each basis direction becomes an
     opposed ray pair plus an equality restriction for the recursive call),
     then enumerates vertices as solutions of n independent tight rows and
-    extreme rays from (n-1)-fold tight subsystems of the recession cone.
+    extreme rays from (n-1)-fold tight subsystems of the recession cone,
+    each search within ``budget`` subset leaves.  The irredundant rows are
+    read from the incidence of generators and input rows.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
@@ -520,26 +535,26 @@ def hrep_to_vrep(ineqs, dim: int) -> Polyhedron:
         for ell in lineality:
             aug.append(make_inequality(ell, 0, LE))
             aug.append(make_inequality(ell, 0, GE))
-        sub = hrep_to_vrep(aug, dim)
+        sub = hrep_to_vrep(aug, dim, budget)
         if not sub.feasible:
             return empty_polyhedron(dim, canon)
         rays = list(sub.vrep_rays)
         for ell in lineality:
             rays.append(ell)
             rays.append(tuple(-a for a in ell))
-        return vrep_to_hrep(sub.vrep_points, rays, reduce_generators=False)
-    verts = _enum_vertices(canon, dim)
+        return _hrep_from_incidence(canon, sub.vrep_points, sorted(rays), dim)
+    verts = _enum_vertices(canon, dim, budget)
     if not verts:
         return empty_polyhedron(dim, canon)
-    rays = _enum_rays(canon, dim)
-    return vrep_to_hrep(verts, rays, reduce_generators=False)
+    rays = _enum_rays(canon, dim, budget)
+    return _hrep_from_incidence(canon, verts, rays, dim)
 
 
 # ---------------------------------------------------------------------------
 # derived operations
 
 
-def intersect(polys) -> Polyhedron:
+def intersect(polys, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
     """Intersection of polyhedra over a shared ambient space."""
     polys = list(polys)
     if not polys:
@@ -558,7 +573,7 @@ def intersect(polys) -> Polyhedron:
         if poly_subset(nxt, current):
             current = nxt
             continue
-        current = hrep_to_vrep(current.hrep + nxt.hrep, dim)
+        current = hrep_to_vrep(current.hrep + nxt.hrep, dim, budget)
     return current
 
 

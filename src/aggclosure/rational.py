@@ -68,6 +68,8 @@ def int_clear(vec: Sequence[Fraction]) -> tuple[IntVector, int]:
 
     Returns ``(ints, den)`` with ``ints[i] / den == vec[i]`` and ``den >= 1``.
     """
+    if all(type(v) is int for v in vec):
+        return tuple(vec), 1
     fracs = [Fraction(v) for v in vec]
     den = 1
     for f in fracs:
@@ -135,12 +137,47 @@ class IntEchelon:
         self.pivots = self.pivots + (pcol,)
         return True
 
+    def nullspace(self, width: int) -> list[IntVector]:
+        """Integer basis of the right nullspace, one vector per free column.
 
-def int_rank(rows: Iterable[Sequence[int]]) -> int:
+        The vector of free column f starts as 1 at f and 0 at the other
+        free columns and is back-substituted in descending pivot order;
+        when a pivot does not divide the accumulated sum the whole vector
+        is scaled up first.  Each vector comes out gcd-reduced and
+        positive at f, so the basis depends only on the row space.
+        """
+        pivots = set(self.pivots)
+        order = sorted(zip(self.rows, self.pivots), key=lambda t: -t[1])
+        basis = []
+        for f in range(width):
+            if f in pivots:
+                continue
+            v = [0] * width
+            v[f] = 1
+            # rows pivoting right of f only meet zeros
+            for row, pcol in order:
+                if pcol > f:
+                    continue
+                s = sum(a * b for a, b in zip(row[pcol + 1 :], v[pcol + 1 :]))
+                a = row[pcol]
+                if s % a:
+                    scale = abs(a) // gcd(s, a)
+                    v = [x * scale for x in v]
+                    s *= scale
+                v[pcol] = -s // a
+            basis.append(reduce_gcd(v))
+        return basis
+
+
+def int_echelon(rows: Iterable[Sequence[int]]) -> IntEchelon:
     ech = IntEchelon()
     for row in rows:
         ech.insert(row)
-    return ech.rank
+    return ech
+
+
+def int_rank(rows: Iterable[Sequence[int]]) -> int:
+    return int_echelon(rows).rank
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -188,34 +225,18 @@ def int_row_basis(rows: Iterable[Sequence[int]], width: int) -> list[IntVector]:
 def int_nullspace(rows: Iterable[Sequence[int]], width: int) -> list[IntVector]:
     """Deterministic gcd-reduced integer basis of the right nullspace.
 
-    The basis vector for free column f has a positive entry at f.
+    The basis vector for free column f has a positive entry at f and
+    zeros at the other free columns.
     """
-    rows = [list(map(Fraction, r)) for r in rows if any(r)]
-    if not rows:
-        return [tuple(1 if i == f else 0 for i in range(width)) for f in range(width)]
-    rref, pivot_cols = _rref(rows)
-    pivot_set = set(pivot_cols)
-    basis: list[IntVector] = []
-    for f in range(width):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * width
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            v[c] = -rref[i][f]
-        ints, _ = int_clear(v)
-        ints = reduce_gcd(ints)
-        if ints[f] < 0:
-            ints = tuple(-a for a in ints)
-        basis.append(ints)
-    return basis
+    return int_echelon(rows).nullspace(width)
 
 
 def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[RatVector]:
     """Solve a square exact linear system; None reports a singular matrix.
 
     Fraction-free (Bareiss-style) forward elimination on the integer-cleared
-    augmented system bounds intermediate growth; back-substitution is exact.
+    augmented system bounds intermediate growth; the solution is read off
+    the integer null vector of the augmented system.
     """
     mat = as_matrix(matrix)
     b = as_vector(rhs)
@@ -228,18 +249,13 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[RatVecto
     for row, rhs_entry in zip(mat, b):
         ints, _ = int_clear(tuple(row) + (rhs_entry,))
         ech.insert(ints)
-    if any(pcol == n for pcol in ech.pivots):
-        return None  # 0 = nonzero row: inconsistent, matrix necessarily singular
-    if len([p for p in ech.pivots if p < n]) < n:
+    # a pivot on the rhs column means 0 = nonzero: inconsistent, and the
+    # matrix necessarily singular
+    if ech.rank != n or n in ech.pivots:
         return None
-    # back-substitution in pivot order
-    x: list[Optional[Fraction]] = [None] * n
-    for prow, pcol in sorted(zip(ech.rows, ech.pivots), key=lambda t: -t[1]):
-        acc = Fraction(prow[n])
-        for c in range(pcol + 1, n):
-            acc -= prow[c] * x[c]
-        x[pcol] = acc / prow[pcol]
-    return tuple(x)  # type: ignore[arg-type]
+    # the nullspace of [A | b] is spanned by (-x, 1)
+    (v,) = ech.nullspace(n + 1)
+    return tuple(Fraction(-a, v[n]) for a in v[:n])
 
 
 def affine_rank(points: Sequence[Sequence]) -> int:

@@ -48,7 +48,7 @@ from .polyhedra import (
     intersect,
     render_point,
 )
-from .rational import RatVector, as_vector, format_rat, vdot
+from .rational import RatVector, as_vector, format_rat, idot, vdot
 
 PASS = "pass"
 FAIL = "fail"
@@ -163,7 +163,7 @@ def _escape_witness(inner: Polyhedron, outer: Polyhedron):
 
 def _feasible(inst: Instance, point) -> bool:
     for row, rhs in zip(inst.A, inst.b):
-        lhs = vdot(as_vector(row), as_vector(point))
+        lhs = idot(row, point)
         if inst.sense == PACKING and lhs > rhs:
             return False
         if inst.sense == COVERING and lhs < rhs:
@@ -405,7 +405,7 @@ def check_onerow_ratio(
         unit_hulls.append(
             integer_hull(build_relaxation(inst, Aggregation((col,))), budget)
         )
-    rowwise = intersect(unit_hulls)
+    rowwise = intersect(unit_hulls, budget)
     sc = sampled_closure(inst, scheme, budget=budget)
 
     maximize = inst.sense == PACKING

@@ -204,6 +204,19 @@ class TestClosureCommand:
         assert record["closure"] == ["1 0 >= 0", "0 1 >= 0", "1 2 <= 2"]
         assert record["saturation"] is True
 
+    def test_kernel_budget_exit_code(self, fixture_dir, capsys):
+        # every lattice box of pack4x3 at grid 4 fits in 2,000 cells, but
+        # its vertex enumerations do not fit in 2,000 subset leaves
+        path = fixture_dir / "pack4x3.txt"
+        path.write_text(
+            "sense packing\nn 4\nm 3\nA\n3 2 4 1\n2 5 1 3\n4 1 3 2\nb\n9 10 8\n"
+        )
+        code, out, err = run_cli(
+            capsys, "closure", str(path), "--grid", "4", "--budget", "2000"
+        )
+        assert code == 2 and out == ""
+        assert "enumeration of 2001+ subset leaves exceeds budget 2000" in err
+
     def test_identical_bytes_across_runs_and_threads(self, fixture_dir, capsys):
         argv = ["closure", str(fixture_dir / "coverfix.txt"), "--grid", "3"]
         first = run_cli(capsys, *argv)

@@ -10,6 +10,7 @@ from aggclosure.errors import (
     TrivialAggregationError,
     UsageError,
 )
+from aggclosure import knapsack
 from aggclosure.knapsack import (
     COVERING,
     PACKING,
@@ -18,6 +19,7 @@ from aggclosure.knapsack import (
     _rows_key,
     build_relaxation,
     cg_cut,
+    integer_aggregated_hull,
     integer_hull,
     integer_hull_multi,
     integer_row,
@@ -177,6 +179,27 @@ class TestIntegerHull:
     def test_one_dimensional_senses(self):
         assert integer_hull(single_row(PACKING, (3,), 7)).render_lines() == ["1 >= 0", "1 <= 2"]
         assert integer_hull(single_row(COVERING, (3,), 7)).render_lines() == ["1 >= 3"]
+
+
+class TestOneVariableGridPath:
+    @pytest.mark.parametrize("sense", [PACKING, COVERING])
+    def test_interval_without_relaxation_or_memo(self, sense, monkeypatch):
+        inst = Instance(sense, ((3,), (5,), (2,)), (17, 23, 9))
+        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        built = []
+        monkeypatch.setattr(
+            knapsack, "KnapsackRelaxation",
+            lambda *a, **kw: built.append(1) or KnapsackRelaxation(*a, **kw),
+        )
+        for cols in [((1, 0, 0),), ((1, 2, 1),), ((0, 3, 1), (2, 0, 2))]:
+            built.clear()
+            knapsack._HULL_MEMO.clear()
+            rows = [integer_row(inst, c) for c in cols]
+            hull = integer_aggregated_hull(inst, cols, rows)
+            assert not built and not knapsack._HULL_MEMO
+            # the same shared object the rational path returns
+            weights = [tuple(Fraction(v, sum(c)) for v in c) for c in cols]
+            assert integer_hull(build_relaxation(inst, weights)) is hull
 
 
 class TestIntegerHullMulti:

@@ -4,17 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggclosure.errors import DegenerateFacetError
+from aggclosure.errors import DegenerateFacetError, ResourceBudgetError
 from aggclosure.polyhedra import (
     GE,
     LE,
     LinearInequality,
+    _canonical_system,
+    _enum_rays,
+    _enum_vertices,
     contains,
     embed_with_free_axis,
+    empty_polyhedron,
     facet_lattice_tuple,
     hrep_to_vrep,
     in_generated_set,
     intersect,
+    lp_feasible,
     make_inequality,
     orthant,
     poly_equal,
@@ -23,6 +28,7 @@ from aggclosure.polyhedra import (
     vrep_to_hrep,
     whole_space,
 )
+from aggclosure.rational import int_nullspace
 
 
 def mk(normal, rhs, sense):
@@ -293,3 +299,149 @@ class TestProperties:
         poly = vrep_to_hrep(pts, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         back = hrep_to_vrep(poly.hrep, 3)
         assert poly_equal(poly, back)
+
+
+def fraction_lp_feasible(columns, rhs) -> bool:
+    # the phase-one simplex over Fraction that the integer tableau replaced;
+    # kept as the oracle
+    m = len(rhs)
+    k = len(columns)
+    tab = []
+    for i in range(m):
+        r = [Fraction(col[i]) for col in columns]
+        t = Fraction(rhs[i])
+        if t < 0:
+            r = [-v for v in r]
+            t = -t
+        tab.append(r + [Fraction(int(i == j)) for j in range(m)] + [t])
+    width = k + m
+    basis = [k + i for i in range(m)]
+    cost = [Fraction(0)] * (width + 1)
+    for i in range(m):
+        for j in range(width + 1):
+            cost[j] -= tab[i][j]
+    for i in range(m):
+        cost[k + i] += 1
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), -1)
+        if enter < 0:
+            return cost[width] == 0
+        leave, best = -1, None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][width] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        f = cost[enter]
+        cost = [a - f * b for a, b in zip(cost, tab[leave])]
+        basis[leave] = enter
+
+
+def subset_hrep_to_vrep(ineqs, dim):
+    # H->V as it ran before incidence: enumerate generators, then a second
+    # V->H pass over generator subsets; kept as the oracle
+    canon = _canonical_system(ineqs)
+    lineality = int_nullspace([iq.normal for iq in canon], dim)
+    if lineality:
+        aug = list(canon)
+        for ell in lineality:
+            aug += [make_inequality(ell, 0, LE), make_inequality(ell, 0, GE)]
+        sub = subset_hrep_to_vrep(aug, dim)
+        if not sub.feasible:
+            return empty_polyhedron(dim, canon)
+        rays = list(sub.vrep_rays)
+        for ell in lineality:
+            rays += [ell, tuple(-a for a in ell)]
+        return vrep_to_hrep(sub.vrep_points, rays, reduce_generators=False)
+    verts = _enum_vertices(canon, dim)
+    if not verts:
+        return empty_polyhedron(dim, canon)
+    return vrep_to_hrep(verts, _enum_rays(canon, dim), reduce_generators=False)
+
+
+small_rat = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def lp_case(draw):
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 5))
+    column = st.lists(small_rat, min_size=m, max_size=m)
+    columns = draw(st.lists(column, min_size=k, max_size=k))
+    if columns and draw(st.booleans()):
+        # a target inside the cone of the columns
+        mult = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        rhs = [sum(c * col[i] for c, col in zip(mult, columns)) for i in range(m)]
+    else:
+        rhs = draw(column)
+    return columns, rhs
+
+
+@st.composite
+def inequality_system(draw):
+    # random rows, with opposed pairs for lower-dimensional sets and few
+    # rows or repeated supports for lineality
+    dim = draw(st.integers(1, 3))
+    coeffs = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        normal = draw(coeffs)
+        rhs = draw(st.integers(-4, 4))
+        sense = draw(st.sampled_from((LE, GE, "=")))
+        if sense == "=":
+            rows += [mk(normal, rhs, LE), mk(normal, rhs, GE)]
+        else:
+            rows.append(mk(normal, rhs, sense))
+    return dim, rows
+
+
+class TestDifferentialAgainstFractionKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(lp_case())
+    def test_integer_lp_matches_fraction_simplex(self, case):
+        columns, rhs = case
+        assert lp_feasible(columns, rhs) == fraction_lp_feasible(columns, rhs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inequality_system())
+    def test_incidence_hrep_matches_subset_pass(self, case):
+        dim, rows = case
+        assert hrep_to_vrep(rows, dim) == subset_hrep_to_vrep(rows, dim)
+
+    def test_lower_dimensional_face_at_infinity(self):
+        # the rays span a facet of the homogenized cone whose normal,
+        # orthogonal to the equality, is not t >= 0 itself: the subset pass
+        # emits the redundant row 0 1 >= -1, and incidence keeps it
+        rows = [mk((0, 1), 1, LE), mk((0, 1), 1, GE), mk((1, 0), 0, GE)]
+        poly = hrep_to_vrep(rows, 2)
+        assert rendered(poly) == ["1 0 >= 0", "0 1 >= -1", "0 1 <= 1", "0 1 >= 1"]
+        assert poly == subset_hrep_to_vrep(rows, 2)
+
+
+class TestKernelBudget:
+    def test_vrep_to_hrep_leaves(self):
+        cube = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        assert vrep_to_hrep(cube, reduce_generators=False, budget=56).feasible
+        with pytest.raises(ResourceBudgetError, match=r"vrep_to_hrep enumeration of 56\+ subset leaves exceeds budget 55"):
+            vrep_to_hrep(cube, reduce_generators=False, budget=55)
+
+    def test_vertex_leaves(self):
+        box = [mk(u, 0, GE) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        box += [mk(u, 1, LE) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        # 8 vertex leaves, then 12 ray leaves
+        with pytest.raises(ResourceBudgetError, match=r"hrep_to_vrep vertex enumeration of 8\+"):
+            hrep_to_vrep(box, 3, budget=7)
+
+    def test_ray_leaves(self):
+        # four rows in three variables: 4 vertex leaves, 6 ray leaves
+        rows = [mk(u, 0, GE) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        rows.append(mk((1, 1, 1), 1, GE))
+        assert hrep_to_vrep(rows, 3, budget=6).feasible
+        with pytest.raises(ResourceBudgetError, match=r"hrep_to_vrep ray enumeration of 6\+"):
+            hrep_to_vrep(rows, 3, budget=5)

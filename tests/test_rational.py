@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from aggclosure.rational import (
     IntEchelon,
+    _rref,
     affine_rank,
     as_matrix,
     as_vector,
@@ -167,3 +168,51 @@ class TestIntegerLinearAlgebra:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError):
             as_matrix([[1, 2], [3]])
+
+
+def fraction_nullspace(rows, width):
+    # the Fraction RREF nullspace that integer back-substitution replaced;
+    # kept as the oracle
+    rows = [list(map(Fraction, r)) for r in rows if any(r)]
+    if not rows:
+        return [tuple(int(i == f) for i in range(width)) for f in range(width)]
+    rref, pivot_cols = _rref(rows)
+    basis = []
+    for f in range(width):
+        if f in pivot_cols:
+            continue
+        v = [Fraction(int(i == f)) for i in range(width)]
+        for i, c in enumerate(pivot_cols):
+            v[c] = -rref[i][f]
+        ints = reduce_gcd(int_clear(v)[0])
+        basis.append(ints if ints[f] > 0 else tuple(-a for a in ints))
+    return basis
+
+
+class TestNullspace:
+    def test_scales_up_when_a_pivot_does_not_divide(self):
+        ech = IntEchelon()
+        ech.insert((2, 3, 0))
+        ech.insert((0, 3, 1))
+        assert ech.nullspace(3) == [(3, -2, 6)]
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(
+                    st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+                    min_size=0,
+                    max_size=width,
+                ),
+                st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+            )
+        )
+    )
+    def test_matches_fraction_rref(self, case):
+        # any rank, a subset leaf's width - 1 included, with one dependent
+        # row mixed in
+        width, rows, mix = case
+        dependent = [sum(c * row[j] for c, row in zip(mix, rows)) for j in range(width)]
+        rows = rows[:1] + [dependent] + rows[1:]
+        assert int_nullspace(rows, width) == fraction_nullspace(rows, width)
