@@ -12,7 +12,7 @@ from aggclosure import (
     PACKING,
     SampleScheme,
     build_relaxation,
-    integer_hull_multi,
+    integer_hull,
     sample_lambdas,
     sampled_closure,
 )
@@ -40,7 +40,7 @@ def main():
     for v in cut_off:
         print(f"\nvertex {render_point(v)} of the single-column closure is cut off;")
         for pair in sample_lambdas(inst.m, SampleScheme(grid_denominator=2, k=2)):
-            hull = integer_hull_multi(build_relaxation(inst, pair))
+            hull = integer_hull(build_relaxation(inst, pair))
             if not contains(hull, v):
                 cols = "; ".join(" ".join(str(w) for w in col) for col in pair.weights)
                 print(f"  the pair hull for weight columns [{cols}] rejects it")

@@ -19,7 +19,6 @@ from .knapsack import (
     build_relaxation,
     cg_cut,
     integer_hull,
-    integer_hull_multi,
 )
 from .closure import (
     ClosureArtifacts,
@@ -50,7 +49,6 @@ __all__ = [
     "build_relaxation",
     "cg_cut",
     "integer_hull",
-    "integer_hull_multi",
     "run_suite",
     "sample_lambdas",
     "sampled_closure",

@@ -36,7 +36,7 @@ from .knapsack import (
     integer_hull,
 )
 from .rational import format_rat, parse_rat
-from .verify import failures, run_suite, suite_json, suite_lines
+from .verify import SKIPPED, CheckReport, failures, run_suite, suite_json, suite_lines
 
 
 def parse_instance(text: str, default_id: str = "") -> Instance:
@@ -261,8 +261,6 @@ def cmd_verify(args) -> int:
         try:
             instances.append(parse_instance(path.read_text(), default_id=path.stem))
         except (OSError, UsageError) as exc:
-            from .verify import SKIPPED, CheckReport
-
             reports.append(
                 CheckReport("parse", path.stem, SKIPPED, note=str(exc))
             )

@@ -48,9 +48,9 @@ from .polyhedra import (
     LE,
     LinearInequality,
     Polyhedron,
-    contains,
     embed_with_free_axis,
     facet_lattice_tuple,
+    homogenize,
     hrep_to_vrep,
     intersect,
     make_inequality,
@@ -59,7 +59,7 @@ from .polyhedra import (
     vrep_to_hrep,
     whole_space,
 )
-from .rational import Rat, RatVector, as_vector, solve_linear
+from .rational import Rat, as_vector, solve_linear
 
 log = logging.getLogger(__name__)
 
@@ -243,12 +243,12 @@ def closure_1d(inst: Instance) -> Polyhedron:
     ratios = [(inst.b[i], inst.A[i][0]) for i in range(inst.m)]
     if inst.sense == PACKING:
         c = min(b // a for b, a in ratios)
-        points = [(Fraction(0),)]
+        points = [(0,)]
         if c > 0:
-            points.append((Fraction(c),))
+            points.append((c,))
         return vrep_to_hrep(points, (), reduce_generators=False)
     c = max(-((-b) // a) for b, a in ratios)
-    return vrep_to_hrep([(Fraction(c),)], [(Fraction(1),)], reduce_generators=False)
+    return vrep_to_hrep([(c,)], [(1,)], reduce_generators=False)
 
 
 def build_Qj(inst: Instance, j: int) -> Instance | None:
@@ -506,9 +506,10 @@ def aggregation_closure(
     return art
 
 
-def _violation(ineq: LinearInequality, x: RatVector) -> Rat:
-    value = ineq.evaluate(x)
-    return value - ineq.rhs if ineq.sense == LE else ineq.rhs - value
+def _violation(ineq: LinearInequality, g) -> int:
+    # how far the homogeneous point ``g`` lies outside the row, times g's den
+    gap = ineq.gap(g)
+    return gap if ineq.sense == LE else -gap
 
 
 def separate(
@@ -529,15 +530,17 @@ def separate(
         raise UsageError("point dimension does not match the instance")
     if any(c < 0 for c in x):
         raise UsageError("point must be nonnegative")
+    # violations are compared as integers over the one denominator of x
+    xg = homogenize(x)
 
-    best: tuple[Rat, Aggregation, LinearInequality] | None = None
+    best: tuple[int, Aggregation, LinearInequality] | None = None
 
     def consider(hull: Polyhedron, weights) -> None:
         nonlocal best
         if not hull.feasible:
             return
         for ineq in hull.hrep:
-            gap = _violation(ineq, x)
+            gap = _violation(ineq, xg)
             if gap > 0 and (best is None or gap > best[0]):
                 best = (gap, weights, ineq)
 
@@ -564,5 +567,5 @@ def separate(
     if best is None:
         return SeparationResult(inside=True)
     return SeparationResult(
-        inside=False, cut=best[2], violation=best[0], witness=best[1]
+        inside=False, cut=best[2], violation=Fraction(best[0], xg[-1]), witness=best[1]
     )

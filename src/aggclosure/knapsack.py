@@ -27,7 +27,6 @@ from .polyhedra import (
     LE,
     Polyhedron,
     empty_polyhedron,
-    hrep_to_vrep,
     make_inequality,
     vrep_to_hrep,
 )
@@ -386,9 +385,9 @@ def _interval_hull(sense: str, c: int, bounded: bool) -> Polyhedron:
     hull = _INTERVAL_MEMO.get(key)
     if hull is None:
         if not bounded:
-            hull = vrep_to_hrep([(Fraction(c),)], [(1,)], reduce_generators=False)
+            hull = vrep_to_hrep([(c,)], [(1,)], reduce_generators=False)
         else:
-            points = [(Fraction(0),)] if c == 0 else [(Fraction(0),), (Fraction(c),)]
+            points = [(0,)] if c == 0 else [(0,), (c,)]
             hull = vrep_to_hrep(points, [], reduce_generators=False)
         _INTERVAL_MEMO[key] = hull
     return hull
@@ -466,25 +465,6 @@ def integer_hull(
             hull = vrep_to_hrep(core, rays, budget=budget)
     _HULL_MEMO[key] = hull
     return hull
-
-
-def integer_hull_multi(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
-    """Integer hull of a k-row aggregated system (k >= 2)."""
-    if rel.k < 2:
-        raise UsageError("multi-row hull needs at least two aggregated rows")
-    return integer_hull(rel, budget)
-
-
-def relaxation_polyhedron(rel: KnapsackRelaxation) -> Polyhedron:
-    """The fractional relaxation {x >= 0, aggregated rows} as a polyhedron."""
-    sense = LE if rel.sense == PACKING else GE
-    ineqs = [make_inequality(_unit(rel.n, j), 0, GE) for j in range(rel.n)]
-    for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
-        if any(row):
-            ineqs.append(make_inequality(row, r, sense))
-        elif (rel.sense == PACKING and r < 0) or (rel.sense == COVERING and r > 0):
-            return empty_polyhedron(rel.n, ineqs)
-    return hrep_to_vrep(ineqs, rel.n)
 
 
 def cg_cut(rel: KnapsackRelaxation):

@@ -2,21 +2,29 @@
 
 The kernel runs on plain integers: no floating point, no external geometry
 dependency, and every representation is canonical so polyhedra can be
-compared field-by-field.  V->H enumerates subsets of homogenized generators
-and reads each candidate facet normal off an integer echelon by
-back-substitution; redundant generators are dropped first by an integer
-phase-one simplex.  H->V enumerates vertices and extreme rays from subsets
-of tight rows, then reads the irredundant inequalities from incidence: an
-input row is a facet exactly when the generators tight on it have rank one
-below the span of all of them.  Subset enumeration is the right trade at
-this scale (dimension <= 5, a few dozen rows or generators); every subset
-search counts its leaves against a work budget.
+compared field-by-field.
 
 An H-representation is a sorted tuple of canonical ``LinearInequality`` rows;
 lower-dimensional sets carry each implied equality as an opposed pair of
-inequalities.  A V-representation is the sorted tuple of vertices (points of
-minimal faces when a lineality space is present) plus the sorted tuple of
-gcd-reduced integer extreme rays.
+inequalities.  A V-representation is one tuple of gcd-reduced homogeneous
+integer generators: a vertex x (a point of a minimal face when a lineality
+space is present) is stored as ``(x * den, den)`` with ``den >= 1``, and an
+extreme ray r as ``(r, 0)``.  Vertices come first, in the lexicographic
+order of the points, then the rays in integer order.  A row holds at a
+generator ``g`` exactly when ``normal . g[:-1]`` compares with
+``rhs * g[-1]`` as its sense says, so every membership, tightness and
+containment test is one integer dot product.  ``Fraction`` is built only
+by `Polyhedron.vrep_points` and when rational input is converted.
+
+V->H enumerates subsets of generators and reads each candidate facet normal
+off an integer echelon by back-substitution; redundant generators are
+dropped first by an integer phase-one simplex.  H->V enumerates vertices and
+extreme rays from subsets of tight rows, then reads the irredundant
+inequalities from incidence: an input row is a facet exactly when the
+generators tight on it have rank one below the span of all of them.  Subset
+enumeration is the right trade at this scale (dimension <= 5, a few dozen
+rows or generators); every subset search counts its leaves against a work
+budget.
 """
 
 from __future__ import annotations
@@ -33,8 +41,6 @@ from .rational import (
     IntVector,
     Rat,
     RatVector,
-    affine_rank,
-    as_vector,
     idot,
     int_clear,
     int_nullspace,
@@ -77,19 +83,27 @@ class LinearInequality:
         if g != 1:
             raise ValueError("entries not gcd-reduced")
 
+    def gap(self, g: IntVector) -> int:
+        """``normal . g[:-1] - rhs * g[-1]`` at a homogeneous generator."""
+        return idot(self.normal, g) - self.rhs * g[-1]
+
+    def holds_at(self, g: IntVector) -> bool:
+        # `gap` written out: this runs for every row at every leaf of the
+        # vertex search, where the extra call shows
+        v = idot(self.normal, g) - self.rhs * g[-1]
+        return v <= 0 if self.sense == LE else v >= 0
+
     def evaluate(self, x: RatVector) -> Rat:
         return idot(self.normal, x)
 
     def admits_point(self, x: RatVector) -> bool:
-        v = self.evaluate(x)
-        return v <= self.rhs if self.sense == LE else v >= self.rhs
+        return self.holds_at(homogenize(x))
 
     def admits_ray(self, r: IntVector) -> bool:
-        v = idot(self.normal, r)
-        return v <= 0 if self.sense == LE else v >= 0
+        return self.holds_at(tuple(r) + (0,))
 
     def tight_at(self, x: RatVector) -> bool:
-        return self.evaluate(x) == self.rhs
+        return self.gap(homogenize(x)) == 0
 
     def render(self) -> str:
         coeffs = " ".join(str(a) for a in self.normal)
@@ -136,15 +150,30 @@ def sort_hrep(ineqs) -> tuple[LinearInequality, ...]:
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """A polyhedron carrying both descriptions, kept mutually consistent."""
+    """A polyhedron carrying both descriptions, kept mutually consistent.
+
+    ``generators`` is the V-representation as homogeneous integer vectors,
+    vertices ``(x * den, den)`` first and rays ``(r, 0)`` after them (see
+    the module docstring); `vrep_points` and `vrep_rays` read it back as
+    rational vertices and integer rays.
+    """
 
     dim: int
     hrep: tuple[LinearInequality, ...]
-    vrep_points: tuple[RatVector, ...]
-    vrep_rays: tuple[IntVector, ...]
+    generators: tuple[IntVector, ...]
     feasible: bool
     integral_flag: bool
     affine_dim: int
+
+    @property
+    def vrep_points(self) -> tuple[RatVector, ...]:
+        return tuple(
+            tuple(Fraction(a, g[-1]) for a in g[:-1]) for g in self.generators if g[-1]
+        )
+
+    @property
+    def vrep_rays(self) -> tuple[IntVector, ...]:
+        return tuple(g[:-1] for g in self.generators if not g[-1])
 
     def render_lines(self) -> list[str]:
         if not self.feasible:
@@ -152,72 +181,56 @@ class Polyhedron:
         return [iq.render() for iq in self.hrep]
 
 
+def homogenize(x) -> IntVector:
+    """The homogeneous generator ``(x * den, den)`` of a rational point."""
+    ints, den = int_clear(tuple(x))
+    return ints + (den,)
+
+
 def contains(poly: Polyhedron, x) -> bool:
-    point = as_vector(x)
-    if len(point) != poly.dim:
+    g = homogenize(x)
+    if len(g) - 1 != poly.dim:
         raise ValueError("dimension mismatch")
     if not poly.feasible:
         return False
-    return all(iq.admits_point(point) for iq in poly.hrep)
-
-
-def _homogenize(points, rays) -> list[IntVector]:
-    rows: list[IntVector] = []
-    for p in points:
-        ints, den = int_clear(p)
-        rows.append(ints + (den,))
-    for r in rays:
-        rows.append(tuple(r) + (0,))
-    return rows
+    return all(iq.holds_at(g) for iq in poly.hrep)
 
 
 def _canonical_rays(rays) -> list[IntVector]:
     out = set()
     for r in rays:
-        vec = as_vector(r)
-        ints, _ = int_clear(vec)
-        ints = reduce_gcd(ints)
+        ints = reduce_gcd(int_clear(tuple(r))[0])
         if any(ints):
-            out.add(ints)
+            out.add(ints + (0,))
     return sorted(out)
 
 
-def _build(dim, points, rays, hrep, feasible) -> Polyhedron:
-    points = tuple(points)
-    integral = feasible and all(c.denominator == 1 for p in points for c in p)
-    adim = affine_rank(points) - 1 + _ray_rank_beyond(points, rays) if feasible else -1
+def _canonical_order(generators) -> list[IntVector]:
+    # vertices in the lexicographic order of the points (scaled to one
+    # common denominator they compare as integer tuples), then sorted rays
+    verts = [g for g in generators if g[-1]]
+    den = lcm(*(g[-1] for g in verts))
+    verts.sort(key=lambda g: tuple(a * (den // g[-1]) for a in g[:-1]))
+    return verts + sorted(g for g in generators if not g[-1])
+
+
+def _build(dim, generators, hrep, affine_dim) -> Polyhedron:
+    generators = tuple(_canonical_order(generators))
     return Polyhedron(
         dim=dim,
         hrep=sort_hrep(hrep),
-        vrep_points=points,
-        vrep_rays=tuple(rays),
-        feasible=feasible,
-        integral_flag=integral,
-        affine_dim=adim,
+        generators=generators,
+        feasible=True,
+        integral_flag=all(g[-1] <= 1 for g in generators),
+        affine_dim=affine_dim,
     )
-
-
-def _ray_rank_beyond(points, rays) -> int:
-    # Extra affine dimensions contributed by rays beyond the point span.
-    if not points:
-        return 0
-    ech = IntEchelon()
-    base = points[0]
-    for p in points[1:]:
-        diff, _ = int_clear(tuple(a - b for a, b in zip(p, base)))
-        ech.insert(diff)
-    start = ech.rank
-    for r in rays:
-        ech.insert(tuple(r))
-    return ech.rank - start
 
 
 def empty_polyhedron(dim: int, hrep=()) -> Polyhedron:
     return Polyhedron(
         dim=dim,
         hrep=sort_hrep(hrep),
-        vrep_points=(),
-        vrep_rays=(),
+        generators=(),
         feasible=False,
         integral_flag=False,
         affine_dim=-1,
@@ -302,27 +315,21 @@ def in_generated_set(x, points, rays) -> bool:
     return lp_feasible(cols, tuple(x) + (1,))
 
 
-def _extreme_generators(points, rays):
-    # Drop points inside the hull of the others and rays inside the cone of
-    # the others.  Removal order cannot change the surviving set: redundancy
-    # certificates never rely on other redundant generators exclusively.
-    pts = list(points)
+def _extreme_generators(gens):
+    # Drop, in canonical order, every generator that is a nonnegative
+    # combination of the others left: a point inside conv(other points) +
+    # cone(rays), or a ray inside the cone of the other rays (points, with
+    # t > 0, cannot help a ray).  The order decides only which of several
+    # points on one minimal face survives when a lineality space is present.
+    out = list(gens)
     i = 0
-    while i < len(pts):
-        rest = pts[:i] + pts[i + 1 :]
-        if rest and in_generated_set(pts[i], rest, rays):
-            pts.pop(i)
+    while i < len(out):
+        rest = out[:i] + out[i + 1 :]
+        if rest and lp_feasible(rest, out[i]):
+            out.pop(i)
         else:
             i += 1
-    rys = list(rays)
-    i = 0
-    while i < len(rys):
-        rest = rys[:i] + rys[i + 1 :]
-        if rest and lp_feasible(rest, rys[i]):
-            rys.pop(i)
-        else:
-            i += 1
-    return pts, rys
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +376,17 @@ def _equalities(nullbasis, dim) -> list[LinearInequality]:
     return out
 
 
-def _nullbasis(homog, width) -> list[IntVector]:
+def _nullbasis(gens, width) -> list[IntVector]:
     # RREF'd orthogonal-complement basis: equality rows come out axis-aligned
     # whenever the span allows it
-    return int_row_basis(int_nullspace(homog, width), width)
+    return int_row_basis(int_nullspace(gens, width), width)
+
+
+def _at_infinity(nullbasis, width) -> IntEchelon:
+    # the span of the equalities and of t: a candidate normal in it is the
+    # face at infinity t >= 0 restricted to the affine hull, which every
+    # point of the hull satisfies, so it is never a facet
+    return int_echelon(nullbasis + [(0,) * (width - 1) + (1,)])
 
 
 def vrep_to_hrep(
@@ -389,30 +403,30 @@ def vrep_to_hrep(
     opposed inequality pairs.  More than ``budget`` subset leaves raise
     `ResourceBudgetError`.
     """
-    pts = sorted(set(as_vector(p) for p in points))
-    if not pts:
+    gens = _canonical_order({homogenize(p) for p in points})
+    if not gens:
         raise ValueError("need at least one point")
-    dim = len(pts[0])
-    rys = _canonical_rays(rays)
-    if reduce_generators and len(pts) + len(rys) > 2:
-        pts, rys = _extreme_generators(pts, rys)
-    homog = _homogenize(pts, rys)
+    dim = len(gens[0]) - 1
+    gens += _canonical_rays(rays)
+    if reduce_generators and len(gens) > 2:
+        gens = _extreme_generators(gens)
     width = dim + 1
-    nullbasis = _nullbasis(homog, width)
+    nullbasis = _nullbasis(gens, width)
     depth_target = width - len(nullbasis) - 1
     facets: set[LinearInequality] = set()
     if depth_target >= 1:
         base = int_echelon(nullbasis)
-        for ech in _subset_leaves("vrep_to_hrep", budget, homog, base, depth_target, width):
+        infinity = _at_infinity(nullbasis, width)
+        for ech in _subset_leaves("vrep_to_hrep", budget, gens, base, depth_target, width):
             (normal,) = ech.nullspace(width)
-            _orient_and_add(normal, homog, dim, facets)
+            _orient_and_add(normal, gens, infinity, facets)
     ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
-    return _build(dim, pts, rys, ineqs, True)
+    return _build(dim, gens, ineqs, dim - len(nullbasis))
 
 
-def _orient_and_add(direction: IntVector, homog, dim, facets) -> None:
+def _orient_and_add(direction: IntVector, gens, infinity: IntEchelon, facets) -> None:
     pos = neg = False
-    for g in homog:
+    for g in gens:
         v = idot(direction, g)
         if v > 0:
             pos = True
@@ -420,12 +434,11 @@ def _orient_and_add(direction: IntVector, homog, dim, facets) -> None:
             neg = True
         if pos and neg:
             return
+    if not any(infinity.reduce(direction)):
+        return
     if pos:
         direction = tuple(-a for a in direction)
-    a, c = direction[:dim], direction[dim]
-    if not any(a):
-        return
-    facets.add(make_inequality(a, -c, LE))
+    facets.add(make_inequality(direction[:-1], -direction[-1], LE))
 
 
 # ---------------------------------------------------------------------------
@@ -447,28 +460,17 @@ def _canonical_system(ineqs) -> list[LinearInequality]:
     return sorted(out, key=_hrep_sort_key)
 
 
-def _satisfies_all(nums: IntVector, den: int, canon) -> bool:
-    for iq in canon:
-        v = idot(iq.normal, nums)
-        bound = iq.rhs * den
-        if iq.sense == LE:
-            if v > bound:
-                return False
-        elif v < bound:
-            return False
-    return True
-
-
-def _enum_vertices(canon, dim, budget: int = DEFAULT_CELL_BUDGET) -> list[RatVector]:
-    rows = [iq.normal + (iq.rhs,) for iq in canon]
-    # a vertex x as its gcd-reduced integer null vector (-x, 1) * den
+def _enum_vertices(canon, dim, budget: int = DEFAULT_CELL_BUDGET) -> list[IntVector]:
+    # the null vector of n independent tight rows (normal, -rhs) is the
+    # vertex as its generator (x * den, den): every pivot lies off the
+    # last column, so that column is the free one and comes out positive
+    rows = [iq.normal + (-iq.rhs,) for iq in canon]
     found: set[IntVector] = set()
-    # every pivot lies off the rhs column, so that column is the free one
     for ech in _subset_leaves("hrep_to_vrep vertex", budget, rows, IntEchelon(), dim, dim):
-        (v,) = ech.nullspace(dim + 1)
-        if _satisfies_all(tuple(-a for a in v[:dim]), v[dim], canon):
-            found.add(v)
-    return sorted(tuple(Fraction(-a, v[dim]) for a in v[:dim]) for v in found)
+        (g,) = ech.nullspace(dim + 1)
+        if g not in found and all(iq.holds_at(g) for iq in canon):
+            found.add(g)
+    return list(found)
 
 
 def _enum_rays(canon, dim, budget: int = DEFAULT_CELL_BUDGET) -> list[IntVector]:
@@ -477,43 +479,39 @@ def _enum_rays(canon, dim, budget: int = DEFAULT_CELL_BUDGET) -> list[IntVector]
     # a ray satisfies every row homogeneously, with rhs 0
     for ech in _subset_leaves("hrep_to_vrep ray", budget, rows, IntEchelon(), dim - 1, dim):
         (r,) = ech.nullspace(dim)
-        neg = tuple(-a for a in r)
-        if _satisfies_all(r, 0, canon):
-            found.add(r)
-        elif _satisfies_all(neg, 0, canon):
-            found.add(neg)
-    return sorted(found)
+        for g in (r + (0,), tuple(-a for a in r) + (0,)):
+            if all(iq.holds_at(g) for iq in canon):
+                found.add(g)
+                break
+    return list(found)
 
 
-def _hrep_from_incidence(canon, points, rays, dim) -> Polyhedron:
+def _hrep_from_incidence(canon, gens, dim) -> Polyhedron:
     """The canonical polyhedron of generators that solve ``canon``.
 
     Gives what `vrep_to_hrep` gives on the same generators without its
-    subset search.  Every facet of the homogenized cone of the generators
-    is cut out by an input row or, when the rays span it, by the face at
-    infinity ``t >= 0``; such a candidate is a facet exactly when the
-    span's equalities and the generators tight on it have rank
-    ``width - 1``, and its normal is then the null vector of that echelon,
-    the vector any subset leaf of `vrep_to_hrep` reaches for it.
+    subset search.  Every facet of the polyhedron is cut out by an input
+    row; a row is a facet exactly when the span's equalities and the
+    generators tight on it have rank ``width - 1``, and its normal is then
+    the null vector of that echelon, the vector any subset leaf of
+    `vrep_to_hrep` reaches for it.
     """
-    homog = _homogenize(points, rays)
     width = dim + 1
-    nullbasis = _nullbasis(homog, width)
+    nullbasis = _nullbasis(gens, width)
     facets: set[LinearInequality] = set()
     if width - len(nullbasis) >= 2:
         base = int_echelon(nullbasis)
-        candidates = [iq.normal + (-iq.rhs,) for iq in canon]
-        candidates.append((0,) * dim + (1,))
-        for cand in candidates:
+        infinity = _at_infinity(nullbasis, width)
+        for iq in canon:
             ech = IntEchelon(base.rows, base.pivots)
-            for g in homog:
-                if idot(cand, g) == 0 and ech.insert(g) and ech.rank == width:
+            for g in gens:
+                if iq.gap(g) == 0 and ech.insert(g) and ech.rank == width:
                     break
             if ech.rank == width - 1:
                 (normal,) = ech.nullspace(width)
-                _orient_and_add(normal, homog, dim, facets)
+                _orient_and_add(normal, gens, infinity, facets)
     ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
-    return _build(dim, points, rays, ineqs, True)
+    return _build(dim, gens, ineqs, dim - len(nullbasis))
 
 
 def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
@@ -538,16 +536,15 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
         sub = hrep_to_vrep(aug, dim, budget)
         if not sub.feasible:
             return empty_polyhedron(dim, canon)
-        rays = list(sub.vrep_rays)
+        gens = list(sub.generators)
         for ell in lineality:
-            rays.append(ell)
-            rays.append(tuple(-a for a in ell))
-        return _hrep_from_incidence(canon, sub.vrep_points, sorted(rays), dim)
+            gens.append(ell + (0,))
+            gens.append(tuple(-a for a in ell) + (0,))
+        return _hrep_from_incidence(canon, gens, dim)
     verts = _enum_vertices(canon, dim, budget)
     if not verts:
         return empty_polyhedron(dim, canon)
-    rays = _enum_rays(canon, dim, budget)
-    return _hrep_from_incidence(canon, verts, rays, dim)
+    return _hrep_from_incidence(canon, verts + _enum_rays(canon, dim, budget), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +582,7 @@ def poly_subset(inner: Polyhedron, outer: Polyhedron) -> bool:
         return True
     if not outer.feasible:
         return False
-    for p in inner.vrep_points:
-        for iq in outer.hrep:
-            if not iq.admits_point(p):
-                return False
-    for r in inner.vrep_rays:
-        for iq in outer.hrep:
-            if not iq.admits_ray(r):
-                return False
-    return True
+    return all(iq.holds_at(g) for g in inner.generators for iq in outer.hrep)
 
 
 def poly_equal(a: Polyhedron, b: Polyhedron) -> bool:
@@ -616,8 +605,8 @@ def positive_normal_facets(poly: Polyhedron) -> list[LinearInequality]:
     out = []
     for iq in poly.hrep:
         if all(a > 0 for a in iq.normal):
-            for r in poly.vrep_rays:
-                if idot(iq.normal, r) == 0:
+            for g in poly.generators:
+                if not g[-1] and iq.gap(g) == 0:
                     raise RuntimeError("positive-normal facet tight along a ray")
             out.append(iq)
     return out
@@ -639,16 +628,20 @@ def facet_lattice_tuple(poly: Polyhedron, facet: LinearInequality) -> tuple[IntV
         raise ValueError("polyhedron is not full-dimensional")
     if not all(a > 0 for a in facet.normal):
         raise ValueError("facet normal is not strictly positive")
-    tight = [p for p in poly.vrep_points if facet.tight_at(p)]
-    chosen: list[RatVector] = []
+    # an integral polyhedron's vertices have den 1
+    tight = [g[:-1] for g in poly.generators if g[-1] and facet.gap(g) == 0]
+    chosen: list[IntVector] = []
+    # differences from the first chosen vertex: the affine rank grows
+    # exactly when the difference is independent of the earlier ones
+    diffs = IntEchelon()
     for v in tight:
-        if affine_rank(chosen + [v]) == len(chosen) + 1:
+        if not chosen or diffs.insert(tuple(a - b for a, b in zip(v, chosen[0]))):
             chosen.append(v)
             if len(chosen) == poly.dim:
                 break
     if len(chosen) < poly.dim:
         raise DegenerateFacetError("degenerate facet")
-    return tuple(tuple(int(c) for c in v) for v in chosen)
+    return tuple(chosen)
 
 
 def embed_with_free_axis(poly: Polyhedron, axis: int) -> Polyhedron:
@@ -665,20 +658,19 @@ def embed_with_free_axis(poly: Polyhedron, axis: int) -> Polyhedron:
     hrep = [LinearInequality(widen(iq.normal, 0), iq.rhs, iq.sense) for iq in poly.hrep]
     unit = tuple(int(j == axis) for j in range(n))
     hrep.append(LinearInequality(unit, 0, GE))
-    points = tuple(widen(p, Fraction(0)) for p in poly.vrep_points)
-    rays = [widen(r, 0) for r in poly.vrep_rays]
-    rays.append(unit)
-    return _build(n, points, sorted(rays), hrep, True)
+    gens = [widen(g, 0) for g in poly.generators]
+    gens.append(unit + (0,))
+    return _build(n, gens, hrep, poly.affine_dim + 1)
 
 
 def orthant(dim: int) -> Polyhedron:
-    zero = tuple(Fraction(0) for _ in range(dim))
+    zero = (0,) * dim
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     return vrep_to_hrep([zero], units, reduce_generators=False)
 
 
 def whole_space(dim: int) -> Polyhedron:
-    zero = tuple(Fraction(0) for _ in range(dim))
+    zero = (0,) * dim
     rays = []
     for i in range(dim):
         unit = tuple(int(i == j) for j in range(dim))

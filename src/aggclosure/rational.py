@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
@@ -60,7 +61,7 @@ def vdot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 def idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def int_clear(vec: Sequence[Fraction]) -> tuple[IntVector, int]:
@@ -158,7 +159,7 @@ class IntEchelon:
             for row, pcol in order:
                 if pcol > f:
                     continue
-                s = sum(a * b for a, b in zip(row[pcol + 1 :], v[pcol + 1 :]))
+                s = sum(map(mul, row[pcol + 1 :], v[pcol + 1 :]))
                 a = row[pcol]
                 if s % a:
                     scale = abs(a) // gcd(s, a)
@@ -180,46 +181,26 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
     return int_echelon(rows).rank
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction with deterministic pivoting."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    width = len(mat[0]) if mat else 0
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [a * inv for a in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivot_cols
-
-
 def int_row_basis(rows: Iterable[Sequence[int]], width: int) -> list[IntVector]:
     """Canonical gcd-reduced integer basis of the row space (RREF rows).
 
-    Depends only on the span, so different generating sets of the same
-    space produce identical output.
+    Each row of an echelon of ``rows`` is cleared above its pivot, in
+    descending pivot order, by fraction-free elimination against the rows
+    already cleared, then divided by its gcd.  The result is the reduced
+    row echelon form with every row scaled to primitive integers, pivot
+    positive; it depends only on the span, so different generating sets
+    of the same space produce identical output.
     """
-    dense = [list(map(Fraction, r)) for r in rows if any(r)]
-    if not dense:
-        return []
-    rref, pivot_cols = _rref(dense)
-    out: list[IntVector] = []
-    for row in rref[: len(pivot_cols)]:
-        ints, _ = int_clear(tuple(row))
-        out.append(reduce_gcd(ints))
-    return out
+    ech = int_echelon(rows)
+    done: list[tuple[int, IntVector]] = []
+    for pcol, row in sorted(zip(ech.pivots, ech.rows), reverse=True):
+        r = row
+        for qcol, qrow in done:
+            f = r[qcol]
+            if f:
+                r = [qrow[qcol] * a - f * b for a, b in zip(r, qrow)]
+        done.append((pcol, reduce_gcd(r)))
+    return [row for _, row in reversed(done)]
 
 
 def int_nullspace(rows: Iterable[Sequence[int]], width: int) -> list[IntVector]:

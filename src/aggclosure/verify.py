@@ -17,9 +17,10 @@ bytes stay identical across runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .closure import (
@@ -48,7 +49,7 @@ from .polyhedra import (
     intersect,
     render_point,
 )
-from .rational import RatVector, as_vector, format_rat, idot, vdot
+from .rational import RatVector, as_vector, format_rat, idot, int_clear
 
 PASS = "pass"
 FAIL = "fail"
@@ -127,11 +128,22 @@ class CheckReport:
         }
 
 
-def _violated_row(poly: Polyhedron, point) -> LinearInequality | None:
+def _violated_row(poly: Polyhedron, g) -> LinearInequality | None:
+    # first row of ``poly`` the homogeneous generator ``g`` violates
     for ineq in poly.hrep:
-        if not ineq.admits_point(point):
+        if not ineq.holds_at(g):
             return ineq
     return None
+
+
+def _point(g) -> RatVector:
+    return tuple(Fraction(a, g[-1]) for a in g[:-1])
+
+
+def _pushed(base, ray, step):
+    # the vertex generator ``base`` moved ``step`` times along ``ray``
+    den = base[-1]
+    return tuple(a + step * den * r for a, r in zip(base[:-1], ray)) + (den,)
 
 
 def _escape_witness(inner: Polyhedron, outer: Polyhedron):
@@ -141,21 +153,21 @@ def _escape_witness(inner: Polyhedron, outer: Polyhedron):
     doubling step covers the case where only the recession cones differ.
     Returns None when the containment actually holds.
     """
-    for v in inner.vrep_points:
-        row = _violated_row(outer, v)
+    verts = [g for g in inner.generators if g[-1]]
+    for g in verts:
+        row = _violated_row(outer, g)
         if row is not None:
-            return v, row
-    base = inner.vrep_points[0] if inner.vrep_points else None
-    if base is None:
+            return _point(g), row
+    if not verts:
         return None
-    for ray in inner.vrep_rays:
+    for ray in inner.generators[len(verts) :]:
         step = 1
         for _ in range(64):
-            probe = tuple(c + step * r for c, r in zip(base, ray))
+            probe = _pushed(verts[0], ray, step)
             row = _violated_row(outer, probe)
             if row is not None:
-                return probe, row
-            if all(ineq.admits_ray(ray) for ineq in outer.hrep):
+                return _point(probe), row
+            if _violated_row(outer, ray) is None:
                 break
             step *= 2
     return None
@@ -192,8 +204,6 @@ def _probe_box(inst: Instance, free_cap: int = 3):
 
 
 def _probe_points(inst: Instance):
-    import itertools
-
     bounds = _probe_box(inst)
     cells = 1
     for c in bounds:
@@ -270,7 +280,7 @@ def check_sandwich(
         )
     for p in _probe_points(inst):
         for body in (art.K, art.L):
-            row = _violated_row(body, p)
+            row = _violated_row(body, p + (1,))
             if row is not None:
                 return CheckReport(
                     name, inst.instance_id, FAIL,
@@ -305,17 +315,19 @@ def check_gamma(
         )
     gamma = art.gamma if gamma_override is None else gamma_override
     hulls = _grid_hulls(inst, scheme, budget)
-    for v in art.L.vrep_points:
+    for v in art.L.generators:
+        if not v[-1]:
+            break
         for j in range(inst.n):
             shifted = tuple(
-                c + (gamma if i == j else 0) for i, c in enumerate(v)
+                c + (gamma * v[-1] if i == j else 0) for i, c in enumerate(v)
             )
             for comps, hull in hulls:
                 row = _violated_row(hull, shifted)
                 if row is not None:
                     return CheckReport(
                         "gamma", inst.instance_id, FAIL,
-                        witness_point=shifted,
+                        witness_point=_point(shifted),
                         witness_lambda=_grid_aggregation(
                             comps, scheme.grid_denominator
                         ),
@@ -347,20 +359,14 @@ def check_cg_dominance(
         if cut is None:
             continue
         hull = integer_hull(rel, budget)
-        for p in hull.vrep_points:
-            if not cut.admits_point(p):
+        for g in hull.generators:
+            if not cut.holds_at(g):
+                # a ray shows as the first vertex pushed one step along it
+                probe = g if g[-1] else _pushed(hull.generators[0], g, 1)
                 return CheckReport(
                     "cg_dominance", inst.instance_id, FAIL,
-                    witness_point=p, witness_lambda=agg, witness_inequality=cut,
-                )
-        for r in hull.vrep_rays:
-            if not cut.admits_ray(r):
-                probe = tuple(
-                    a + b for a, b in zip(hull.vrep_points[0], r)
-                )
-                return CheckReport(
-                    "cg_dominance", inst.instance_id, FAIL,
-                    witness_point=probe, witness_lambda=agg, witness_inequality=cut,
+                    witness_point=_point(probe), witness_lambda=agg,
+                    witness_inequality=cut,
                 )
     return CheckReport("cg_dominance", inst.instance_id, PASS)
 
@@ -370,13 +376,17 @@ def _optimum(poly: Polyhedron, objective: RatVector, maximize: bool):
 
     Returns None for an unbounded direction, raises on an empty body.
     """
-    if not poly.feasible or not poly.vrep_points:
+    if not poly.feasible:
         raise UsageError("cannot optimize over an empty set")
-    for r in poly.vrep_rays:
-        drift = vdot(objective, as_vector(r))
-        if (maximize and drift > 0) or (not maximize and drift < 0):
-            return None
-    values = [vdot(objective, as_vector(p)) for p in poly.vrep_points]
+    c, den = int_clear(objective)
+    values = []
+    for g in poly.generators:
+        value = idot(c, g)
+        if not g[-1]:
+            if (maximize and value > 0) or (not maximize and value < 0):
+                return None
+        else:
+            values.append(Fraction(value, g[-1] * den))
     return max(values) if maximize else min(values)
 
 
@@ -468,16 +478,7 @@ def run_suite(
                 )
             if timings:
                 elapsed = int((time.perf_counter() - started) * 1000)
-                rep = CheckReport(
-                    rep.check_name,
-                    rep.instance_id,
-                    rep.status,
-                    rep.witness_point,
-                    rep.witness_lambda,
-                    rep.witness_inequality,
-                    elapsed,
-                    rep.note,
-                )
+                rep = replace(rep, timing_ms=elapsed)
             reports.append(rep)
     return reports
 

@@ -27,7 +27,6 @@ from aggclosure.knapsack import (
     Instance,
     build_relaxation,
     integer_hull,
-    integer_hull_multi,
 )
 from aggclosure.polyhedra import contains, poly_subset
 from aggclosure.verify import (
@@ -339,7 +338,7 @@ def test_c10_pairwise_aggregation_refines(capsys):
     for inst in insts:
         two = SampleScheme(grid_denominator=2, k=2)
         for pair in sample_lambdas(inst.m, two):
-            multi = integer_hull_multi(build_relaxation(inst, pair))
+            multi = integer_hull(build_relaxation(inst, pair))
             pair_count += 1
             for col in pair.weights:
                 single = integer_hull(

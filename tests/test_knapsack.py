@@ -21,10 +21,8 @@ from aggclosure.knapsack import (
     cg_cut,
     integer_aggregated_hull,
     integer_hull,
-    integer_hull_multi,
     integer_row,
     lattice_points,
-    relaxation_polyhedron,
 )
 from aggclosure.polyhedra import contains, make_inequality, poly_equal, poly_subset
 
@@ -206,24 +204,19 @@ class TestIntegerHullMulti:
     def test_two_rows(self):
         inst = Instance(PACKING, ((2, 3), (1, 0)), (4, 1))
         rel = build_relaxation(inst, ((1, 0), (0, 1)))
-        hull = integer_hull_multi(rel)
+        hull = integer_hull(rel)
         assert hull.render_lines() == ["1 0 >= 0", "0 1 >= 0", "1 1 <= 1"]
 
     def test_duplicate_rows_match_single(self):
         rel2 = build_relaxation(PACK_22, ((1, 0), (1, 0)))
         rel1 = build_relaxation(PACK_22, (1, 0))
-        assert poly_equal(integer_hull_multi(rel2), integer_hull(rel1))
+        assert poly_equal(integer_hull(rel2), integer_hull(rel1))
 
     def test_covering_implied_row(self):
         inst = Instance(COVERING, ((2, 3), (1, 1)), (4, 1))
-        both = integer_hull_multi(build_relaxation(inst, ((1, 0), (0, 1))))
+        both = integer_hull(build_relaxation(inst, ((1, 0), (0, 1))))
         alone = integer_hull(build_relaxation(inst, (1, 0)))
         assert poly_equal(both, alone)
-
-    def test_single_row_rejected(self):
-        with pytest.raises(UsageError):
-            integer_hull_multi(build_relaxation(PACK_22, (1, 0)))
-
 
 class TestCgCut:
     def test_rounding(self):
@@ -303,7 +296,18 @@ class TestHullProperties:
         inst, lam = case
         rel = build_relaxation(inst, lam)
         hull = integer_hull(rel)
-        assert poly_subset(hull, relaxation_polyhedron(rel))
+        # the hull lies in the relaxation: its vertices satisfy the
+        # aggregated rows and x >= 0, and its rays the rows' recession cone
+        for v in hull.vrep_points:
+            assert all(c >= 0 for c in v)
+            for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
+                lhs = sum(a * c for a, c in zip(row, v))
+                assert lhs <= r if inst.sense == PACKING else lhs >= r
+        for ray in hull.vrep_rays:
+            assert all(c >= 0 for c in ray)
+            for row in rel.aggregated_rows:
+                lhs = sum(a * c for a, c in zip(row, ray))
+                assert lhs <= 0 if inst.sense == PACKING else lhs >= 0
         pts, _ = lattice_points(rel)
         for p in pts:
             assert contains(hull, p)
@@ -338,7 +342,7 @@ class TestHullProperties:
         if inst.m < 2:
             return
         cols = ((1,) + (0,) * (inst.m - 1), (0,) * (inst.m - 1) + (1,))
-        multi = integer_hull_multi(build_relaxation(inst, cols))
+        multi = integer_hull(build_relaxation(inst, cols))
         for col in cols:
             single = integer_hull(build_relaxation(inst, col))
             assert poly_subset(multi, single)

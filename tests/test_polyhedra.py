@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,7 @@ from aggclosure.polyhedra import (
     vrep_to_hrep,
     whole_space,
 )
-from aggclosure.rational import int_nullspace
+from aggclosure.rational import IntEchelon, affine_rank, as_vector, int_clear, int_nullspace, reduce_gcd, solve_linear
 
 
 def mk(normal, rhs, sense):
@@ -362,7 +364,9 @@ def subset_hrep_to_vrep(ineqs, dim):
     verts = _enum_vertices(canon, dim)
     if not verts:
         return empty_polyhedron(dim, canon)
-    return vrep_to_hrep(verts, _enum_rays(canon, dim), reduce_generators=False)
+    points = [tuple(Fraction(a, g[-1]) for a in g[:-1]) for g in verts]
+    rays = [g[:-1] for g in _enum_rays(canon, dim)]
+    return vrep_to_hrep(points, rays, reduce_generators=False)
 
 
 small_rat = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -416,12 +420,14 @@ class TestDifferentialAgainstFractionKernel:
 
     def test_lower_dimensional_face_at_infinity(self):
         # the rays span a facet of the homogenized cone whose normal,
-        # orthogonal to the equality, is not t >= 0 itself: the subset pass
-        # emits the redundant row 0 1 >= -1, and incidence keeps it
+        # orthogonal to the equality, is not t >= 0 itself; the equality
+        # implies it, so neither pass emits it (it would read 0 1 >= -1)
         rows = [mk((0, 1), 1, LE), mk((0, 1), 1, GE), mk((1, 0), 0, GE)]
         poly = hrep_to_vrep(rows, 2)
-        assert rendered(poly) == ["1 0 >= 0", "0 1 >= -1", "0 1 <= 1", "0 1 >= 1"]
+        assert rendered(poly) == ["1 0 >= 0", "0 1 <= 1", "0 1 >= 1"]
         assert poly == subset_hrep_to_vrep(rows, 2)
+        direct = vrep_to_hrep([(0, 1)], [(1, 0)], reduce_generators=False)
+        assert rendered(direct) == rendered(poly)
 
 
 class TestKernelBudget:
@@ -445,3 +451,108 @@ class TestKernelBudget:
         assert hrep_to_vrep(rows, 3, budget=6).feasible
         with pytest.raises(ResourceBudgetError, match=r"hrep_to_vrep ray enumeration of 6\+"):
             hrep_to_vrep(rows, 3, budget=5)
+
+
+# The V-representation as it was stored before homogeneous generators:
+# sorted Fraction vertices, sorted integer rays, the affine dimension from
+# the affine rank of the vertices plus the rank the rays add beyond their
+# span, and integrality from the vertex denominators.  Kept as the oracle.
+
+
+def _admits(iq, x, rhs):
+    v = sum(a * c for a, c in zip(iq.normal, x))
+    return v <= rhs if iq.sense == LE else v >= rhs
+
+
+def _ray_rank_beyond(points, rays):
+    if not points:
+        return 0
+    ech = IntEchelon()
+    for p in points[1:]:
+        ech.insert(int_clear(tuple(a - b for a, b in zip(p, points[0])))[0])
+    start = ech.rank
+    for r in rays:
+        ech.insert(tuple(r))
+    return ech.rank - start
+
+
+def fraction_vrep_of_points(points, rays, reduce_generators):
+    pts = sorted(set(as_vector(p) for p in points))
+    rys = sorted({reduce_gcd(int_clear(as_vector(r))[0]) for r in rays} - {(0,) * len(pts[0])})
+    if reduce_generators and len(pts) + len(rys) > 2:
+        for gens, inside in ((pts, lambda p, rest: in_generated_set(p, rest, rys)), (rys, lambda r, rest: lp_feasible(rest, r))):
+            i = 0
+            while i < len(gens):
+                rest = gens[:i] + gens[i + 1 :]
+                if rest and inside(gens[i], rest):
+                    gens.pop(i)
+                else:
+                    i += 1
+    return pts, rys
+
+
+def fraction_vrep_of_rows(rows, dim):
+    # vertices solve dim independent rows and satisfy all; rays span the
+    # null space of dim - 1 independent rows; lineality splits off first
+    rows = list(rows)
+    lineality = int_nullspace([iq.normal for iq in rows], dim)
+    for ell in lineality:
+        rows += [mk(ell, 0, LE), mk(ell, 0, GE)]
+    pts = set()
+    for combo in combinations(rows, dim):
+        x = solve_linear([iq.normal for iq in combo], [iq.rhs for iq in combo])
+        if x is not None and all(_admits(iq, x, iq.rhs) for iq in rows):
+            pts.add(x)
+    rys = set()
+    for combo in combinations(rows, dim - 1):
+        basis = int_nullspace([iq.normal for iq in combo], dim)
+        if len(basis) != 1:
+            continue
+        for r in (basis[0], tuple(-a for a in basis[0])):
+            if all(_admits(iq, r, 0) for iq in rows):
+                rys.add(r)
+                break
+    if not pts:
+        return [], []
+    for ell in lineality:
+        rys |= {ell, tuple(-a for a in ell)}
+    return sorted(pts), sorted(rys)
+
+
+def assert_matches_fraction_vrep(poly, pts, rys):
+    assert poly.vrep_points == tuple(pts)
+    assert all(type(c) is Fraction for p in poly.vrep_points for c in p)
+    assert poly.vrep_rays == tuple(rys)
+    assert poly.affine_dim == (affine_rank(pts) - 1 + _ray_rank_beyond(pts, rys) if pts else -1)
+    assert poly.integral_flag == (bool(pts) and all(c.denominator == 1 for p in pts for c in p))
+
+
+@st.composite
+def generator_set(draw):
+    dim = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6))
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=3))
+    return points, rays, draw(st.booleans())
+
+
+class TestGeneratorFormat:
+    def test_vertex_stored_homogeneous(self):
+        poly = vrep_to_hrep([(Fraction(1, 2), Fraction(1, 3)), (2, 0)], [(0, 2)])
+        assert poly.generators == ((3, 2, 6), (2, 0, 1), (0, 1, 0))
+        assert poly.vrep_points == ((Fraction(1, 2), Fraction(1, 3)), (2, 0))
+        assert poly.vrep_rays == ((0, 1),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_set())
+    def test_points_match_fraction_vrep(self, case):
+        points, rays, reduce_generators = case
+        poly = vrep_to_hrep(points, rays, reduce_generators=reduce_generators)
+        assert_matches_fraction_vrep(poly, *fraction_vrep_of_points(points, rays, reduce_generators))
+
+    @settings(max_examples=200, deadline=None)
+    @given(inequality_system())
+    def test_rows_match_fraction_vrep(self, case):
+        dim, rows = case
+        poly = hrep_to_vrep(rows, dim)
+        assert_matches_fraction_vrep(poly, *fraction_vrep_of_rows(rows, dim))

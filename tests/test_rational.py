@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from aggclosure.rational import (
     IntEchelon,
-    _rref,
     affine_rank,
     as_matrix,
     as_vector,
@@ -14,6 +13,7 @@ from aggclosure.rational import (
     int_clear,
     int_nullspace,
     int_rank,
+    int_row_basis,
     parse_rat,
     rat,
     reduce_gcd,
@@ -170,6 +170,42 @@ class TestIntegerLinearAlgebra:
             as_matrix([[1, 2], [3]])
 
 
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    # reduced row echelon form over Fraction with deterministic pivoting;
+    # the integer kernels are checked against it
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    width = len(mat[0]) if mat else 0
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(width):
+        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [a * inv for a in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivot_cols
+
+
+def fraction_row_basis(rows):
+    # the Fraction RREF row basis that integer elimination replaced, each
+    # row gcd-reduced; kept as the oracle
+    rows = [list(map(Fraction, r)) for r in rows if any(r)]
+    if not rows:
+        return []
+    rref, pivot_cols = _rref(rows)
+    return [reduce_gcd(int_clear(tuple(row))[0]) for row in rref[: len(pivot_cols)]]
+
+
 def fraction_nullspace(rows, width):
     # the Fraction RREF nullspace that integer back-substitution replaced;
     # kept as the oracle
@@ -216,3 +252,27 @@ class TestNullspace:
         dependent = [sum(c * row[j] for c, row in zip(mix, rows)) for j in range(width)]
         rows = rows[:1] + [dependent] + rows[1:]
         assert int_nullspace(rows, width) == fraction_nullspace(rows, width)
+
+
+class TestRowBasis:
+    def test_cleared_above_the_pivots(self):
+        assert int_row_basis([(0, 1, 1), (1, 1, 0)], 3) == [(1, 0, -1), (0, 1, 1)]
+
+    def test_depends_only_on_the_span(self):
+        assert int_row_basis([(1, 2, 3), (2, 4, 7)], 3) == int_row_basis([(0, 0, 1), (3, 6, 0)], 3)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.lists(
+                    st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+                    min_size=0,
+                    max_size=width + 1,
+                ),
+            )
+        )
+    )
+    def test_matches_fraction_rref(self, case):
+        width, rows = case
+        assert int_row_basis(rows, width) == fraction_row_basis(rows)
