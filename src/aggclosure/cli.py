@@ -316,7 +316,7 @@ def _add_common(sub, k_flag=True, refine_flag=True, out_flag=False):
         "--budget",
         type=_positive_int,
         default=DEFAULT_CELL_BUDGET,
-        help="work budget per enumeration: lattice cells or kernel subset leaves",
+        help="work budget per enumeration: lattice cells, or ray pairs of one kernel run",
     )
     sub.add_argument(
         "--threads",
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_positive_int,
         default=DEFAULT_CELL_BUDGET,
-        help="work budget per enumeration: lattice cells or kernel subset leaves",
+        help="work budget per enumeration: lattice cells, or ray pairs of one kernel run",
     )
     hull.set_defaults(func=cmd_hull)
 

@@ -6,7 +6,7 @@ class UsageError(ValueError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """An enumeration exceeded the work budget: box cells or subset leaves."""
+    """An enumeration exceeded the work budget: box cells or kernel ray pairs."""
 
 
 class TrivialAggregationError(UsageError):

@@ -16,21 +16,22 @@ generator ``g`` exactly when ``normal . g[:-1]`` compares with
 containment test is one integer dot product.  ``Fraction`` is built only
 by `Polyhedron.vrep_points` and when rational input is converted.
 
-V->H enumerates subsets of generators and reads each candidate facet normal
-off an integer echelon by back-substitution; redundant generators are
-dropped first by an integer phase-one simplex.  H->V enumerates vertices and
-extreme rays from subsets of tight rows, then reads the irredundant
-inequalities from incidence: an input row is a facet exactly when the
-generators tight on it have rank one below the span of all of them.  Subset
-enumeration is the right trade at this scale (dimension <= 5, a few dozen
-rows or generators); every subset search counts its leaves against a work
-budget.
+Both conversions run one integer double description routine (Motzkin et
+al. 1953; Fukuda & Prodon 1996) on a pointed cone.  H->V takes the extreme
+rays of the homogenized cone ``{(x, t) : rows, t >= 0}`` after splitting
+off the lineality space, then reads the irredundant inequalities from
+incidence: an input row is a facet exactly when the generators tight on it
+have rank one below the span of all of them.  V->H takes the extreme rays
+of the polar cone, which are the facet normals, and keeps a generator as
+extreme from the facets tight on it.  Each run counts the ray pairs it
+tests against a work budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from .errors import DegenerateFacetError, ResourceBudgetError
@@ -50,8 +51,8 @@ from .rational import (
 LE = "<="
 GE = ">="
 
-# default work budget: lattice cells of one enumeration box, and subset
-# leaves of one kernel enumeration
+# default work budget: lattice cells of one enumeration box, and ray pairs
+# tested by one double description run
 DEFAULT_CELL_BUDGET = 10**7
 
 _SENSES = (LE, GE)
@@ -88,8 +89,8 @@ class LinearInequality:
         return idot(self.normal, g) - self.rhs * g[-1]
 
     def holds_at(self, g: IntVector) -> bool:
-        # `gap` written out: this runs for every row at every leaf of the
-        # vertex search, where the extra call shows
+        # `gap` written out: `poly_subset` runs this for every generator
+        # against every row, where the extra call shows
         v = idot(self.normal, g) - self.rhs * g[-1]
         return v <= 0 if self.sense == LE else v >= 0
 
@@ -238,7 +239,9 @@ def empty_polyhedron(dim: int, hrep=()) -> Polyhedron:
 
 
 # ---------------------------------------------------------------------------
-# exact feasibility LP (phase one simplex, Bland's rule)
+# exact feasibility LP (phase one simplex, Bland's rule); the kernel no
+# longer calls it, but the benchmark's tracer (bench/tracer.py) still wraps
+# it by name
 
 
 def lp_feasible(columns: list[RatVector], rhs: RatVector) -> bool:
@@ -306,60 +309,138 @@ def lp_feasible(columns: list[RatVector], rhs: RatVector) -> bool:
     return cost[width] == 0
 
 
-def in_generated_set(x, points, rays) -> bool:
-    """Whether x lies in conv(points) + cone(rays), by exact feasibility."""
-    cols = [tuple(p) + (1,) for p in points]
-    cols += [tuple(r) + (0,) for r in rays]
-    if not cols:
+# ---------------------------------------------------------------------------
+# double description
+
+
+def _negated(v: IntVector) -> IntVector:
+    return tuple(-a for a in v)
+
+
+def _double_description(rows, width: int, phase: str, budget: int):
+    """Extreme rays of the pointed cone ``{v : h . v >= 0 for every row h}``.
+
+    The rows must have rank ``width``.  The first ``width`` independent
+    rows give a simplicial cone; the others are inserted one at a time
+    (Motzkin et al. 1953; Fukuda & Prodon 1996).  Each ray is a
+    gcd-reduced integer vector paired with its zero set, an ``int``
+    bitset with bit i set when row i is tight on it.  A row keeps the rays
+    on its nonnegative side and joins a ray on each side exactly when the
+    two are adjacent: they share at least ``width - 2`` tight rows and no
+    third ray is tight on all of those.  Every insertion counts its pairs
+    of opposite-side rays; more than ``budget`` in one run raise
+    `ResourceBudgetError` naming the phase.
+    """
+    ech = IntEchelon()
+    start = []
+    for i, h in enumerate(rows):
+        if ech.insert(h):
+            start.append(i)
+            if ech.rank == width:
+                break
+    rays = []
+    for i in start:
+        (r,) = int_nullspace([rows[j] for j in start if j != i], width)
+        if idot(rows[i], r) < 0:
+            r = _negated(r)
+        rays.append((r, sum(1 << j for j in start if j != i)))
+    skip = set(start)
+    need = width - 2
+    pairs = 0
+    for i, h in enumerate(rows):
+        if i in skip:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            s = idot(h, r)
+            if s > 0:
+                pos.append((r, z, s))
+                kept.append((r, z))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                kept.append((r, z | bit))
+        if not neg:
+            rays = kept
+            continue
+        pairs += len(pos) * len(neg)
+        if pairs > budget:
+            raise ResourceBudgetError(
+                f"{phase} double description of {pairs}+ ray pairs exceeds budget {budget}"
+            )
+        zs = [z for _, z in rays]
+        for rp, zp, sp in pos:
+            for rn, zn, sn in neg:
+                common = zp & zn
+                if common.bit_count() < need:
+                    continue
+                # zero sets of distinct extreme rays differ
+                if any(z & common == common and z != zp and z != zn for z in zs):
+                    continue
+                ray = reduce_gcd([sp * b - sn * a for a, b in zip(rp, rn)])
+                kept.append((ray, common | bit))
+        rays = kept
+    return rays
+
+
+def _polar(gens, nullbasis, width: int, budget: int):
+    """Facet normals of ``cone(gens)``, each with the generators tight on it.
+
+    They are the extreme rays of the polar ``{y : y . g <= 0 for every
+    generator g, y orthogonal to nullbasis}``, which is pointed because it
+    lies in the span of the generators.  Each normal comes with a bitset
+    whose bit k is set when generator k is tight on it.
+    """
+    rows = []
+    for nu in nullbasis:
+        rows += [nu, _negated(nu)]
+    rows += [_negated(g) for g in gens]
+    shift = 2 * len(nullbasis)
+    return [(y, z >> shift) for y, z in _double_description(rows, width, "vrep_to_hrep", budget)]
+
+
+def _in_cone(g: IntVector, rays, width: int, budget: int) -> bool:
+    # in the span of the rays and on the inner side of every facet
+    if not rays:
         return False
-    return lp_feasible(cols, tuple(x) + (1,))
+    nullbasis = _nullbasis(rays, width)
+    if any(idot(nu, g) for nu in nullbasis):
+        return False
+    return all(idot(y, g) <= 0 for y, _ in _polar(rays, nullbasis, width, budget))
 
 
-def _extreme_generators(gens):
-    # Drop, in canonical order, every generator that is a nonnegative
-    # combination of the others left: a point inside conv(other points) +
-    # cone(rays), or a ray inside the cone of the other rays (points, with
-    # t > 0, cannot help a ray).  The order decides only which of several
-    # points on one minimal face survives when a lineality space is present.
-    out = list(gens)
+def _irredundant_generators(gens, normals, width: int, budget: int):
+    """The extreme generators of ``cone(gens)``, read off its facets.
+
+    A generator outside the lineality space is kept when its minimal face
+    sits directly above the lineality space, that is when no generator
+    lies in a face strictly between; of several generators on one such
+    face only the last in canonical order stays, as greedy removal in that
+    order would leave.  Generators inside the lineality space are tight on
+    every facet and only other such generators can combine to them; they
+    are dropped greedily, in order, while the rest still generate them.
+    """
+    # bit j of tight[k] is set when generator k is tight on normal j
+    tight = [
+        sum(1 << j for j, (_, z) in enumerate(normals) if z >> k & 1) for k in range(len(gens))
+    ]
+    full = (1 << len(normals)) - 1
+    faces = set(tight) - {full}
+    last = {}
+    lineality = []
+    for g, t in zip(gens, tight):
+        if t == full:
+            lineality.append(g)
+        elif not any(f != t and f & t == t for f in faces):
+            last[t] = g
     i = 0
-    while i < len(out):
-        rest = out[:i] + out[i + 1 :]
-        if rest and lp_feasible(rest, out[i]):
-            out.pop(i)
+    while i < len(lineality):
+        if _in_cone(lineality[i], lineality[:i] + lineality[i + 1 :], width, budget):
+            lineality.pop(i)
         else:
             i += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# V-rep -> H-rep
-
-
-def _subset_echelons(rows, base: IntEchelon, size: int, cols: int, start: int = 0):
-    # extensions of ``base`` by ``size`` rows taken in index order, each
-    # independent of the ones before it on its first ``cols`` entries
-    if size == 0:
-        yield base
-        return
-    for i in range(start, len(rows) - size + 1):
-        red = base.reduce(rows[i])
-        if any(red[:cols]):
-            yield from _subset_echelons(rows, base.extended(red), size - 1, cols, i + 1)
-
-
-def _subset_leaves(phase: str, budget: int, rows, base: IntEchelon, size: int, cols: int):
-    """The echelons at the leaves of one subset enumeration.
-
-    More than ``budget`` leaves raise `ResourceBudgetError` naming the
-    phase.
-    """
-    for leaves, ech in enumerate(_subset_echelons(rows, base, size, cols), 1):
-        if leaves > budget:
-            raise ResourceBudgetError(
-                f"{phase} enumeration of {leaves}+ subset leaves exceeds budget {budget}"
-            )
-        yield ech
+    return list(last.values()) + lineality
 
 
 def _equalities(nullbasis, dim) -> list[LinearInequality]:
@@ -397,29 +478,27 @@ def vrep_to_hrep(
 ) -> Polyhedron:
     """Facet description of conv(points) + cone(rays).
 
-    Requires at least one point.  Facet normals come from rank-deficient
-    generator subsets in homogeneous coordinates; implied equalities come
-    from the integer nullspace of the generator span and are emitted as
-    opposed inequality pairs.  More than ``budget`` subset leaves raise
-    `ResourceBudgetError`.
+    Requires at least one point.  The facet normals are the extreme rays
+    of the polar of the homogenized cone, found by double description; the
+    face at infinity ``t >= 0``, the one facet with no point on it, is
+    dropped.  Implied equalities come from the integer nullspace of the
+    generator span and are emitted as opposed inequality pairs.  With
+    ``reduce_generators`` only the extreme generators are kept, read off
+    the facets tight on each.  More than ``budget`` ray pairs in one double
+    description raise `ResourceBudgetError`.
     """
     gens = _canonical_order({homogenize(p) for p in points})
     if not gens:
         raise ValueError("need at least one point")
     dim = len(gens[0]) - 1
+    on_points = (1 << len(gens)) - 1
     gens += _canonical_rays(rays)
-    if reduce_generators and len(gens) > 2:
-        gens = _extreme_generators(gens)
     width = dim + 1
     nullbasis = _nullbasis(gens, width)
-    depth_target = width - len(nullbasis) - 1
-    facets: set[LinearInequality] = set()
-    if depth_target >= 1:
-        base = int_echelon(nullbasis)
-        infinity = _at_infinity(nullbasis, width)
-        for ech in _subset_leaves("vrep_to_hrep", budget, gens, base, depth_target, width):
-            (normal,) = ech.nullspace(width)
-            _orient_and_add(normal, gens, infinity, facets)
+    normals = _polar(gens, nullbasis, width, budget)
+    facets = {make_inequality(y[:-1], -y[-1], LE) for y, z in normals if z & on_points}
+    if reduce_generators:
+        gens = _irredundant_generators(gens, normals, width, budget)
     ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
     return _build(dim, gens, ineqs, dim - len(nullbasis))
 
@@ -460,41 +539,14 @@ def _canonical_system(ineqs) -> list[LinearInequality]:
     return sorted(out, key=_hrep_sort_key)
 
 
-def _enum_vertices(canon, dim, budget: int = DEFAULT_CELL_BUDGET) -> list[IntVector]:
-    # the null vector of n independent tight rows (normal, -rhs) is the
-    # vertex as its generator (x * den, den): every pivot lies off the
-    # last column, so that column is the free one and comes out positive
-    rows = [iq.normal + (-iq.rhs,) for iq in canon]
-    found: set[IntVector] = set()
-    for ech in _subset_leaves("hrep_to_vrep vertex", budget, rows, IntEchelon(), dim, dim):
-        (g,) = ech.nullspace(dim + 1)
-        if g not in found and all(iq.holds_at(g) for iq in canon):
-            found.add(g)
-    return list(found)
-
-
-def _enum_rays(canon, dim, budget: int = DEFAULT_CELL_BUDGET) -> list[IntVector]:
-    rows = [iq.normal for iq in canon]
-    found: set[IntVector] = set()
-    # a ray satisfies every row homogeneously, with rhs 0
-    for ech in _subset_leaves("hrep_to_vrep ray", budget, rows, IntEchelon(), dim - 1, dim):
-        (r,) = ech.nullspace(dim)
-        for g in (r + (0,), tuple(-a for a in r) + (0,)):
-            if all(iq.holds_at(g) for iq in canon):
-                found.add(g)
-                break
-    return list(found)
-
-
 def _hrep_from_incidence(canon, gens, dim) -> Polyhedron:
     """The canonical polyhedron of generators that solve ``canon``.
 
-    Gives what `vrep_to_hrep` gives on the same generators without its
-    subset search.  Every facet of the polyhedron is cut out by an input
-    row; a row is a facet exactly when the span's equalities and the
-    generators tight on it have rank ``width - 1``, and its normal is then
-    the null vector of that echelon, the vector any subset leaf of
-    `vrep_to_hrep` reaches for it.
+    Gives what `vrep_to_hrep` gives on the same generators without a
+    second double description.  Every facet of the polyhedron is cut out
+    by an input row; a row is a facet exactly when the span's equalities
+    and the generators tight on it have rank ``width - 1``, and its normal
+    is then the null vector of that echelon.
     """
     width = dim + 1
     nullbasis = _nullbasis(gens, width)
@@ -517,34 +569,31 @@ def _hrep_from_incidence(canon, gens, dim) -> Polyhedron:
 def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
     """Vertex/ray description of an inequality system.
 
-    Splits off the lineality space first (each basis direction becomes an
-    opposed ray pair plus an equality restriction for the recursive call),
-    then enumerates vertices as solutions of n independent tight rows and
-    extreme rays from (n-1)-fold tight subsystems of the recession cone,
-    each search within ``budget`` subset leaves.  The irredundant rows are
-    read from the incidence of generators and input rows.
+    Splits off the lineality space first: each basis direction becomes an
+    opposed ray pair of the result and an equality of the system that
+    remains, which is then pointed.  Its vertices and extreme rays are the
+    extreme rays ``(x * den, den)`` and ``(r, 0)`` of the homogenized cone
+    ``{(x, t) : rows, t >= 0}``, found by double description within
+    ``budget`` ray pairs.  The irredundant rows are read from the
+    incidence of generators and input rows.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     canon = _canonical_system(ineqs)
     lineality = int_nullspace([iq.normal for iq in canon], dim)
-    if lineality:
-        aug = list(canon)
-        for ell in lineality:
-            aug.append(make_inequality(ell, 0, LE))
-            aug.append(make_inequality(ell, 0, GE))
-        sub = hrep_to_vrep(aug, dim, budget)
-        if not sub.feasible:
-            return empty_polyhedron(dim, canon)
-        gens = list(sub.generators)
-        for ell in lineality:
-            gens.append(ell + (0,))
-            gens.append(tuple(-a for a in ell) + (0,))
-        return _hrep_from_incidence(canon, gens, dim)
-    verts = _enum_vertices(canon, dim, budget)
-    if not verts:
+    # each row as h with h . (x, t) >= 0
+    rows = [(0,) * dim + (1,)]
+    for ell in lineality:
+        rows += [ell + (0,), _negated(ell) + (0,)]
+    for iq in canon:
+        h = iq.normal + (-iq.rhs,)
+        rows.append(h if iq.sense == GE else _negated(h))
+    gens = [g for g, _ in _double_description(rows, dim + 1, "hrep_to_vrep", budget)]
+    if not any(g[-1] for g in gens):
         return empty_polyhedron(dim, canon)
-    return _hrep_from_incidence(canon, verts + _enum_rays(canon, dim, budget), dim)
+    for ell in lineality:
+        gens += [ell + (0,), _negated(ell) + (0,)]
+    return _hrep_from_incidence(canon, gens, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +712,14 @@ def embed_with_free_axis(poly: Polyhedron, axis: int) -> Polyhedron:
     return _build(n, gens, hrep, poly.affine_dim + 1)
 
 
+@cache
 def orthant(dim: int) -> Polyhedron:
     zero = (0,) * dim
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     return vrep_to_hrep([zero], units, reduce_generators=False)
 
 
+@cache
 def whole_space(dim: int) -> Polyhedron:
     zero = (0,) * dim
     rays = []

@@ -99,8 +99,8 @@ class IntEchelon:
     """Incremental fraction-free row reduction over the integers.
 
     Rows are inserted one at a time; each inserted row is stored gcd-reduced
-    with entries at all earlier pivot columns eliminated.  Supports cheap
-    copy-and-extend so subset-enumeration searches can share prefixes.
+    with entries at all earlier pivot columns eliminated.  Rows and pivots
+    are tuples, so a copy shares them with the original.
     """
 
     __slots__ = ("rows", "pivots")
@@ -122,11 +122,6 @@ class IntEchelon:
                 p = prow[pcol]
                 r = [p * a - f * b for a, b in zip(r, prow)]
         return _sign_normalize(reduce_gcd(r))
-
-    def extended(self, reduced_row: IntVector) -> "IntEchelon":
-        """New echelon with an already-reduced nonzero row appended."""
-        pcol = next(i for i, a in enumerate(reduced_row) if a)
-        return IntEchelon(self.rows + (reduced_row,), self.pivots + (pcol,))
 
     def insert(self, row: Sequence[int]) -> bool:
         """Reduce and append if independent.  Returns True when rank grew."""

@@ -1,6 +1,11 @@
 """Instance file format and command-line behavior."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +19,69 @@ from aggclosure.polyhedra import make_inequality, LE
 PACK23_TEXT = "sense packing\nn 2\nm 1\nA\n2 3\nb\n4\n"
 COVER23_TEXT = "sense covering\nn 2\nm 1\nA\n2 3\nb\n4\n"
 COVERFIX_TEXT = "sense covering\nn 2\nm 2\nA\n2 0\n1 3\nb\n3 4\n"
+PACK4X3_TEXT = "sense packing\nn 4\nm 3\nA\n3 2 4 1\n2 5 1 3\n4 1 3 2\nb\n9 10 8\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
+RUN_CLI = "import sys; from aggclosure.cli import main; sys.exit(main(sys.argv[1:]))"
+
+PACK4X3_G4_CLOSURE = (
+    "closure\n"
+    "1 0 0 0 >= 0\n"
+    "0 1 0 0 >= 0\n"
+    "0 0 1 0 >= 0\n"
+    "0 0 0 1 >= 0\n"
+    "1 0 1 0 <= 2\n"
+    "1 1 2 0 <= 4\n"
+    "1 3 0 2 <= 6\n"
+    "2 1 1 1 <= 4\n"
+    "2 1 2 1 <= 5\n"
+    "2 1 2 2 <= 6\n"
+    "2 2 1 2 <= 6\n"
+    "2 2 2 1 <= 6\n"
+    "2 5 1 3 <= 10\n"
+    "2 5 2 3 <= 11\n"
+    "3 6 2 3 <= 12\n"
+    "4 1 3 2 <= 8\n"
+    "L\n"
+    "1 0 0 0 >= 0\n"
+    "0 1 0 0 >= 0\n"
+    "0 0 1 0 >= 0\n"
+    "0 0 0 1 >= 0\n"
+    "0 1 2 2 <= 6\n"
+    "0 5 1 3 <= 10\n"
+    "0 5 2 3 <= 11\n"
+    "0 6 2 3 <= 12\n"
+    "1 0 1 0 <= 2\n"
+    "1 0 1 1 <= 3\n"
+    "1 1 0 1 <= 3\n"
+    "1 1 1 0 <= 3\n"
+    "1 1 2 0 <= 4\n"
+    "1 2 0 1 <= 4\n"
+    "1 3 0 2 <= 6\n"
+    "2 1 0 1 <= 4\n"
+    "2 1 1 0 <= 4\n"
+    "3 6 2 0 <= 12\n"
+    "4 0 3 2 <= 8\n"
+    "K\n"
+    "1 1 3 1 <= 7\n"
+    "1 2 1 1 <= 5\n"
+    "1 2 1 2 <= 6\n"
+    "2 1 1 1 <= 4\n"
+    "2 1 2 1 <= 5\n"
+    "2 1 2 2 <= 6\n"
+    "2 2 1 2 <= 6\n"
+    "2 2 2 1 <= 6\n"
+    "2 5 1 3 <= 10\n"
+    "2 5 2 3 <= 11\n"
+    "3 1 2 1 <= 6\n"
+    "3 1 3 1 <= 7\n"
+    "3 2 4 1 <= 9\n"
+    "3 6 2 3 <= 12\n"
+    "4 1 3 2 <= 8\n"
+    "9 2 7 4 <= 18\n"
+    "T_sample 40\n"
+    "S 40\n"
+    "saturation true\n"
+)
 
 
 class TestParseInstance:
@@ -205,17 +273,37 @@ class TestClosureCommand:
         assert record["saturation"] is True
 
     def test_kernel_budget_exit_code(self, fixture_dir, capsys):
-        # every lattice box of pack4x3 at grid 4 fits in 2,000 cells, but
-        # its vertex enumerations do not fit in 2,000 subset leaves
+        # every lattice box of pack4x3 at grid 4 fits in 792 cells, but one
+        # of its double description runs tests 1,296 ray pairs
         path = fixture_dir / "pack4x3.txt"
-        path.write_text(
-            "sense packing\nn 4\nm 3\nA\n3 2 4 1\n2 5 1 3\n4 1 3 2\nb\n9 10 8\n"
-        )
+        path.write_text(PACK4X3_TEXT)
         code, out, err = run_cli(
-            capsys, "closure", str(path), "--grid", "4", "--budget", "2000"
+            capsys, "closure", str(path), "--grid", "4", "--budget", "1000"
         )
         assert code == 2 and out == ""
-        assert "enumeration of 2001+ subset leaves exceeds budget 2000" in err
+        assert "hrep_to_vrep double description of" in err
+        assert "ray pairs exceeds budget 1000" in err
+
+    def test_pack4x3_golden_and_fast(self, fixture_dir):
+        # a fresh process, so no memo is warm.  With subset enumeration in
+        # the kernel this took 4.5 to 5.4 s on a 2-CPU host, and about
+        # 0.6 s with double description
+        path = fixture_dir / "pack4x3.txt"
+        path.write_text(PACK4X3_TEXT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_CLI, "closure", str(path), "--grid", "4"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == PACK4X3_G4_CLOSURE
+        assert elapsed < 2.5
 
     def test_identical_bytes_across_runs_and_threads(self, fixture_dir, capsys):
         argv = ["closure", str(fixture_dir / "coverfix.txt"), "--grid", "3"]

@@ -11,15 +11,21 @@ from aggclosure.polyhedra import (
     GE,
     LE,
     LinearInequality,
+    _at_infinity,
+    _build,
+    _canonical_order,
+    _canonical_rays,
     _canonical_system,
-    _enum_rays,
-    _enum_vertices,
+    _equalities,
+    _hrep_sort_key,
+    _nullbasis,
+    _orient_and_add,
     contains,
     embed_with_free_axis,
     empty_polyhedron,
     facet_lattice_tuple,
+    homogenize,
     hrep_to_vrep,
-    in_generated_set,
     intersect,
     lp_feasible,
     make_inequality,
@@ -30,7 +36,16 @@ from aggclosure.polyhedra import (
     vrep_to_hrep,
     whole_space,
 )
-from aggclosure.rational import IntEchelon, affine_rank, as_vector, int_clear, int_nullspace, reduce_gcd, solve_linear
+from aggclosure.rational import (
+    IntEchelon,
+    affine_rank,
+    as_vector,
+    int_clear,
+    int_echelon,
+    int_nullspace,
+    reduce_gcd,
+    solve_linear,
+)
 
 
 def mk(normal, rhs, sense):
@@ -269,7 +284,7 @@ class TestProperties:
     @given(st.lists(point2, min_size=1, max_size=7), point2)
     def test_contains_matches_generator_membership(self, pts, probe):
         poly = vrep_to_hrep(pts)
-        assert contains(poly, probe) == in_generated_set(probe, pts, [])
+        assert contains(poly, probe) == fraction_in_generated_set(probe, pts, [])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(point2, min_size=1, max_size=6))
@@ -345,9 +360,91 @@ def fraction_lp_feasible(columns, rhs) -> bool:
         basis[leave] = enter
 
 
+def fraction_in_generated_set(x, points, rays) -> bool:
+    cols = [tuple(p) + (1,) for p in points] + [tuple(r) + (0,) for r in rays]
+    return bool(cols) and fraction_lp_feasible(cols, tuple(x) + (1,))
+
+
+# The subset-enumeration kernel that the double description replaced, kept
+# as the oracle: V->H reads a facet normal off every rank-deficient subset
+# of generators, H->V solves every subset of n tight rows for a vertex and
+# every subset of n - 1 rows for an extreme ray.
+
+
+def _subset_echelons(rows, base: IntEchelon, size: int, cols: int, start: int = 0):
+    # extensions of ``base`` by ``size`` rows taken in index order, each
+    # independent of the ones before it on its first ``cols`` entries
+    if size == 0:
+        yield base
+        return
+    for i in range(start, len(rows) - size + 1):
+        red = base.reduce(rows[i])
+        if any(red[:cols]):
+            pcol = next(j for j, a in enumerate(red) if a)
+            ech = IntEchelon(base.rows + (red,), base.pivots + (pcol,))
+            yield from _subset_echelons(rows, ech, size - 1, cols, i + 1)
+
+
+def _enum_vertices(canon, dim):
+    # the null vector of n independent tight rows (normal, -rhs) is the
+    # vertex as its generator (x * den, den)
+    rows = [iq.normal + (-iq.rhs,) for iq in canon]
+    found = set()
+    for ech in _subset_echelons(rows, IntEchelon(), dim, dim):
+        (g,) = ech.nullspace(dim + 1)
+        if g not in found and all(iq.holds_at(g) for iq in canon):
+            found.add(g)
+    return list(found)
+
+
+def _enum_rays(canon, dim):
+    rows = [iq.normal for iq in canon]
+    found = set()
+    for ech in _subset_echelons(rows, IntEchelon(), dim - 1, dim):
+        (r,) = ech.nullspace(dim)
+        for g in (r + (0,), tuple(-a for a in r) + (0,)):
+            if all(iq.holds_at(g) for iq in canon):
+                found.add(g)
+                break
+    return list(found)
+
+
+def fraction_extreme_generators(gens):
+    # drop, in canonical order, every generator that is a nonnegative
+    # combination of the others left
+    out = list(gens)
+    i = 0
+    while i < len(out):
+        rest = out[:i] + out[i + 1 :]
+        if rest and fraction_lp_feasible(rest, out[i]):
+            out.pop(i)
+        else:
+            i += 1
+    return out
+
+
+def subset_vrep_to_hrep(points, rays=(), reduce_generators=True):
+    gens = _canonical_order({homogenize(p) for p in points})
+    dim = len(gens[0]) - 1
+    gens += _canonical_rays(rays)
+    if reduce_generators and len(gens) > 2:
+        gens = fraction_extreme_generators(gens)
+    width = dim + 1
+    nullbasis = _nullbasis(gens, width)
+    depth_target = width - len(nullbasis) - 1
+    facets = set()
+    if depth_target >= 1:
+        base = int_echelon(nullbasis)
+        infinity = _at_infinity(nullbasis, width)
+        for ech in _subset_echelons(gens, base, depth_target, width):
+            (normal,) = ech.nullspace(width)
+            _orient_and_add(normal, gens, infinity, facets)
+    ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
+    return _build(dim, gens, ineqs, dim - len(nullbasis))
+
+
 def subset_hrep_to_vrep(ineqs, dim):
-    # H->V as it ran before incidence: enumerate generators, then a second
-    # V->H pass over generator subsets; kept as the oracle
+    # generators from the subset enumerations, then the subset V->H pass
     canon = _canonical_system(ineqs)
     lineality = int_nullspace([iq.normal for iq in canon], dim)
     if lineality:
@@ -360,13 +457,13 @@ def subset_hrep_to_vrep(ineqs, dim):
         rays = list(sub.vrep_rays)
         for ell in lineality:
             rays += [ell, tuple(-a for a in ell)]
-        return vrep_to_hrep(sub.vrep_points, rays, reduce_generators=False)
+        return subset_vrep_to_hrep(sub.vrep_points, rays, reduce_generators=False)
     verts = _enum_vertices(canon, dim)
     if not verts:
         return empty_polyhedron(dim, canon)
     points = [tuple(Fraction(a, g[-1]) for a in g[:-1]) for g in verts]
     rays = [g[:-1] for g in _enum_rays(canon, dim)]
-    return vrep_to_hrep(points, rays, reduce_generators=False)
+    return subset_vrep_to_hrep(points, rays, reduce_generators=False)
 
 
 small_rat = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -388,10 +485,10 @@ def lp_case(draw):
 
 
 @st.composite
-def inequality_system(draw):
+def inequality_system(draw, max_dim=3):
     # random rows, with opposed pairs for lower-dimensional sets and few
     # rows or repeated supports for lineality
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, max_dim))
     coeffs = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
     rows = []
     for _ in range(draw(st.integers(1, 6))):
@@ -405,6 +502,22 @@ def inequality_system(draw):
     return dim, rows
 
 
+@st.composite
+def vrep_case(draw):
+    # random points and rays in 1 to 4 variables; the points may lie on a
+    # hyperplane, and a ray may come with its opposite for lineality
+    dim = draw(st.integers(1, 4))
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6))
+    if dim > 1 and draw(st.booleans()):
+        normal = draw(st.tuples(*[st.integers(-2, 2)] * (dim - 1)))
+        points = [p[:-1] + (sum(a * c for a, c in zip(normal, p)),) for p in points]
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=4))
+    if rays and draw(st.booleans()):
+        rays.append(tuple(-a for a in rays[0]))
+    return points, rays, draw(st.booleans())
+
+
 class TestDifferentialAgainstFractionKernel:
     @settings(max_examples=300, deadline=None)
     @given(lp_case())
@@ -413,10 +526,17 @@ class TestDifferentialAgainstFractionKernel:
         assert lp_feasible(columns, rhs) == fraction_lp_feasible(columns, rhs)
 
     @settings(max_examples=300, deadline=None)
-    @given(inequality_system())
+    @given(inequality_system(max_dim=4))
     def test_incidence_hrep_matches_subset_pass(self, case):
         dim, rows = case
         assert hrep_to_vrep(rows, dim) == subset_hrep_to_vrep(rows, dim)
+
+    @settings(max_examples=300, deadline=None)
+    @given(vrep_case())
+    def test_vrep_to_hrep_matches_subset_pass(self, case):
+        points, rays, reduce_generators = case
+        got = vrep_to_hrep(points, rays, reduce_generators=reduce_generators)
+        assert got == subset_vrep_to_hrep(points, rays, reduce_generators)
 
     def test_lower_dimensional_face_at_infinity(self):
         # the rays span a facet of the homogenized cone whose normal,
@@ -431,26 +551,28 @@ class TestDifferentialAgainstFractionKernel:
 
 
 class TestKernelBudget:
-    def test_vrep_to_hrep_leaves(self):
-        cube = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-        assert vrep_to_hrep(cube, reduce_generators=False, budget=56).feasible
-        with pytest.raises(ResourceBudgetError, match=r"vrep_to_hrep enumeration of 56\+ subset leaves exceeds budget 55"):
-            vrep_to_hrep(cube, reduce_generators=False, budget=55)
+    # the budget caps the pairs of opposite-side rays that one double
+    # description run tests
 
-    def test_vertex_leaves(self):
+    def test_vrep_to_hrep_pairs(self):
+        cube = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        assert vrep_to_hrep(cube, reduce_generators=False, budget=10).feasible
+        with pytest.raises(ResourceBudgetError, match=r"vrep_to_hrep double description of 10\+ ray pairs exceeds budget 9"):
+            vrep_to_hrep(cube, reduce_generators=False, budget=9)
+
+    def test_hrep_to_vrep_pairs(self):
         box = [mk(u, 0, GE) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         box += [mk(u, 1, LE) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        # 8 vertex leaves, then 12 ray leaves
-        with pytest.raises(ResourceBudgetError, match=r"hrep_to_vrep vertex enumeration of 8\+"):
-            hrep_to_vrep(box, 3, budget=7)
+        assert hrep_to_vrep(box, 3, budget=7).feasible
+        with pytest.raises(ResourceBudgetError, match=r"hrep_to_vrep double description of 7\+ ray pairs exceeds budget 6"):
+            hrep_to_vrep(box, 3, budget=6)
 
-    def test_ray_leaves(self):
-        # four rows in three variables: 4 vertex leaves, 6 ray leaves
+    def test_unbounded_pairs(self):
         rows = [mk(u, 0, GE) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         rows.append(mk((1, 1, 1), 1, GE))
-        assert hrep_to_vrep(rows, 3, budget=6).feasible
-        with pytest.raises(ResourceBudgetError, match=r"hrep_to_vrep ray enumeration of 6\+"):
-            hrep_to_vrep(rows, 3, budget=5)
+        assert hrep_to_vrep(rows, 3, budget=3).vrep_rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        with pytest.raises(ResourceBudgetError, match=r"hrep_to_vrep double description of 3\+"):
+            hrep_to_vrep(rows, 3, budget=2)
 
 
 # The V-representation as it was stored before homogeneous generators:
@@ -480,7 +602,7 @@ def fraction_vrep_of_points(points, rays, reduce_generators):
     pts = sorted(set(as_vector(p) for p in points))
     rys = sorted({reduce_gcd(int_clear(as_vector(r))[0]) for r in rays} - {(0,) * len(pts[0])})
     if reduce_generators and len(pts) + len(rys) > 2:
-        for gens, inside in ((pts, lambda p, rest: in_generated_set(p, rest, rys)), (rys, lambda r, rest: lp_feasible(rest, r))):
+        for gens, inside in ((pts, lambda p, rest: fraction_in_generated_set(p, rest, rys)), (rys, lambda r, rest: fraction_lp_feasible(rest, r))):
             i = 0
             while i < len(gens):
                 rest = gens[:i] + gens[i + 1 :]
