@@ -316,7 +316,8 @@ def _add_common(sub, k_flag=True, refine_flag=True, out_flag=False):
         "--budget",
         type=_positive_int,
         default=DEFAULT_CELL_BUDGET,
-        help="work budget per enumeration: lattice cells, or ray pairs of one kernel run",
+        help="work budget per enumeration: lattice cells, ray pairs of one "
+        "kernel run, or aggregations of one grid walk",
     )
     sub.add_argument(
         "--threads",

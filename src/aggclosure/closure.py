@@ -26,11 +26,13 @@ All geometry is exact rational arithmetic; nothing here uses floats.
 from __future__ import annotations
 
 import itertools
-import logging
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import mul, sub
 
-from .errors import UsageError
+from .errors import ResourceBudgetError, UsageError
 from .knapsack import (
     Aggregation,
     COVERING,
@@ -38,6 +40,7 @@ from .knapsack import (
     Instance,
     PACKING,
     build_relaxation,
+    hull_keys,
     integer_aggregated_hull,
     integer_hull,
     integer_row,
@@ -60,8 +63,6 @@ from .polyhedra import (
     whole_space,
 )
 from .rational import Rat, as_vector, solve_linear
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,28 @@ class SeparationResult:
 _CLOSURE_MEMO: dict = {}
 
 
-def _compositions(total: int, parts: int):
-    # nonnegative integer vectors with the given sum, lexicographic order
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _grid_bars(d: int, m: int):
+    # stars and bars: the bar positions of every composition of d into m
+    # parts, in the lexicographic order of the compositions
+    return itertools.combinations(range(d + m - 1), m - 1)
+
+
+def _composition(bars, d: int) -> tuple:
+    # part i is the gap between bars i - 1 and i, with outer bars at -1
+    # and d + m - 1
+    return tuple(
+        hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (d + len(bars),))
+    )
+
+
+def _check_grid_budget(m: int, scheme: SampleScheme, budget: int) -> None:
+    # one walk makes C(d + m - 1, m - 1) multichoose k aggregations
+    columns = comb(scheme.grid_denominator + m - 1, m - 1)
+    count = comb(columns + scheme.k - 1, scheme.k)
+    if count > budget:
+        raise ResourceBudgetError(
+            f"grid walk of {count} aggregations exceeds budget {budget}"
+        )
 
 
 def _grid_aggregation(comps, d: int) -> Aggregation:
@@ -154,44 +169,88 @@ def _grid_aggregation(comps, d: int) -> Aggregation:
     )
 
 
-def sample_lambdas(m: int, scheme: SampleScheme) -> list[Aggregation]:
+def sample_lambdas(
+    m: int, scheme: SampleScheme, budget: int = DEFAULT_CELL_BUDGET
+) -> list[Aggregation]:
     """All grid aggregations for m rows, in lexicographic order.
 
     Each column is v/D for a nonnegative integer composition v of D, so
     it sums to one.  Compositions of a fixed D are distinct and come in
     lexicographic order, so no column repeats; for k >= 2 the k-tuples
     of columns are taken up to column order, as
-    ``combinations_with_replacement`` of the columns.
+    ``combinations_with_replacement`` of the columns.  The compositions
+    are read off the bar positions of `_grid_bars`, the enumerator
+    `_grid_hulls` walks, and a grid of more than ``budget`` aggregations
+    raises `ResourceBudgetError`.
     """
     if m < 1:
         raise UsageError("need at least one row to aggregate")
+    _check_grid_budget(m, scheme, budget)
     d = scheme.grid_denominator
+    columns = [_composition(bars, d) for bars in _grid_bars(d, m)]
     return [
         _grid_aggregation(comps, d)
-        for comps in itertools.combinations_with_replacement(
-            _compositions(d, m), scheme.k
-        )
+        for comps in itertools.combinations_with_replacement(columns, scheme.k)
     ]
+
+
+def _grid_rows(inst: Instance, d: int, bars) -> list:
+    # the rows v·A | v·b of the compositions v with the given bar
+    # positions c, one lazy iterator per coordinate.  A coordinate is
+    # affine in c: with col its column, v·col = base + c·step where
+    # step_i = col_i - col_(i+1) and base is the value at c = 0, the
+    # composition (0, -1, ..., -1, d + m - 2), or (d,) when m = 1
+    out = []
+    cols = list(zip(*inst.A)) + [inst.b]
+    for col, own in zip(cols, itertools.tee(bars, len(cols))):
+        step = tuple(map(sub, col, col[1:]))
+        base = d * col[-1] + sum(col[-1] - a for a in col[1:-1])
+        dots = map(map, itertools.repeat(mul), own, itertools.repeat(step))
+        out.append(map(sum, dots, itertools.repeat(base)))
+    return out
+
+
+def _first_positions(inst: Instance, scheme: SampleScheme) -> list:
+    # positions in the walk of the first aggregation of each hull key.  A
+    # valid one-variable instance has every a_i >= 1, so v·a >= d > 0 as
+    # `hull_keys` needs
+    d = scheme.grid_denominator
+    keys = hull_keys(
+        inst.sense, _grid_rows(inst, d, _grid_bars(d, inst.m)), scheme.k
+    )
+    first: dict = {}
+    deque(map(first.setdefault, keys, itertools.count()), maxlen=0)
+    return list(first.values())
 
 
 def _grid_hulls(inst: Instance, scheme: SampleScheme, budget: int) -> list:
     """The distinct integer hulls of the grid aggregations.
 
-    Walks the aggregations in `sample_lambdas` order but carries each
-    column v/D as the integer composition v: a hull does not change when
-    its row is scaled, so the aggregated rows are integer dot products.
+    Walks the aggregations in `sample_lambdas` order as the bar positions
+    of their integer compositions v: a hull does not change when its row
+    is scaled, so the aggregated rows are integer, and each coordinate
+    of a row is one dot product with the bars.  A first pass keys every
+    aggregation's hull by `hull_keys` without building any hull; a second
+    builds the hull of the first aggregation of each key.  With k = 1 the
+    grid is streamed; with k >= 2 one key per composition is held.
     Returns one ``(compositions, hull)`` pair per distinct hull object,
     with the compositions of its first aggregation, in order of first
-    appearance; `_grid_aggregation` gives back the rational weights.
+    appearance; `_grid_aggregation` gives back the rational weights.  A
+    grid of more than ``budget`` aggregations raises `ResourceBudgetError`
+    before the walk.
     """
-    rows = {
-        comp: integer_row(inst, comp)
-        for comp in _compositions(scheme.grid_denominator, inst.m)
-    }
+    _check_grid_budget(inst.m, scheme, budget)
+    d, k = scheme.grid_denominator, scheme.k
+    bars = _grid_bars(d, inst.m)
+    walk = zip(bars) if k == 1 else itertools.combinations_with_replacement(bars, k)
     distinct: dict = {}
-    for comps in itertools.combinations_with_replacement(rows, scheme.k):
+    previous = -1
+    for position in _first_positions(inst, scheme):
+        picked = next(itertools.islice(walk, position - previous - 1, None))
+        previous = position
+        comps = tuple(_composition(c, d) for c in picked)
         hull = integer_aggregated_hull(
-            inst, comps, [rows[c] for c in comps], budget
+            inst, comps, [integer_row(inst, v) for v in comps], budget
         )
         distinct.setdefault(id(hull), (comps, hull))
     return list(distinct.values())
@@ -206,10 +265,11 @@ def sampled_closure(
 
     Outer approximation of the closure; exact for m = 1 at any grid and
     for one variable at any grid that includes the units (all do).
-    Each distinct hull enters the intersection once: in one variable
-    the 4,845 weights of five rows at grid 16 give thousands of distinct
-    rows but only some twenty distinct intervals.  Memoized per
-    (instance, scheme).
+    Each distinct hull is built and enters the intersection once: in one
+    variable the 4,845 weights of five rows at grid 16 give thousands of
+    distinct rows but only some twenty distinct intervals, told apart by
+    their endpoints before any hull is looked up (`_grid_hulls`).
+    Memoized per (instance, scheme).
     """
     memo_key = (inst.key(), scheme.key(), "sampled")
     cached = _CLOSURE_MEMO.get(memo_key)
@@ -338,7 +398,7 @@ def enumerate_tuples(
     nonpositive offset cannot be rescaled to offset one; such facets do
     not arise for full-dimensional packing hulls (the origin is interior
     to the orthant face they would have to cut), but the guard keeps the
-    construction honest and logs if it ever fires.
+    construction honest and skips such a facet if one ever arises.
     """
     found: dict = {}
     for comps, hull in _grid_hulls(inst, scheme, budget):
@@ -346,10 +406,6 @@ def enumerate_tuples(
             continue
         for facet in positive_normal_facets(hull):
             if inst.sense == PACKING and facet.rhs <= 0:
-                log.info(
-                    "skipping facet %s: nonpositive offset cannot scale to one",
-                    facet.render(),
-                )
                 continue
             pts = facet_lattice_tuple(hull, facet)
             if pts not in found:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import ceil, floor
+from operator import floordiv, neg
 
 from .errors import (
     EmptyRelaxationError,
@@ -246,6 +248,33 @@ def integer_aggregated_hull(
         )
         hull = integer_hull(rel, budget, key)
     return hull
+
+
+def hull_keys(sense: str, coords, k: int):
+    """Hull keys of the k-aggregations of integer rows, lazily.
+
+    ``coords`` holds one iterator per coordinate of the rows: the n
+    coefficients, then the rhs.  Two aggregations with equal keys have
+    the same `integer_aggregated_hull`, and the keys come in the order
+    of ``combinations_with_replacement(rows, k)``, which holds the row
+    keys in a list when k >= 2.  In one variable every coefficient must
+    be positive; a row's key is then the endpoint of its interval hull,
+    ``floor(r / a)`` for packing or ``ceil(r / a)`` for covering, and a
+    k-aggregation's the min or max of its rows' keys, as in `_hull_1d`.
+    In several variables a row's key is the row in lowest terms and a
+    k-aggregation's the set of its rows' keys, as in `_rows_key`.
+    """
+    if len(coords) == 2:
+        coef, rhs = coords
+        if sense == PACKING:
+            keys, combine = map(floordiv, rhs, coef), min
+        else:
+            keys, combine = map(neg, map(floordiv, map(neg, rhs), coef)), max
+    else:
+        keys, combine = map(reduce_gcd, zip(*coords)), frozenset
+    if k == 1:
+        return keys
+    return map(combine, combinations_with_replacement(list(keys), k))
 
 
 def _ceil_div(r, a) -> int:

@@ -157,6 +157,11 @@ class Polyhedron:
     vertices ``(x * den, den)`` first and rays ``(r, 0)`` after them (see
     the module docstring); `vrep_points` and `vrep_rays` read it back as
     rational vertices and integer rays.
+
+    ``==`` compares the stored representations, not the sets: with a
+    lineality space, which point of a minimal face is kept depends on the
+    input, so two descriptions of one set may compare unequal.
+    `poly_equal` is the test for set equality.
     """
 
     dim: int

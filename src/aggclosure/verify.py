@@ -353,7 +353,7 @@ def check_cg_dominance(
     )
     # rounding, unlike the hull, changes when a row is scaled, so the cut
     # is taken from the row aggregated with the rational weights v/D
-    for agg in sample_lambdas(inst.m, single):
+    for agg in sample_lambdas(inst.m, single, budget):
         rel = build_relaxation(inst, agg)
         cut = cg_cut(rel)
         if cut is None:

@@ -284,6 +284,17 @@ class TestClosureCommand:
         assert "hrep_to_vrep double description of" in err
         assert "ray pairs exceeds budget 1000" in err
 
+    def test_grid_budget_exit_code(self, fixture_dir, capsys):
+        # five rows at grid 16 give 4,845 weights, so 11,739,435 pairs
+        # at k = 2: over the default budget before any hull is built
+        path = fixture_dir / "fine5.txt"
+        path.write_text("sense packing\nn 1\nm 5\nA\n9\n2\n8\n3\n5\nb\n48 37 34 57 26\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "closure", str(path), "--grid", "16", "--k", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: grid walk of 11739435 aggregations exceeds budget 10000000\n"
+
     def test_pack4x3_golden_and_fast(self, fixture_dir):
         # a fresh process, so no memo is warm.  With subset enumeration in
         # the kernel this took 4.5 to 5.4 s on a 2-CPU host, and about

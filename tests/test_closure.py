@@ -12,7 +12,8 @@ from aggclosure.closure import (
     ClosureArtifacts,
     FacetTuple,
     SampleScheme,
-    _compositions,
+    _composition,
+    _grid_bars,
     aggregation_closure,
     build_K,
     build_L,
@@ -57,6 +58,16 @@ COVER_FIX = Instance(COVERING, ((2, 0), (1, 3)), (3, 4))
 
 def scheme(d=2, k=1, rounds=1):
     return SampleScheme(grid_denominator=d, k=k, refinement_rounds=rounds)
+
+
+def _compositions(total, parts):
+    # oracle: nonnegative integer vectors with the given sum, lexicographic
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 class TestSampleLambdas:
@@ -106,6 +117,13 @@ class TestSampleLambdas:
             ]
             assert len(aggs) == math.comb(d + m - 1, m - 1)
         assert len(sample_lambdas(5, scheme(d=16))) == 4845
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_bars_enumerate_the_compositions_in_order(self, m):
+        for d in range(1, 17):
+            assert [_composition(c, d) for c in _grid_bars(d, m)] == list(
+                _compositions(d, m)
+            )
 
     def test_pairs_are_combinations_of_the_columns(self):
         columns = [a.weights[0] for a in sample_lambdas(3, scheme(d=3))]
@@ -636,6 +654,10 @@ def grid_cases(draw):
 @given(grid_cases())
 @example((Instance(COVERING, ((2, 0, 1), (1, 0, 3)), (3, 4)), scheme(d=5), (F(1, 2), 0, F(1, 3))))
 @example((Instance(PACKING, ((3, 2), (1, 4), (2, 2)), (5, 6, 4)), scheme(d=3, k=2), (F(4, 3), F(2, 3))))
+@example((Instance(PACKING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26)), scheme(d=16), (F(7, 2),)))
+@example((Instance(COVERING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26)), scheme(d=16), (F(11, 2),)))
+@example((Instance(COVERING, ((3,), (5,), (2,)), (17, 23, 9)), scheme(d=4, k=2), (F(9, 2),)))
+@example((Instance(PACKING, ((2, 3, 1),), (7,)), scheme(d=3), (F(1, 2), F(3, 2), 1)))
 def test_integer_grid_path_matches_rational_oracle(case):
     inst, sch, x = case
     _cold()

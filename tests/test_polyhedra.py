@@ -259,6 +259,15 @@ class TestSubsetEqualEmbed:
         b = vrep_to_hrep([(0, 0), (2, 0), (0, 1)])
         assert poly_equal(a, b)
 
+    def test_dataclass_equality_compares_representations(self):
+        # the same line: vrep_to_hrep keeps the vertex 1, hrep_to_vrep the
+        # vertex 0, so only poly_equal sees one set
+        a = vrep_to_hrep([(0,), (1,)], [(1,), (-1,)])
+        b = hrep_to_vrep([], 1)
+        assert a.hrep == b.hrep == ()
+        assert a != b
+        assert poly_equal(a, b)
+
     def test_embed_interval(self):
         seg = hrep_to_vrep([mk((1,), 0, GE), mk((1,), 2, LE)], 1)
         cyl = embed_with_free_axis(seg, 0)
