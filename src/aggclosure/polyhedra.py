@@ -17,14 +17,16 @@ containment test is one integer dot product.  ``Fraction`` is built only
 by `Polyhedron.vrep_points` and when rational input is converted.
 
 Both conversions run one integer double description routine (Motzkin et
-al. 1953; Fukuda & Prodon 1996) on a pointed cone.  H->V takes the extreme
-rays of the homogenized cone ``{(x, t) : rows, t >= 0}`` after splitting
-off the lineality space, then reads the irredundant inequalities from
-incidence: an input row is a facet exactly when the generators tight on it
-have rank one below the span of all of them.  V->H takes the extreme rays
-of the polar cone, which are the facet normals, and keeps a generator as
-extreme from the facets tight on it.  Each run counts the ray pairs it
-tests against a work budget.
+al. 1953; Fukuda & Prodon 1996) on a pointed cone and read the incidence
+off the zero set it returns with each ray.  H->V takes the extreme rays of
+the homogenized cone ``{(x, t) : rows, t >= 0}`` after splitting off the
+lineality space.  The input rows tight on every ray span the implied
+equalities, and the rows whose tight sets are maximal among the proper
+ones cut the facets, except the face at infinity ``t >= 0``.  V->H takes
+the extreme rays of the polar cone, which are the facet normals, and keeps
+a generator as extreme when its set of tight facets is maximal among the
+proper ones.  Each run counts the ray pairs it tests against a work
+budget.
 """
 
 from __future__ import annotations
@@ -415,6 +417,26 @@ def _in_cone(g: IntVector, rays, width: int, budget: int) -> bool:
     return all(idot(y, g) <= 0 for y, _ in _polar(rays, nullbasis, width, budget))
 
 
+def _transpose(sets, n: int) -> list[int]:
+    # bit k of out[i] is set when bit i of sets[k] is set
+    out = [0] * n
+    for k, z in enumerate(sets):
+        bit = 1 << k
+        while z:
+            low = z & -z
+            out[low.bit_length() - 1] |= bit
+            z ^= low
+    return out
+
+
+def _maximal(sets, full: int) -> dict[int, int]:
+    """The maximal sets of ``sets`` other than ``full``, in the order they
+    first occur, each mapped to the last position that holds it."""
+    faces = set(sets) - {full}
+    top = {s for s in faces if not any(f != s and f & s == s for f in faces)}
+    return {s: k for k, s in enumerate(sets) if s in top}
+
+
 def _irredundant_generators(gens, normals, width: int, budget: int):
     """The extreme generators of ``cone(gens)``, read off its facets.
 
@@ -427,25 +449,16 @@ def _irredundant_generators(gens, normals, width: int, budget: int):
     are dropped greedily, in order, while the rest still generate them.
     """
     # bit j of tight[k] is set when generator k is tight on normal j
-    tight = [
-        sum(1 << j for j, (_, z) in enumerate(normals) if z >> k & 1) for k in range(len(gens))
-    ]
+    tight = _transpose([z for _, z in normals], len(gens))
     full = (1 << len(normals)) - 1
-    faces = set(tight) - {full}
-    last = {}
-    lineality = []
-    for g, t in zip(gens, tight):
-        if t == full:
-            lineality.append(g)
-        elif not any(f != t and f & t == t for f in faces):
-            last[t] = g
+    lineality = [g for g, t in zip(gens, tight) if t == full]
     i = 0
     while i < len(lineality):
         if _in_cone(lineality[i], lineality[:i] + lineality[i + 1 :], width, budget):
             lineality.pop(i)
         else:
             i += 1
-    return list(last.values()) + lineality
+    return [gens[k] for k in _maximal(tight, full).values()] + lineality
 
 
 def _equalities(nullbasis, dim) -> list[LinearInequality]:
@@ -466,13 +479,6 @@ def _nullbasis(gens, width) -> list[IntVector]:
     # RREF'd orthogonal-complement basis: equality rows come out axis-aligned
     # whenever the span allows it
     return int_row_basis(int_nullspace(gens, width), width)
-
-
-def _at_infinity(nullbasis, width) -> IntEchelon:
-    # the span of the equalities and of t: a candidate normal in it is the
-    # face at infinity t >= 0 restricted to the affine hull, which every
-    # point of the hull satisfies, so it is never a facet
-    return int_echelon(nullbasis + [(0,) * (width - 1) + (1,)])
 
 
 def vrep_to_hrep(
@@ -508,23 +514,6 @@ def vrep_to_hrep(
     return _build(dim, gens, ineqs, dim - len(nullbasis))
 
 
-def _orient_and_add(direction: IntVector, gens, infinity: IntEchelon, facets) -> None:
-    pos = neg = False
-    for g in gens:
-        v = idot(direction, g)
-        if v > 0:
-            pos = True
-        elif v < 0:
-            neg = True
-        if pos and neg:
-            return
-    if not any(infinity.reduce(direction)):
-        return
-    if pos:
-        direction = tuple(-a for a in direction)
-    facets.add(make_inequality(direction[:-1], -direction[-1], LE))
-
-
 # ---------------------------------------------------------------------------
 # H-rep -> V-rep
 
@@ -544,33 +533,6 @@ def _canonical_system(ineqs) -> list[LinearInequality]:
     return sorted(out, key=_hrep_sort_key)
 
 
-def _hrep_from_incidence(canon, gens, dim) -> Polyhedron:
-    """The canonical polyhedron of generators that solve ``canon``.
-
-    Gives what `vrep_to_hrep` gives on the same generators without a
-    second double description.  Every facet of the polyhedron is cut out
-    by an input row; a row is a facet exactly when the span's equalities
-    and the generators tight on it have rank ``width - 1``, and its normal
-    is then the null vector of that echelon.
-    """
-    width = dim + 1
-    nullbasis = _nullbasis(gens, width)
-    facets: set[LinearInequality] = set()
-    if width - len(nullbasis) >= 2:
-        base = int_echelon(nullbasis)
-        infinity = _at_infinity(nullbasis, width)
-        for iq in canon:
-            ech = IntEchelon(base.rows, base.pivots)
-            for g in gens:
-                if iq.gap(g) == 0 and ech.insert(g) and ech.rank == width:
-                    break
-            if ech.rank == width - 1:
-                (normal,) = ech.nullspace(width)
-                _orient_and_add(normal, gens, infinity, facets)
-    ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
-    return _build(dim, gens, ineqs, dim - len(nullbasis))
-
-
 def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
     """Vertex/ray description of an inequality system.
 
@@ -579,26 +541,55 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     remains, which is then pointed.  Its vertices and extreme rays are the
     extreme rays ``(x * den, den)`` and ``(r, 0)`` of the homogenized cone
     ``{(x, t) : rows, t >= 0}``, found by double description within
-    ``budget`` ray pairs.  The irredundant rows are read from the
-    incidence of generators and input rows.
+    ``budget`` ray pairs.  The irredundant rows are read off the rays'
+    zero sets: the input rows tight on every ray span the equalities, and
+    each maximal proper zero set, other than that of ``t >= 0``, is a
+    facet whose normal is the null vector of the equalities, the
+    lineality and the rays on it.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     canon = _canonical_system(ineqs)
     lineality = int_nullspace([iq.normal for iq in canon], dim)
+    width = dim + 1
     # each row as h with h . (x, t) >= 0
     rows = [(0,) * dim + (1,)]
+    lines = []
     for ell in lineality:
-        rows += [ell + (0,), _negated(ell) + (0,)]
+        lines += [ell + (0,), _negated(ell) + (0,)]
+    rows += lines
+    first = len(rows)
     for iq in canon:
         h = iq.normal + (-iq.rhs,)
         rows.append(h if iq.sense == GE else _negated(h))
-    gens = [g for g, _ in _double_description(rows, dim + 1, "hrep_to_vrep", budget)]
+    rays = _double_description(rows, width, "hrep_to_vrep", budget)
+    gens = [g for g, _ in rays]
     if not any(g[-1] for g in gens):
         return empty_polyhedron(dim, canon)
-    for ell in lineality:
-        gens += [ell + (0,), _negated(ell) + (0,)]
-    return _hrep_from_incidence(canon, gens, dim)
+    # bit k of tight[i] is set when canon[i] is tight on ray k; the
+    # lineality is tight on every input row
+    tight = _transpose([z for _, z in rays], len(rows))
+    at_infinity, tight = tight[0], tight[first:]
+    full = (1 << len(gens)) - 1
+    nullbasis = int_row_basis([h for h, t in zip(rows[first:], tight) if t == full], width)
+    base = int_echelon(nullbasis + lines)
+    facets = []
+    # t >= 0 need not join the comparison: a face strictly inside the face
+    # at infinity also lies in a facet that an input row cuts
+    for face in _maximal(tight, full):
+        if face == at_infinity:
+            continue
+        ech = IntEchelon(base.rows, base.pivots)
+        for k, g in enumerate(gens):
+            if face >> k & 1 and ech.insert(g) and ech.rank == width - 1:
+                break
+        (y,) = ech.nullspace(width)
+        off = full & ~face
+        if idot(y, gens[(off & -off).bit_length() - 1]) > 0:
+            y = _negated(y)
+        facets.append(make_inequality(y[:-1], -y[-1], LE))
+    ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
+    return _build(dim, gens + lines, ineqs, dim - len(nullbasis))
 
 
 # ---------------------------------------------------------------------------

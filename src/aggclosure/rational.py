@@ -166,9 +166,11 @@ class IntEchelon:
 
 
 def int_echelon(rows: Iterable[Sequence[int]]) -> IntEchelon:
+    # once the rank is the row width every later row reduces to zero
     ech = IntEchelon()
     for row in rows:
-        ech.insert(row)
+        if ech.insert(row) and ech.rank == len(row):
+            break
     return ech
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aggclosure.errors import DegenerateFacetError, ResourceBudgetError
@@ -11,7 +11,6 @@ from aggclosure.polyhedra import (
     GE,
     LE,
     LinearInequality,
-    _at_infinity,
     _build,
     _canonical_order,
     _canonical_rays,
@@ -19,7 +18,6 @@ from aggclosure.polyhedra import (
     _equalities,
     _hrep_sort_key,
     _nullbasis,
-    _orient_and_add,
     contains,
     embed_with_free_axis,
     empty_polyhedron,
@@ -40,6 +38,7 @@ from aggclosure.rational import (
     IntEchelon,
     affine_rank,
     as_vector,
+    idot,
     int_clear,
     int_echelon,
     int_nullspace,
@@ -432,6 +431,32 @@ def fraction_extreme_generators(gens):
     return out
 
 
+def _at_infinity(nullbasis, width) -> IntEchelon:
+    # the span of the equalities and of t: a candidate normal in it is the
+    # face at infinity t >= 0 restricted to the affine hull, which every
+    # point of the hull satisfies, so it is never a facet
+    return int_echelon(nullbasis + [(0,) * (width - 1) + (1,)])
+
+
+def _orient_and_add(direction, gens, infinity: IntEchelon, facets) -> None:
+    # keep a candidate normal with every generator on one side of it,
+    # oriented so that they satisfy it as a <= row
+    pos = neg = False
+    for g in gens:
+        v = idot(direction, g)
+        if v > 0:
+            pos = True
+        elif v < 0:
+            neg = True
+        if pos and neg:
+            return
+    if not any(infinity.reduce(direction)):
+        return
+    if pos:
+        direction = tuple(-a for a in direction)
+    facets.add(make_inequality(direction[:-1], -direction[-1], LE))
+
+
 def subset_vrep_to_hrep(points, rays=(), reduce_generators=True):
     gens = _canonical_order({homogenize(p) for p in points})
     dim = len(gens[0]) - 1
@@ -536,9 +561,22 @@ class TestDifferentialAgainstFractionKernel:
 
     @settings(max_examples=300, deadline=None)
     @given(inequality_system(max_dim=4))
+    # several rows cut one facet of a lower-dimensional set
+    @example((2, [mk((0, 1), 0, LE), mk((0, 1), 0, GE), mk((1, 0), 1, LE), mk((1, 1), 1, LE)]))
+    # a single point
+    @example((2, [mk((1, 0), 1, LE), mk((1, 0), 1, GE), mk((1, 1), 3, LE), mk((1, 1), 3, GE)]))
+    # x2 + x3 >= -1 is tight only on the ray (1, 0, 0)
+    @example((3, [mk((1, 0, 0), 0, GE), mk((0, 1, 0), 0, GE), mk((0, 0, 1), 0, GE), mk((0, 1, 1), -1, GE)]))
+    # x1 - x2 is free
+    @example((3, [mk((1, 1, 0), 0, GE), mk((0, 0, 1), 0, GE), mk((1, 1, 1), 2, LE)]))
     def test_incidence_hrep_matches_subset_pass(self, case):
         dim, rows = case
-        assert hrep_to_vrep(rows, dim) == subset_hrep_to_vrep(rows, dim)
+        poly = hrep_to_vrep(rows, dim)
+        assert poly == subset_hrep_to_vrep(rows, dim)
+        if poly.feasible:
+            # the two conversions agree on each other's output
+            back = vrep_to_hrep(poly.vrep_points, poly.vrep_rays, reduce_generators=False)
+            assert (back.hrep, back.generators, back.affine_dim) == (poly.hrep, poly.generators, poly.affine_dim)
 
     @settings(max_examples=300, deadline=None)
     @given(vrep_case())
