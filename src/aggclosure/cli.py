@@ -185,12 +185,6 @@ def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _render_lambda(agg) -> str:
-    return "; ".join(
-        " ".join(format_rat(w) for w in col) for col in agg.weights
-    )
-
-
 def cmd_hull(args) -> int:
     inst = _read_instance(args.instance)
     columns = [_parse_weights(v) for v in args.lam]
@@ -245,7 +239,7 @@ def cmd_separate(args) -> int:
         _emit(
             [
                 f"{res.cut.render()}  violation {format_rat(res.violation)}"
-                f"  lambda {_render_lambda(res.witness)}"
+                f"  lambda {res.witness.render()}"
             ]
         )
     return 0

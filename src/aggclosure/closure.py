@@ -41,9 +41,7 @@ from .knapsack import (
     PACKING,
     build_relaxation,
     hull_keys,
-    integer_aggregated_hull,
     integer_hull,
-    integer_row,
     normalize_aggregation,
 )
 from .polyhedra import (
@@ -62,7 +60,7 @@ from .polyhedra import (
     vrep_to_hrep,
     whole_space,
 )
-from .rational import Rat, as_vector, solve_linear
+from .rational import Rat, as_vector, int_clear, int_nullspace
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,8 @@ def _grid_hulls(inst: Instance, scheme: SampleScheme, budget: int) -> list:
     is scaled, so the aggregated rows are integer, and each coordinate
     of a row is one dot product with the bars.  A first pass keys every
     aggregation's hull by `hull_keys` without building any hull; a second
-    builds the hull of the first aggregation of each key.  With k = 1 the
+    builds ``integer_hull(build_relaxation(inst, v))`` for the first
+    aggregation of each key only, with int rows.  With k = 1 the
     grid is streamed; with k >= 2 one key per composition is held.
     Returns one ``(compositions, hull)`` pair per distinct hull object,
     with the compositions of its first aggregation, in order of first
@@ -249,9 +248,7 @@ def _grid_hulls(inst: Instance, scheme: SampleScheme, budget: int) -> list:
         picked = next(itertools.islice(walk, position - previous - 1, None))
         previous = position
         comps = tuple(_composition(c, d) for c in picked)
-        hull = integer_aggregated_hull(
-            inst, comps, [integer_row(inst, v) for v in comps], budget
-        )
+        hull = integer_hull(build_relaxation(inst, comps), budget)
         distinct.setdefault(id(hull), (comps, hull))
     return list(distinct.values())
 
@@ -460,18 +457,23 @@ def filter_minimal_tuples(tuples, sense: str) -> list[FacetTuple]:
 
 
 def tuple_to_inequality(t, sense: str) -> LinearInequality:
-    """Inequality of the hyperplane through a tuple's points at offset one.
+    """Inequality ``<a, x> <= c`` (``>=`` for covering) of the hyperplane
+    through a tuple's points.
 
-    The points are affinely independent and their hyperplane misses the
-    origin, so they are linearly independent and the normal is the
-    unique solution of the n-by-n system <a, p_i> = 1.
+    ``(a, -c)`` is the one integer null vector of the homogeneous points
+    ``(p_i, 1)``, oriented so that ``c > 0``.  The points must be
+    linearly independent: a null space of another dimension, or a
+    hyperplane through the origin (``c == 0``), raises RuntimeError.
     """
-    pts = t.points if isinstance(t, FacetTuple) else tuple(as_vector(p) for p in t)
-    ones = tuple(Fraction(1) for _ in pts)
-    normal = solve_linear(pts, ones)
-    if normal is None:
+    pts = t.points if isinstance(t, FacetTuple) else t
+    rows = [int_clear(tuple(p) + (1,))[0] for p in pts]
+    basis = int_nullspace(rows, len(rows[0]))
+    if len(basis) != 1 or not basis[0][-1]:
         raise RuntimeError("tuple points do not determine a hyperplane")
-    return make_inequality(normal, 1, LE if sense == PACKING else GE)
+    (v,) = basis
+    if v[-1] > 0:
+        v = tuple(-a for a in v)
+    return make_inequality(v[:-1], -v[-1], LE if sense == PACKING else GE)
 
 
 def build_K(
@@ -502,63 +504,41 @@ def aggregation_closure(
         return cached
 
     n = inst.n
+    T = S = ()
+    free = None
+    if inst.sense == COVERING and n > 1:
+        free = next((j for j in range(n) if not any(row[j] for row in inst.A)), None)
     if n == 1:
-        body = closure_1d(inst)
-        art = ClosureArtifacts(
-            instance=inst,
-            sample=scheme,
-            L=body,
-            K=whole_space(1),
-            closure=body,
-            gamma=compute_gamma(inst) if inst.sense == COVERING else None,
-            T_sample=(),
-            S=(),
+        L = body = closure_1d(inst)
+        K = whole_space(1)
+    elif free is not None:
+        # the free coordinate factors out of every aggregated hull, so
+        # the closure is a cylinder over the reduced closure
+        sub = Instance(
+            COVERING,
+            tuple(row[:free] + row[free + 1 :] for row in inst.A),
+            inst.b,
         )
-        _CLOSURE_MEMO[memo_key] = art
-        return art
-
-    if inst.sense == COVERING:
-        zero_cols = [j for j in range(n) if all(row[j] == 0 for row in inst.A)]
-        if zero_cols:
-            # the free coordinate factors out of every aggregated hull,
-            # so the closure is a cylinder over the reduced closure
-            axis = zero_cols[0]
-            sub = Instance(
-                COVERING,
-                tuple(row[:axis] + row[axis + 1 :] for row in inst.A),
-                inst.b,
-            )
-            inner = aggregation_closure(sub, scheme, budget=budget)
-            body = embed_with_free_axis(inner.closure, axis)
-            art = ClosureArtifacts(
-                instance=inst,
-                sample=scheme,
-                L=body,
-                K=whole_space(n),
-                closure=body,
-                gamma=None,
-                T_sample=(),
-                S=(),
-            )
-            _CLOSURE_MEMO[memo_key] = art
-            return art
-
-    L = build_L(inst, scheme, budget=budget)
-    T = tuple(enumerate_tuples(inst, scheme, budget=budget))
-    S = tuple(filter_minimal_tuples(T, inst.sense))
-    K = build_K(S, inst.sense, n, budget)
-    body = intersect([K, L, orthant(n)], budget)
-    art = ClosureArtifacts(
+        inner = aggregation_closure(sub, scheme, budget=budget)
+        L = body = embed_with_free_axis(inner.closure, free)
+        K = whole_space(n)
+    else:
+        L = build_L(inst, scheme, budget=budget)
+        T = tuple(enumerate_tuples(inst, scheme, budget=budget))
+        S = tuple(filter_minimal_tuples(T, inst.sense))
+        K = build_K(S, inst.sense, n, budget)
+        body = intersect([K, L, orthant(n)], budget)
+    gamma = compute_gamma(inst) if inst.sense == COVERING and free is None else None
+    art = _CLOSURE_MEMO[memo_key] = ClosureArtifacts(
         instance=inst,
         sample=scheme,
         L=L,
         K=K,
         closure=body,
-        gamma=compute_gamma(inst) if inst.sense == COVERING else None,
+        gamma=gamma,
         T_sample=T,
         S=S,
     )
-    _CLOSURE_MEMO[memo_key] = art
     return art
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import ceil, floor
 from operator import floordiv, neg
@@ -37,10 +38,10 @@ from .rational import (
     RatMatrix,
     RatVector,
     as_vector,
+    format_rat,
     idot,
     int_clear,
     reduce_gcd,
-    vdot,
 )
 
 PACKING = "packing"
@@ -58,18 +59,32 @@ class Aggregation:
     def k(self) -> int:
         return len(self.weights)
 
+    def render(self) -> str:
+        """Columns as ``p/q`` weights, separated by ``; ``."""
+        return "; ".join(" ".join(format_rat(w) for w in col) for col in self.weights)
+
+
+def _weight_column(col) -> tuple:
+    # integer columns stay int: the Fraction conversion of `as_vector`
+    # costs more than the whole integer aggregation
+    col = tuple(col)
+    return col if all(type(w) is int for w in col) else as_vector(col)
+
 
 def as_aggregation(weights, m: int) -> Aggregation:
-    """Normalize a weight vector, a sequence of them, or an Aggregation."""
+    """Normalize a weight vector, a sequence of them, or an Aggregation.
+
+    Integer columns are kept as ints, any other column becomes Fractions.
+    """
     if isinstance(weights, Aggregation):
-        cols = [as_vector(c) for c in weights.weights]
+        cols = [_weight_column(c) for c in weights.weights]
         flag = weights.normalized
     else:
         seq = list(weights)
         if not seq:
             raise UsageError("empty aggregation")
         raw = seq if isinstance(seq[0], (list, tuple)) else [seq]
-        cols = [as_vector(c) for c in raw]
+        cols = [_weight_column(c) for c in raw]
         flag = False
     if not cols:
         raise UsageError("empty aggregation")
@@ -88,7 +103,7 @@ def normalize_aggregation(agg: Aggregation) -> Aggregation:
         total = sum(col)
         if total == 0:
             raise TrivialAggregationError("trivial aggregation")
-        cols.append(tuple(w / total for w in col))
+        cols.append(tuple(Fraction(w, total) for w in col))
     return Aggregation(tuple(cols), True)
 
 
@@ -158,10 +173,10 @@ class Instance:
 class KnapsackRelaxation:
     """k aggregated knapsack rows over the nonnegative orthant.
 
-    Rows and rhs are Fractions when built from rational weights by
-    `build_relaxation`, and ints when built from integer weights by
-    `integer_aggregated_hull`; the hull depends only on the rows' scale-free
-    key, so both give the same hull.
+    `build_relaxation` makes the rows: ints when the weights are
+    integers, otherwise Fractions equal to λ·A and λ·b.  The hull
+    depends only on the rows' scale-free `canonical_key`, so weights
+    that differ by a positive factor per column give the same hull.
     """
 
     parent: Instance | None
@@ -176,42 +191,39 @@ class KnapsackRelaxation:
         return len(self.aggregated_rows)
 
     def canonical_key(self):
-        return _rows_key(
-            self.sense,
-            self.n,
-            (
-                int_clear(tuple(row) + (r,))[0]
-                for row, r in zip(self.aggregated_rows, self.aggregated_rhs)
-            ),
+        # scale-free row set: hulls agree exactly on equal keys.  Each row
+        # is integer coefficients followed by the rhs; dividing by the gcd
+        # maps every positive multiple of a row to the same vector
+        rows = (
+            reduce_gcd(int_clear(tuple(row) + (r,))[0])
+            for row, r in zip(self.aggregated_rows, self.aggregated_rhs)
         )
-
-
-def _rows_key(sense: str, n: int, rows) -> tuple:
-    # scale-free row set: hulls agree exactly on equal keys.  Each row is
-    # integer coefficients followed by the rhs; dividing by the gcd maps
-    # every positive multiple of a row to the same vector
-    return (sense, n, tuple(sorted({reduce_gcd(row) for row in rows})))
+        return (self.sense, self.n, tuple(sorted(set(rows))))
 
 
 def build_relaxation(inst: Instance, weights) -> KnapsackRelaxation:
+    """Aggregate the rows of ``inst`` with each nonzero weight column.
+
+    A column λ is cleared to integers ``v = λ·den`` and aggregated as
+    `integer_row`; the row is divided by ``den`` only when ``den > 1``,
+    so integer weights give int rows and every row equals λ·A | λ·b.
+    """
     agg = as_aggregation(weights, inst.m)
     kept = tuple(col for col in agg.weights if any(col))
     if not kept:
         raise TrivialAggregationError("trivial aggregation")
     rows = []
-    rhs = []
     for lam in kept:
-        rows.append(
-            tuple(sum((w * inst.A[i][j] for i, w in enumerate(lam)), Fraction(0)) for j in range(inst.n))
-        )
-        rhs.append(vdot(lam, as_vector(inst.b)))
+        ints, den = int_clear(lam)
+        row = integer_row(inst, ints)
+        rows.append(row if den == 1 else tuple(Fraction(x, den) for x in row))
     return KnapsackRelaxation(
         parent=inst,
         weights=Aggregation(kept, agg.normalized),
         sense=inst.sense,
         n=inst.n,
-        aggregated_rows=tuple(rows),
-        aggregated_rhs=tuple(rhs),
+        aggregated_rows=tuple(row[:-1] for row in rows),
+        aggregated_rhs=tuple(row[-1] for row in rows),
     )
 
 
@@ -220,49 +232,20 @@ def integer_row(inst: Instance, column) -> IntVector:
     return tuple(idot(column, a) for a in zip(*inst.A)) + (idot(column, inst.b),)
 
 
-def integer_aggregated_hull(
-    inst: Instance, columns, rows, budget: int = DEFAULT_CELL_BUDGET
-) -> Polyhedron:
-    """Integer hull of the aggregation with integer weight columns.
-
-    ``rows[t]`` is `integer_row(inst, columns[t])`.  A hull does not
-    change when a row is scaled, so the memo key of the integer rows is
-    exactly the `KnapsackRelaxation.canonical_key` of the weights
-    ``columns / D`` for every D > 0, and the hull is shared with the
-    rational path.  The relaxation, with integer rows, is built only on
-    a memo miss.  In one variable the hull is one of a few shared
-    intervals, read straight off the rows without the memo.
-    """
-    if inst.n == 1:
-        return _hull_1d(inst.sense, ((row[:-1], row[-1]) for row in rows))
-    key = _rows_key(inst.sense, inst.n, rows)
-    hull = _HULL_MEMO.get(key)
-    if hull is None:
-        rel = KnapsackRelaxation(
-            parent=inst,
-            weights=Aggregation(tuple(columns)),
-            sense=inst.sense,
-            n=inst.n,
-            aggregated_rows=tuple(row[:-1] for row in rows),
-            aggregated_rhs=tuple(row[-1] for row in rows),
-        )
-        hull = integer_hull(rel, budget, key)
-    return hull
-
-
 def hull_keys(sense: str, coords, k: int):
     """Hull keys of the k-aggregations of integer rows, lazily.
 
     ``coords`` holds one iterator per coordinate of the rows: the n
     coefficients, then the rhs.  Two aggregations with equal keys have
-    the same `integer_aggregated_hull`, and the keys come in the order
+    the same `integer_hull`, and the keys come in the order
     of ``combinations_with_replacement(rows, k)``, which holds the row
     keys in a list when k >= 2.  In one variable every coefficient must
     be positive; a row's key is then the endpoint of its interval hull,
     ``floor(r / a)`` for packing or ``ceil(r / a)`` for covering, and a
     k-aggregation's the min or max of its rows' keys, as in `_hull_1d`.
     In several variables a row's key is the row in lowest terms and a
-    k-aggregation's the set of its rows' keys, as in `_rows_key`.
+    k-aggregation's the set of its rows' keys, as in
+    `KnapsackRelaxation.canonical_key`.
     """
     if len(coords) == 2:
         coef, rhs = coords
@@ -404,22 +387,14 @@ def _unit(n: int, j: int):
     return tuple(int(i == j) for i in range(n))
 
 
-# distinct aggregated rows collapse to very few distinct intervals, so the
-# canonical-key memo alone has a poor hit rate here
-_INTERVAL_MEMO: dict = {}
-
-
+# distinct aggregated rows collapse to very few distinct intervals, so
+# one-variable hulls are cached by endpoint rather than by canonical key
+@cache
 def _interval_hull(sense: str, c: int, bounded: bool) -> Polyhedron:
-    key = (sense, c, bounded)
-    hull = _INTERVAL_MEMO.get(key)
-    if hull is None:
-        if not bounded:
-            hull = vrep_to_hrep([(c,)], [(1,)], reduce_generators=False)
-        else:
-            points = [(0,)] if c == 0 else [(0,), (c,)]
-            hull = vrep_to_hrep(points, [], reduce_generators=False)
-        _INTERVAL_MEMO[key] = hull
-    return hull
+    if not bounded:
+        return vrep_to_hrep([(c,)], [(1,)], reduce_generators=False)
+    points = [(0,)] if c == 0 else [(0,), (c,)]
+    return vrep_to_hrep(points, [], reduce_generators=False)
 
 
 def _hull_1d(sense: str, row_data) -> Polyhedron:
@@ -466,32 +441,32 @@ def _packing_core(points, bounds, free) -> list:
 
 
 def integer_hull(
-    rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET, key=None
+    rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET
 ) -> Polyhedron:
     """Exact integer hull of the relaxation as a canonical polyhedron.
 
-    ``key`` is ``rel.canonical_key()``, passed by a caller that already
-    holds it.
+    The one hull routine.  In one variable the hull is one of a few
+    shared intervals, read straight off the rows with no memo entry;
+    otherwise it is memoized by `KnapsackRelaxation.canonical_key`, so
+    every caller shares hulls with every other.
     """
-    if key is None:
-        key = rel.canonical_key()
-    cached = _HULL_MEMO.get(key)
-    if cached is not None:
-        return cached
     if rel.n == 1:
-        hull = _hull_1d(rel.sense, zip(rel.aggregated_rows, rel.aggregated_rhs))
+        return _hull_1d(rel.sense, zip(rel.aggregated_rows, rel.aggregated_rhs))
+    key = rel.canonical_key()
+    hull = _HULL_MEMO.get(key)
+    if hull is not None:
+        return hull
+    points, free = lattice_points(rel, budget)
+    if not points:
+        hull = empty_polyhedron(rel.n)
+    elif rel.sense == COVERING:
+        rays = [_unit(rel.n, j) for j in range(rel.n)]
+        hull = vrep_to_hrep(points, rays, budget=budget)
     else:
-        points, free = lattice_points(rel, budget)
-        if not points:
-            hull = empty_polyhedron(rel.n)
-        elif rel.sense == COVERING:
-            rays = [_unit(rel.n, j) for j in range(rel.n)]
-            hull = vrep_to_hrep(points, rays, budget=budget)
-        else:
-            bounds, _ = _packing_bounds(rel)
-            core = _packing_core(points, bounds, free)
-            rays = [_unit(rel.n, j) for j in sorted(free)]
-            hull = vrep_to_hrep(core, rays, budget=budget)
+        bounds, _ = _packing_bounds(rel)
+        core = _packing_core(points, bounds, free)
+        rays = [_unit(rel.n, j) for j in sorted(free)]
+        hull = vrep_to_hrep(core, rays, budget=budget)
     _HULL_MEMO[key] = hull
     return hull
 

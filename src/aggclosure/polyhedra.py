@@ -105,9 +105,6 @@ class LinearInequality:
     def admits_ray(self, r: IntVector) -> bool:
         return self.holds_at(tuple(r) + (0,))
 
-    def tight_at(self, x: RatVector) -> bool:
-        return self.gap(homogenize(x)) == 0
-
     def render(self) -> str:
         coeffs = " ".join(str(a) for a in self.normal)
         return f"{coeffs} {self.sense} {self.rhs}"

@@ -83,11 +83,7 @@ class CheckReport:
         if self.witness_point is not None:
             parts.append("point " + render_point(self.witness_point))
         if self.witness_lambda is not None:
-            cols = "; ".join(
-                " ".join(format_rat(w) for w in col)
-                for col in self.witness_lambda.weights
-            )
-            parts.append("lambda " + cols)
+            parts.append("lambda " + self.witness_lambda.render())
         if self.witness_inequality is not None:
             parts.append("cut " + self.witness_inequality.render())
         return " | ".join(parts)

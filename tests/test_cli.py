@@ -194,6 +194,28 @@ class TestHullCommand:
         assert code == 0
         assert out == "1 0 >= 0\n0 1 >= 0\n1 1 <= 1\n"
 
+    @pytest.mark.parametrize(
+        "text,golden",
+        [
+            (
+                "sense packing\nn 2\nm 2\nA\n3 2\n2 5\nb\n9 10\n",
+                "1 0 >= 0\n0 1 >= 0\n0 1 <= 2\n1 1 <= 3\n",
+            ),
+            (
+                "sense covering\nn 2\nm 2\nA\n3 2\n2 5\nb\n9 10\n",
+                "1 0 >= 0\n0 1 >= 0\n3 4 >= 12\n",
+            ),
+            ("sense packing\nn 1\nm 2\nA\n3\n2\nb\n9 10\n", "1 >= 0\n1 <= 3\n"),
+        ],
+        ids=["packing", "covering", "one-variable"],
+    )
+    def test_fractional_weights_golden(self, tmp_path, capsys, text, golden):
+        path = tmp_path / "frac.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "hull", str(path), "--lam", "1/2 1/3")
+        assert code == 0
+        assert out == golden
+
     def test_trivial_aggregation(self, fixture_dir, capsys):
         code, _, err = run_cli(
             capsys, "hull", str(fixture_dir / "pack23.txt"), "--lam", "0"
@@ -333,6 +355,33 @@ class TestSeparateCommand:
         )
         assert code == 0
         assert out == "1 2 <= 2  violation 1/2  lambda 1\n"
+
+    @pytest.mark.parametrize(
+        "text,point,golden",
+        [
+            (
+                "sense packing\nn 2\nm 2\nA\n1 2\n1 3\nb\n7 12\n",
+                "8 3/2",
+                "3 7 <= 24  violation 21/2  lambda 7/9 2/9\n",
+            ),
+            (
+                "sense covering\nn 2\nm 2\nA\n2 4\n2 1\nb\n7 14\n",
+                "1 0",
+                "8 5 >= 55  violation 47  lambda 3/40 37/40\n",
+            ),
+        ],
+        ids=["packing", "covering"],
+    )
+    def test_refined_witness_golden(self, tmp_path, capsys, text, point, golden):
+        # the winning weights lie off the grid of halves: refinement found them
+        path = tmp_path / "refine.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(
+            capsys, "separate", str(path), "--point", point,
+            "--grid", "2", "--refine", "2",
+        )
+        assert code == 0
+        assert out == golden
 
     def test_inside_golden(self, fixture_dir, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aggclosure import closure, knapsack
 from aggclosure.closure import (
@@ -38,16 +38,19 @@ from aggclosure.knapsack import (
     normalize_aggregation,
 )
 from aggclosure.polyhedra import (
+    GE,
     LE,
     contains,
     facet_lattice_tuple,
     intersect,
+    make_inequality,
     orthant,
     poly_equal,
     poly_subset,
     positive_normal_facets,
     whole_space,
 )
+from aggclosure.rational import affine_rank, solve_linear
 
 F = Fraction
 
@@ -329,6 +332,23 @@ class TestTupleToInequality:
         with pytest.raises(RuntimeError):
             tuple_to_inequality([(1, 0), (2, 0)], PACKING)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(-3, 5)] * n), min_size=n, max_size=n
+        )
+    ), st.sampled_from([PACKING, COVERING]))
+    def test_matches_rational_solve(self, points, sense):
+        # oracle: the normal as the Fraction solution of <a, p_i> = 1
+        assume(affine_rank(points) == len(points))
+        normal = solve_linear(points, [1] * len(points))
+        if normal is None:
+            with pytest.raises(RuntimeError):
+                tuple_to_inequality(points, sense)
+        else:
+            expected = make_inequality(normal, 1, LE if sense == PACKING else GE)
+            assert tuple_to_inequality(points, sense) == expected
+
 
 class TestBuildK:
     def test_empty_family_is_whole_space(self):
@@ -583,7 +603,7 @@ def test_pairwise_aggregation_refines_single(inst):
 
 def _cold():
     knapsack._HULL_MEMO.clear()
-    knapsack._INTERVAL_MEMO.clear()
+    knapsack._interval_hull.cache_clear()
     closure._CLOSURE_MEMO.clear()
 
 

@@ -11,17 +11,15 @@ from aggclosure.errors import (
     UsageError,
 )
 from aggclosure import knapsack
+from aggclosure.closure import SampleScheme, _grid_hulls
 from aggclosure.knapsack import (
     COVERING,
     PACKING,
     Instance,
     KnapsackRelaxation,
-    _rows_key,
     build_relaxation,
     cg_cut,
-    integer_aggregated_hull,
     integer_hull,
-    integer_row,
     lattice_points,
 )
 from aggclosure.polyhedra import contains, make_inequality, poly_equal, poly_subset
@@ -181,23 +179,27 @@ class TestIntegerHull:
 
 class TestOneVariableGridPath:
     @pytest.mark.parametrize("sense", [PACKING, COVERING])
-    def test_interval_without_relaxation_or_memo(self, sense, monkeypatch):
+    def test_interval_without_memo_entry(self, sense, monkeypatch):
         inst = Instance(sense, ((3,), (5,), (2,)), (17, 23, 9))
         monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        for cols in [((1, 0, 0),), ((1, 2, 1),), ((0, 3, 1), (2, 0, 2))]:
+            hull = integer_hull(build_relaxation(inst, cols))
+            assert not knapsack._HULL_MEMO
+            # the same shared interval object for rational weights
+            weights = [tuple(Fraction(v, sum(c)) for v in c) for c in cols]
+            assert integer_hull(build_relaxation(inst, weights)) is hull
+
+    @pytest.mark.parametrize("grid,k", [(16, 1), (4, 2)])
+    @pytest.mark.parametrize("sense", [PACKING, COVERING])
+    def test_grid_builds_one_relaxation_per_interval(self, sense, grid, k, monkeypatch):
+        inst = Instance(sense, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26))
         built = []
         monkeypatch.setattr(
             knapsack, "KnapsackRelaxation",
             lambda *a, **kw: built.append(1) or KnapsackRelaxation(*a, **kw),
         )
-        for cols in [((1, 0, 0),), ((1, 2, 1),), ((0, 3, 1), (2, 0, 2))]:
-            built.clear()
-            knapsack._HULL_MEMO.clear()
-            rows = [integer_row(inst, c) for c in cols]
-            hull = integer_aggregated_hull(inst, cols, rows)
-            assert not built and not knapsack._HULL_MEMO
-            # the same shared object the rational path returns
-            weights = [tuple(Fraction(v, sum(c)) for v in c) for c in cols]
-            assert integer_hull(build_relaxation(inst, weights)) is hull
+        distinct = _grid_hulls(inst, SampleScheme(grid_denominator=grid, k=k), 10**7)
+        assert 1 < len(built) <= len(distinct)
 
 
 class TestIntegerHullMulti:
@@ -364,6 +366,32 @@ def integer_weighted_instances(draw):
 def test_integer_rows_key_equals_canonical_key(case):
     # integer weights v and rational weights v/D share one hull-memo key
     inst, columns, d = case
-    rows = [integer_row(inst, v) for v in columns]
-    rel = build_relaxation(inst, [[Fraction(w, d) for w in v] for v in columns])
-    assert _rows_key(inst.sense, inst.n, rows) == rel.canonical_key()
+    rel = build_relaxation(inst, columns)
+    scaled = build_relaxation(inst, [[Fraction(w, d) for w in v] for v in columns])
+    assert rel.canonical_key() == scaled.canonical_key()
+
+
+def _fraction_rows(inst, columns):
+    # oracle: λ·A and λ·b summed in Fraction arithmetic
+    rows = tuple(
+        tuple(
+            sum((w * inst.A[i][j] for i, w in enumerate(lam)), Fraction(0))
+            for j in range(inst.n)
+        )
+        for lam in columns
+    )
+    rhs = tuple(sum((w * b for w, b in zip(lam, inst.b)), Fraction(0)) for lam in columns)
+    return rows, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_weighted_instances())
+def test_rows_equal_fraction_sums_and_stay_int(case):
+    inst, columns, d = case
+    rel = build_relaxation(inst, columns)
+    assert (rel.aggregated_rows, rel.aggregated_rhs) == _fraction_rows(inst, columns)
+    for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
+        assert all(type(x) is int for x in row + (r,))
+    rational = [[Fraction(w, d) for w in v] for v in columns]
+    rel = build_relaxation(inst, rational)
+    assert (rel.aggregated_rows, rel.aggregated_rhs) == _fraction_rows(inst, rational)

@@ -20,6 +20,7 @@ TRACED_FUNCTIONS = 24
 
 PACK3X3_TEXT = "sense packing\nn 3\nm 3\nA\n3 2 4\n2 5 1\n4 1 3\nb\n9 10 8\n"
 COVER2X2_TEXT = "sense covering\nn 2\nm 2\nA\n2 0\n1 3\nb\n3 4\n"
+COVER1X5_TEXT = "sense covering\nn 1\nm 5\nA\n9\n2\n8\n8\n2\nb\n48 37 34 57 26\n"
 
 
 def _request(trace, argv):
@@ -38,6 +39,8 @@ def _request(trace, argv):
 def instance_dir(tmp_path):
     (tmp_path / "pack3x3.txt").write_text(PACK3X3_TEXT)
     (tmp_path / "cover2x2.txt").write_text(COVER2X2_TEXT)
+    (tmp_path / "one" / "cover1x5.txt").parent.mkdir()
+    (tmp_path / "one" / "cover1x5.txt").write_text(COVER1X5_TEXT)
     return tmp_path
 
 
@@ -55,3 +58,11 @@ def test_traced_request_matches_untraced(instance_dir, argv):
     assert len(traced["trace"]) == TRACED_FUNCTIONS
     assert traced["stdout"] == plain["stdout"]
     assert traced["stdout"]
+
+
+def test_one_variable_grid_hulls_are_traced(instance_dir):
+    # every grid hull, one-variable intervals included, goes through
+    # build_relaxation and integer_hull, where the trace sees it
+    traced = _request(1, ["closure", f"{instance_dir}/one/cover1x5.txt", "--grid", "16"])
+    assert traced["trace"]["knapsack.integer_hull"]["calls"] > 0
+    assert traced["trace"]["knapsack.build_relaxation"]["calls"] > 0
