@@ -21,7 +21,6 @@ least 1 as well.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -212,6 +211,7 @@ def cmd_closure(args) -> int:
     _emit(lines)
 
     if args.out:
+        import json
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "closure.txt").write_text("\n".join(lines) + "\n")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul, sub
@@ -39,6 +38,7 @@ from .knapsack import (
     DEFAULT_CELL_BUDGET,
     Instance,
     PACKING,
+    _interval_hull,
     build_relaxation,
     hull_keys,
     integer_hull,
@@ -57,14 +57,13 @@ from .polyhedra import (
     make_inequality,
     orthant,
     positive_normal_facets,
-    vrep_to_hrep,
     whole_space,
 )
 from .rational import Rat, as_vector, int_clear, int_nullspace
+from .record import Record, set_fields
 
 
-@dataclass(frozen=True)
-class SampleScheme:
+class SampleScheme(Record):
     """Grid of aggregation weights used to approximate the closure.
 
     ``grid_denominator`` D samples every weight vector v/D with v a
@@ -75,24 +74,24 @@ class SampleScheme:
     refinement performed by the separation routine.
     """
 
-    grid_denominator: int = 4
-    k: int = 1
-    refinement_rounds: int = 1
+    __slots__ = ("grid_denominator", "k", "refinement_rounds")
 
-    def __post_init__(self):
-        if not isinstance(self.grid_denominator, int) or self.grid_denominator < 1:
+    def __init__(
+        self, grid_denominator: int = 4, k: int = 1, refinement_rounds: int = 1
+    ) -> None:
+        if not isinstance(grid_denominator, int) or grid_denominator < 1:
             raise UsageError("grid denominator must be a positive integer")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not isinstance(k, int) or k < 1:
             raise UsageError("aggregation count k must be a positive integer")
-        if not isinstance(self.refinement_rounds, int) or self.refinement_rounds < 0:
+        if not isinstance(refinement_rounds, int) or refinement_rounds < 0:
             raise UsageError("refinement rounds must be a nonnegative integer")
+        set_fields(self, grid_denominator, k, refinement_rounds)
 
     def key(self):
         return (self.grid_denominator, self.k, self.refinement_rounds)
 
 
-@dataclass(frozen=True)
-class FacetTuple:
+class FacetTuple(Record):
     """n affinely independent lattice points tight at a sampled facet.
 
     The points are stored in increasing lexicographic order.  The source
@@ -101,33 +100,37 @@ class FacetTuple:
     directly from points.
     """
 
-    points: tuple
-    source_lambda: Aggregation | None = None
-    source_facet: LinearInequality | None = None
+    __slots__ = ("points", "source_lambda", "source_facet")
+
+    def __init__(
+        self, points: tuple, source_lambda: Aggregation | None = None,
+        source_facet: LinearInequality | None = None,
+    ) -> None:
+        set_fields(self, points, source_lambda, source_facet)
 
 
-@dataclass(frozen=True)
-class ClosureArtifacts:
+class ClosureArtifacts(Record):
     """Everything the closure construction produces for one instance."""
 
-    instance: Instance
-    sample: SampleScheme
-    L: Polyhedron
-    K: Polyhedron
-    closure: Polyhedron
-    gamma: int | None
-    T_sample: tuple
-    S: tuple
+    __slots__ = ("instance", "sample", "L", "K", "closure", "gamma", "T_sample", "S")
+
+    def __init__(
+        self, instance: Instance, sample: SampleScheme, L: Polyhedron, K: Polyhedron,
+        closure: Polyhedron, gamma: int | None, T_sample: tuple, S: tuple,
+    ) -> None:
+        set_fields(self, instance, sample, L, K, closure, gamma, T_sample, S)
 
 
-@dataclass(frozen=True)
-class SeparationResult:
+class SeparationResult(Record):
     """Outcome of separating a point from the sampled closure."""
 
-    inside: bool
-    cut: LinearInequality | None = None
-    violation: Rat | None = None
-    witness: Aggregation | None = None
+    __slots__ = ("inside", "cut", "violation", "witness")
+
+    def __init__(
+        self, inside: bool, cut: LinearInequality | None = None,
+        violation: Rat | None = None, witness: Aggregation | None = None,
+    ) -> None:
+        set_fields(self, inside, cut, violation, witness)
 
 
 # closure artifacts keyed by (instance key, scheme key); sub-instances of
@@ -293,19 +296,15 @@ def closure_1d(inst: Instance) -> Polyhedron:
     Every aggregated rhs/coefficient ratio is a weighted mediant of the
     row ratios, so the extreme rounding is attained at a unit weight:
     packing keeps 0 <= x <= min_i floor(b_i / a_i), covering keeps
-    x >= max_i ceil(b_i / a_i).
+    x >= max_i ceil(b_i / a_i).  These are the shared interval hulls of
+    `integer_hull` in one variable.
     """
     if inst.n != 1:
         raise UsageError("closed form only applies to one variable")
     ratios = [(inst.b[i], inst.A[i][0]) for i in range(inst.m)]
     if inst.sense == PACKING:
-        c = min(b // a for b, a in ratios)
-        points = [(0,)]
-        if c > 0:
-            points.append((c,))
-        return vrep_to_hrep(points, (), reduce_generators=False)
-    c = max(-((-b) // a) for b, a in ratios)
-    return vrep_to_hrep([(c,)], [(1,)], reduce_generators=False)
+        return _interval_hull(PACKING, min(b // a for b, a in ratios), bounded=True)
+    return _interval_hull(COVERING, max(-((-b) // a) for b, a in ratios), bounded=False)
 
 
 def build_Qj(inst: Instance, j: int) -> Instance | None:

@@ -11,7 +11,6 @@ plus the nonnegative orthant cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
@@ -43,17 +42,19 @@ from .rational import (
     int_clear,
     reduce_gcd,
 )
+from .record import Record, set_fields
 
 PACKING = "packing"
 COVERING = "covering"
 
 
-@dataclass(frozen=True)
-class Aggregation:
-    """Nonnegative aggregation weights: one column per aggregated row."""
+class Aggregation(Record):
+    """Nonnegative aggregation weights: k columns of m row weights each."""
 
-    weights: tuple  # k columns, each a vector of length m
-    normalized: bool = False
+    __slots__ = ("weights", "normalized")
+
+    def __init__(self, weights: tuple, normalized: bool = False) -> None:
+        set_fields(self, weights, normalized)
 
     @property
     def k(self) -> int:
@@ -107,24 +108,20 @@ def normalize_aggregation(agg: Aggregation) -> Aggregation:
     return Aggregation(tuple(cols), True)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """One packing or covering integer program.
 
     Zero rows are stripped for packing (0 <= b_i is vacuous) and rejected
     for covering (0 >= b_i > 0 empties the feasible region).
     """
 
-    sense: str
-    A: tuple
-    b: tuple
-    instance_id: str = ""
+    __slots__ = ("sense", "A", "b", "instance_id")
 
-    def __post_init__(self) -> None:
-        if self.sense not in (PACKING, COVERING):
-            raise UsageError(f"unknown sense {self.sense!r}")
-        mat = tuple(tuple(row) for row in self.A)
-        rhs = tuple(self.b)
+    def __init__(self, sense: str, A: tuple, b: tuple, instance_id: str = "") -> None:
+        if sense not in (PACKING, COVERING):
+            raise UsageError(f"unknown sense {sense!r}")
+        mat = tuple(tuple(row) for row in A)
+        rhs = tuple(b)
         if not mat:
             raise UsageError("instance needs at least one row")
         if len(rhs) != len(mat):
@@ -147,15 +144,14 @@ class Instance:
         kept_rhs = []
         for row, bi in zip(mat, rhs):
             if not any(row):
-                if self.sense == COVERING:
+                if sense == COVERING:
                     raise UsageError("zero row infeasible for covering")
                 continue
             kept_rows.append(row)
             kept_rhs.append(bi)
         if not kept_rows:
             raise UsageError("trivial instance: every row is zero")
-        object.__setattr__(self, "A", tuple(kept_rows))
-        object.__setattr__(self, "b", tuple(kept_rhs))
+        set_fields(self, sense, tuple(kept_rows), tuple(kept_rhs), instance_id)
 
     @property
     def m(self) -> int:
@@ -169,8 +165,7 @@ class Instance:
         return (self.sense, self.A, self.b)
 
 
-@dataclass(frozen=True)
-class KnapsackRelaxation:
+class KnapsackRelaxation(Record):
     """k aggregated knapsack rows over the nonnegative orthant.
 
     `build_relaxation` makes the rows: ints when the weights are
@@ -179,12 +174,13 @@ class KnapsackRelaxation:
     that differ by a positive factor per column give the same hull.
     """
 
-    parent: Instance | None
-    weights: Aggregation
-    sense: str
-    n: int
-    aggregated_rows: RatMatrix
-    aggregated_rhs: RatVector
+    __slots__ = ("parent", "weights", "sense", "n", "aggregated_rows", "aggregated_rhs")
+
+    def __init__(
+        self, parent: Instance | None, weights: Aggregation, sense: str, n: int,
+        aggregated_rows: RatMatrix, aggregated_rhs: RatVector,
+    ) -> None:
+        set_fields(self, parent, weights, sense, n, aggregated_rows, aggregated_rhs)
 
     @property
     def k(self) -> int:

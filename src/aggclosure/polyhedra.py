@@ -31,7 +31,6 @@ budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -49,6 +48,7 @@ from .rational import (
     int_nullspace,
     reduce_gcd,
 )
+from .record import Record, set_fields
 
 LE = "<="
 GE = ">="
@@ -60,31 +60,29 @@ DEFAULT_CELL_BUDGET = 10**7
 _SENSES = (LE, GE)
 
 
-@dataclass(frozen=True)
-class LinearInequality:
+class LinearInequality(Record):
     """One canonical half-space: ``normal . x sense rhs``.
 
     Entries are integers with overall gcd 1 (rhs included) and the first
     nonzero coefficient is positive, so equal half-spaces compare equal.
     """
 
-    normal: tuple[int, ...]
-    rhs: int
-    sense: str
+    __slots__ = ("normal", "rhs", "sense")
 
-    def __post_init__(self) -> None:
-        if self.sense not in _SENSES:
-            raise ValueError(f"bad sense {self.sense!r}")
-        if not any(self.normal):
+    def __init__(self, normal: tuple[int, ...], rhs: int, sense: str) -> None:
+        if sense not in _SENSES:
+            raise ValueError(f"bad sense {sense!r}")
+        if not any(normal):
             raise ValueError("zero normal")
-        first = next(a for a in self.normal if a)
+        first = next(a for a in normal if a)
         if first < 0:
             raise ValueError("normal not sign-normalized")
         g = 0
-        for a in self.normal + (self.rhs,):
+        for a in normal + (rhs,):
             g = gcd(g, a)
         if g != 1:
             raise ValueError("entries not gcd-reduced")
+        set_fields(self, normal, rhs, sense)
 
     def gap(self, g: IntVector) -> int:
         """``normal . g[:-1] - rhs * g[-1]`` at a homogeneous generator."""
@@ -101,9 +99,6 @@ class LinearInequality:
 
     def admits_point(self, x: RatVector) -> bool:
         return self.holds_at(homogenize(x))
-
-    def admits_ray(self, r: IntVector) -> bool:
-        return self.holds_at(tuple(r) + (0,))
 
     def render(self) -> str:
         coeffs = " ".join(str(a) for a in self.normal)
@@ -148,8 +143,7 @@ def sort_hrep(ineqs) -> tuple[LinearInequality, ...]:
     return tuple(sorted(set(ineqs), key=_hrep_sort_key))
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(Record):
     """A polyhedron carrying both descriptions, kept mutually consistent.
 
     ``generators`` is the V-representation as homogeneous integer vectors,
@@ -163,12 +157,14 @@ class Polyhedron:
     `poly_equal` is the test for set equality.
     """
 
-    dim: int
-    hrep: tuple[LinearInequality, ...]
-    generators: tuple[IntVector, ...]
-    feasible: bool
-    integral_flag: bool
-    affine_dim: int
+    __slots__ = ("dim", "hrep", "generators", "feasible", "integral_flag", "affine_dim")
+
+    def __init__(
+        self, dim: int, hrep: tuple[LinearInequality, ...],
+        generators: tuple[IntVector, ...], feasible: bool, integral_flag: bool,
+        affine_dim: int,
+    ) -> None:
+        set_fields(self, dim, hrep, generators, feasible, integral_flag, affine_dim)
 
     @property
     def vrep_points(self) -> tuple[RatVector, ...]:

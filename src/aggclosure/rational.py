@@ -12,21 +12,16 @@ conversion routines.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
 RatVector = tuple[Fraction, ...]
 RatMatrix = tuple[RatVector, ...]
 
 IntVector = tuple[int, ...]
-
-
-def rat(numerator: int | str | Fraction, denominator: int = 1) -> Rat:
-    """Build an exact rational.  Accepts ints, ``"p/q"`` strings, Fractions."""
-    return Fraction(numerator, denominator) if denominator != 1 else Fraction(numerator)
 
 
 def parse_rat(text: str) -> Rat:
@@ -47,17 +42,6 @@ def format_rat(x: Rat) -> str:
 
 def as_vector(values: Iterable) -> RatVector:
     return tuple(Fraction(v) for v in values)
-
-
-def as_matrix(rows: Iterable[Iterable]) -> RatMatrix:
-    mat = tuple(as_vector(r) for r in rows)
-    if mat and any(len(r) != len(mat[0]) for r in mat):
-        raise ValueError("ragged matrix")
-    return mat
-
-
-def vdot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def idot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -174,10 +158,6 @@ def int_echelon(rows: Iterable[Sequence[int]]) -> IntEchelon:
     return ech
 
 
-def int_rank(rows: Iterable[Sequence[int]]) -> int:
-    return int_echelon(rows).rank
-
-
 def int_row_basis(rows: Iterable[Sequence[int]], width: int) -> list[IntVector]:
     """Canonical gcd-reduced integer basis of the row space (RREF rows).
 
@@ -207,48 +187,3 @@ def int_nullspace(rows: Iterable[Sequence[int]], width: int) -> list[IntVector]:
     zeros at the other free columns.
     """
     return int_echelon(rows).nullspace(width)
-
-
-def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[RatVector]:
-    """Solve a square exact linear system; None reports a singular matrix.
-
-    Fraction-free (Bareiss-style) forward elimination on the integer-cleared
-    augmented system bounds intermediate growth; the solution is read off
-    the integer null vector of the augmented system.
-    """
-    mat = as_matrix(matrix)
-    b = as_vector(rhs)
-    n = len(mat)
-    if n == 0:
-        return ()
-    if len(mat[0]) != n or len(b) != n:
-        raise ValueError("solve_linear expects a square system")
-    ech = IntEchelon()
-    for row, rhs_entry in zip(mat, b):
-        ints, _ = int_clear(tuple(row) + (rhs_entry,))
-        ech.insert(ints)
-    # a pivot on the rhs column means 0 = nonzero: inconsistent, and the
-    # matrix necessarily singular
-    if ech.rank != n or n in ech.pivots:
-        return None
-    # the nullspace of [A | b] is spanned by (-x, 1)
-    (v,) = ech.nullspace(n + 1)
-    return tuple(Fraction(-a, v[n]) for a in v[:n])
-
-
-def affine_rank(points: Sequence[Sequence]) -> int:
-    """Largest count of affinely independent points in the list.
-
-    Empty input has affine rank 0; a single point has affine rank 1.
-    Invariant under translation and permutation of the input.
-    """
-    pts = [as_vector(p) for p in points]
-    if not pts:
-        return 0
-    base = pts[0]
-    ech = IntEchelon()
-    for p in pts[1:]:
-        diff = tuple(a - b for a, b in zip(p, base))
-        ints, _ = int_clear(diff)
-        ech.insert(ints)
-    return ech.rank + 1

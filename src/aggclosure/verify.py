@@ -18,17 +18,18 @@ bytes stay identical across runs.
 from __future__ import annotations
 
 import itertools
-import json
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .closure import (
     SampleScheme,
+    _check_grid_budget,
+    _composition,
     _grid_aggregation,
+    _grid_bars,
     _grid_hulls,
+    _grid_rows,
     aggregation_closure,
-    sample_lambdas,
     sampled_closure,
     saturated,
 )
@@ -40,16 +41,19 @@ from .knapsack import (
     Instance,
     PACKING,
     build_relaxation,
-    cg_cut,
+    hull_keys,
     integer_hull,
 )
 from .polyhedra import (
+    LE,
     LinearInequality,
     Polyhedron,
     intersect,
+    make_inequality,
     render_point,
 )
 from .rational import RatVector, as_vector, format_rat, idot, int_clear
+from .record import Record, set_fields
 
 PASS = "pass"
 FAIL = "fail"
@@ -59,22 +63,27 @@ SKIPPED = "skipped"
 PROBE_CELL_CAP = 50_000
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    check_name: str
-    instance_id: str
-    status: str
-    witness_point: RatVector | None = None
-    witness_lambda: Aggregation | None = None
-    witness_inequality: LinearInequality | None = None
-    timing_ms: int = 0
-    note: str = ""
+class CheckReport(Record):
+    """The outcome of one check on one instance."""
 
-    def __post_init__(self):
-        if self.status not in (PASS, FAIL, SKIPPED):
-            raise UsageError(f"unknown status: {self.status!r}")
-        if self.status == FAIL and self.witness_inequality is None:
+    __slots__ = ("check_name", "instance_id", "status", "witness_point",
+                 "witness_lambda", "witness_inequality", "timing_ms", "note")
+
+    def __init__(
+        self, check_name: str, instance_id: str, status: str,
+        witness_point: RatVector | None = None,
+        witness_lambda: Aggregation | None = None,
+        witness_inequality: LinearInequality | None = None, timing_ms: int = 0,
+        note: str = "",
+    ) -> None:
+        if status not in (PASS, FAIL, SKIPPED):
+            raise UsageError(f"unknown status: {status!r}")
+        if status == FAIL and witness_inequality is None:
             raise UsageError("fail reports must carry a witness")
+        set_fields(
+            self, check_name, instance_id, status, witness_point, witness_lambda,
+            witness_inequality, timing_ms, note,
+        )
 
     def witness_text(self) -> str:
         if self.witness_inequality is None and self.witness_point is None:
@@ -339,29 +348,40 @@ def check_cg_dominance(
     budget: int = DEFAULT_CELL_BUDGET,
 ) -> CheckReport:
     """Rounding cuts of sampled weights are valid for the sampled hulls,
-    i.e. aggregation cuts are at least as strong."""
+    i.e. aggregation cuts are at least as strong.
+
+    Walks the single-row grid once, in `sample_lambdas` order.  Rounding,
+    unlike the hull, changes when a row is scaled, so the cut of v/D is
+    ``floor(v·a / D) x <= floor(v·b / D)`` on the integer row v·A | v·b,
+    tested against the hull of the row's `hull_keys` key.
+    """
     if inst.sense != PACKING:
         raise UsageError("rounding dominance check requires a packing instance")
-    single = SampleScheme(
-        grid_denominator=scheme.grid_denominator,
-        k=1,
-        refinement_rounds=scheme.refinement_rounds,
+    d = scheme.grid_denominator
+    _check_grid_budget(inst.m, SampleScheme(d), budget)
+    walk = zip(
+        _grid_bars(d, inst.m),
+        zip(*_grid_rows(inst, d, _grid_bars(d, inst.m))),
+        hull_keys(PACKING, _grid_rows(inst, d, _grid_bars(d, inst.m)), 1),
     )
-    # rounding, unlike the hull, changes when a row is scaled, so the cut
-    # is taken from the row aggregated with the rational weights v/D
-    for agg in sample_lambdas(inst.m, single, budget):
-        rel = build_relaxation(inst, agg)
-        cut = cg_cut(rel)
-        if cut is None:
+    hulls: dict = {}
+    for bars, row, key in walk:
+        coeffs = [a // d for a in row[:-1]]
+        if not any(coeffs):
             continue
-        hull = integer_hull(rel, budget)
+        cut = make_inequality(coeffs, row[-1] // d, LE)
+        hull = hulls.get(key)
+        if hull is None:
+            comps = (_composition(bars, d),)
+            hull = hulls[key] = integer_hull(build_relaxation(inst, comps), budget)
         for g in hull.generators:
             if not cut.holds_at(g):
                 # a ray shows as the first vertex pushed one step along it
                 probe = g if g[-1] else _pushed(hull.generators[0], g, 1)
                 return CheckReport(
                     "cg_dominance", inst.instance_id, FAIL,
-                    witness_point=_point(probe), witness_lambda=agg,
+                    witness_point=_point(probe),
+                    witness_lambda=_grid_aggregation((_composition(bars, d),), d),
                     witness_inequality=cut,
                 )
     return CheckReport("cg_dominance", inst.instance_id, PASS)
@@ -474,7 +494,10 @@ def run_suite(
                 )
             if timings:
                 elapsed = int((time.perf_counter() - started) * 1000)
-                rep = replace(rep, timing_ms=elapsed)
+                rep = CheckReport(
+                    rep.check_name, rep.instance_id, rep.status, rep.witness_point,
+                    rep.witness_lambda, rep.witness_inequality, elapsed, rep.note,
+                )
             reports.append(rep)
     return reports
 
@@ -484,6 +507,7 @@ def suite_lines(reports) -> list[str]:
 
 
 def suite_json(reports) -> str:
+    import json
     return json.dumps([rep.record() for rep in reports], indent=2)
 
 

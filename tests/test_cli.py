@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggclosure import cli
+from aggclosure import cli, verify
 from aggclosure.errors import UsageError
 from aggclosure.knapsack import COVERING, Instance, PACKING
 from aggclosure.verify import FAIL, CheckReport
@@ -448,6 +448,28 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", str(fixture_dir))
         assert code == 4
         assert "summary pass=0 fail=2 skipped=0" in out
+
+    def test_timings_set_only_timing_ms(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        class Clock:
+            # every reading is 0.25 s after the one before
+            now = 0.0
+
+            def perf_counter(self):
+                self.now += 0.25
+                return self.now
+
+        argv = ["verify", str(fixture_dir), "--grid", "2", "--out"]
+        assert run_cli(capsys, *argv, str(tmp_path / "plain"))[0] == 0
+        monkeypatch.setattr(verify, "time", Clock())
+        code, out, _ = run_cli(capsys, *argv, str(tmp_path / "timed"), "--timings")
+        assert code == 0
+        plain = json.loads((tmp_path / "plain" / "suite.json").read_text())
+        timed = json.loads((tmp_path / "timed" / "suite.json").read_text())
+        assert len(timed) == len(plain) == 11
+        for a, b in zip(plain, timed):
+            assert a["timing_ms"] == 0 and b["timing_ms"] == 250
+            assert {**b, "timing_ms": 0} == a
+        assert all(line.split("\t")[4] == "250" for line in out.splitlines()[:-1])
 
     def test_identical_bytes_across_runs_and_threads(self, fixture_dir, capsys):
         argv = ["verify", str(fixture_dir), "--grid", "2"]

@@ -50,7 +50,7 @@ from aggclosure.polyhedra import (
     positive_normal_facets,
     whole_space,
 )
-from aggclosure.rational import affine_rank, solve_linear
+from oracles import affine_rank, solve_linear
 
 F = Fraction
 

@@ -36,15 +36,14 @@ from aggclosure.polyhedra import (
 )
 from aggclosure.rational import (
     IntEchelon,
-    affine_rank,
     as_vector,
     idot,
     int_clear,
     int_echelon,
     int_nullspace,
     reduce_gcd,
-    solve_linear,
 )
+from oracles import affine_rank, solve_linear
 
 
 def mk(normal, rhs, sense):
@@ -258,7 +257,7 @@ class TestSubsetEqualEmbed:
         b = vrep_to_hrep([(0, 0), (2, 0), (0, 1)])
         assert poly_equal(a, b)
 
-    def test_dataclass_equality_compares_representations(self):
+    def test_record_equality_compares_representations(self):
         # the same line: vrep_to_hrep keeps the vertex 1, hrep_to_vrep the
         # vertex 0, so only poly_equal sees one set
         a = vrep_to_hrep([(0,), (1,)], [(1,), (-1,)])

@@ -6,20 +6,15 @@ from hypothesis import strategies as st
 
 from aggclosure.rational import (
     IntEchelon,
-    affine_rank,
-    as_matrix,
     as_vector,
     format_rat,
     int_clear,
     int_nullspace,
-    int_rank,
     int_row_basis,
     parse_rat,
-    rat,
     reduce_gcd,
-    solve_linear,
-    vdot,
 )
+from oracles import affine_rank, as_matrix, int_rank, rat, solve_linear, vdot
 
 
 class TestParseFormat:

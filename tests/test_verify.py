@@ -4,10 +4,20 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aggclosure.closure import SampleScheme
+from aggclosure import verify
+from aggclosure.closure import SampleScheme, sample_lambdas
 from aggclosure.errors import ResourceBudgetError, UsageError
-from aggclosure.knapsack import COVERING, Instance, PACKING
+from aggclosure.knapsack import (
+    COVERING,
+    DEFAULT_CELL_BUDGET,
+    Instance,
+    PACKING,
+    build_relaxation,
+    cg_cut,
+    integer_hull,
+)
 from aggclosure.polyhedra import orthant, vrep_to_hrep
 from aggclosure.verify import (
     FAIL,
@@ -15,6 +25,8 @@ from aggclosure.verify import (
     SKIPPED,
     CheckReport,
     _escape_witness,
+    _point,
+    _pushed,
     check_cg_dominance,
     check_gamma,
     check_onerow_ratio,
@@ -134,7 +146,63 @@ class TestGamma:
             check_gamma(PACK23, scheme())
 
 
+def _per_weight_cg_dominance(inst, d, hull_of):
+    # the check as it was before it walked integer rows: one Fraction
+    # relaxation per grid weight, rounded by cg_cut; kept as the oracle
+    for agg in sample_lambdas(inst.m, SampleScheme(grid_denominator=d)):
+        rel = build_relaxation(inst, agg)
+        cut = cg_cut(rel)
+        if cut is None:
+            continue
+        hull = hull_of(rel)
+        for g in hull.generators:
+            if not cut.holds_at(g):
+                probe = g if g[-1] else _pushed(hull.generators[0], g, 1)
+                return CheckReport(
+                    "cg_dominance", inst.instance_id, FAIL,
+                    witness_point=_point(probe), witness_lambda=agg,
+                    witness_inequality=cut,
+                )
+    return CheckReport("cg_dominance", inst.instance_id, PASS)
+
+
+@st.composite
+def packing_cases(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    rows = [
+        tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any)))
+        for _ in range(m)
+    ]
+    b = tuple(draw(st.integers(1, 12)) for _ in range(m))
+    d = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(2)]))
+    return Instance(PACKING, tuple(rows), b, instance_id="rand"), d, scale
+
+
 class TestCgDominance:
+    @settings(max_examples=40, deadline=None)
+    @given(packing_cases())
+    def test_same_first_failure_as_per_weight_oracle(self, case):
+        # hulls dilated by `scale` around the origin make rounding cuts
+        # fail, so the first failing weight and its witness are compared
+        inst, d, scale = case
+
+        def hull_of(rel, budget=DEFAULT_CELL_BUDGET):
+            hull = integer_hull(rel, budget)
+            if not hull.feasible or scale == 1:
+                return hull
+            points = [tuple(scale * c for c in p) for p in hull.vrep_points]
+            return vrep_to_hrep(points, hull.vrep_rays)
+
+        expected = _per_weight_cg_dominance(inst, d, hull_of)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "integer_hull", hull_of)
+            got = check_cg_dominance(inst, SampleScheme(grid_denominator=d))
+        assert got == expected
+        if scale == 1:
+            assert got.status == PASS
+
     def test_two_row_example(self):
         inst = Instance(PACKING, ((2, 3), (1, 0)), (4, 1))
         assert check_cg_dominance(inst, SampleScheme(grid_denominator=2)).status == PASS
