@@ -141,21 +141,6 @@ def parse_instance(text: str, default_id: str = "") -> Instance:
     return Instance(sense, tuple(A), tuple(b), instance_id=instance_id)
 
 
-def serialize_instance(inst: Instance) -> str:
-    lines = []
-    if inst.instance_id:
-        lines.append(f"id {inst.instance_id}")
-    lines.append(f"sense {inst.sense}")
-    lines.append(f"n {inst.n}")
-    lines.append(f"m {inst.m}")
-    lines.append("A")
-    for row in inst.A:
-        lines.append(" ".join(str(e) for e in row))
-    lines.append("b")
-    lines.append(" ".join(str(e) for e in inst.b))
-    return "\n".join(lines) + "\n"
-
-
 def _read_instance(path: str) -> Instance:
     p = Path(path)
     try:

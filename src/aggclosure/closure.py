@@ -29,7 +29,7 @@ import itertools
 from collections import deque
 from fractions import Fraction
 from math import comb
-from operator import mul, sub
+from operator import add
 
 from .errors import ResourceBudgetError, UsageError
 from .knapsack import (
@@ -180,9 +180,10 @@ def sample_lambdas(
     lexicographic order, so no column repeats; for k >= 2 the k-tuples
     of columns are taken up to column order, as
     ``combinations_with_replacement`` of the columns.  The compositions
-    are read off the bar positions of `_grid_bars`, the enumerator
-    `_grid_hulls` walks, and a grid of more than ``budget`` aggregations
-    raises `ResourceBudgetError`.
+    are read off the bar positions of `_grid_bars`, in the order in
+    which `_grid_rows` yields their aggregated rows to `_grid_hulls`,
+    and a grid of more than ``budget`` aggregations raises
+    `ResourceBudgetError`.
     """
     if m < 1:
         raise UsageError("need at least one row to aggregate")
@@ -195,20 +196,53 @@ def sample_lambdas(
     ]
 
 
-def _grid_rows(inst: Instance, d: int, bars) -> list:
-    # the rows v·A | v·b of the compositions v with the given bar
-    # positions c, one lazy iterator per coordinate.  A coordinate is
-    # affine in c: with col its column, v·col = base + c·step where
-    # step_i = col_i - col_(i+1) and base is the value at c = 0, the
-    # composition (0, -1, ..., -1, d + m - 2), or (d,) when m = 1
-    out = []
-    cols = list(zip(*inst.A)) + [inst.b]
-    for col, own in zip(cols, itertools.tee(bars, len(cols))):
-        step = tuple(map(sub, col, col[1:]))
-        base = d * col[-1] + sum(col[-1] - a for a in col[1:-1])
-        dots = map(map, itertools.repeat(mul), own, itertools.repeat(step))
-        out.append(map(sum, dots, itertools.repeat(base)))
-    return out
+def _grid_values(col, d: int):
+    # Σ v_t·col_t over the compositions v of d in `_grid_bars` order,
+    # lazily.  Over the last two parts, with entries c and z, the sums
+    # for the compositions of r are the progression r·z + v·(c - z),
+    # v = 0..r, made on demand.  Any parts between the two leading ones
+    # and the last two go into tail[r], the sums over the compositions
+    # of r into the trailing parts, built from the back; it is a factor
+    # (d + m - 1) / (m - 1) smaller than the grid.  The leading parts
+    # are walked one chunk per choice, and no chunk is empty
+    if len(col) == 1:
+        return iter((d * col[0],))
+    *head, c, z = col
+    step = c - z
+
+    def pair(start, r):
+        start += r * z
+        if step:
+            return range(start, start + (r + 1) * step, step)
+        return itertools.repeat(start, r + 1)
+
+    lead, mid = head[:2], head[2:]
+    if not lead:
+        prefixes = [(0, d)]
+    elif len(lead) == 1:
+        prefixes = ((u * lead[0], d - u) for u in range(d + 1))
+    else:
+        prefixes = (
+            (u * lead[0] + v * lead[1], d - u - v)
+            for u in range(d + 1)
+            for v in range(d - u + 1)
+        )
+    if not mid:
+        return itertools.chain.from_iterable(itertools.starmap(pair, prefixes))
+    tail = [list(pair(0, r)) for r in range(d + 1)]
+    for h in reversed(mid):
+        tail = [
+            [v * h + x for v in range(r + 1) for x in tail[r - v]]
+            for r in range(d + 1)
+        ]
+    chunks = (map(add, itertools.repeat(start), tail[r]) for start, r in prefixes)
+    return itertools.chain.from_iterable(chunks)
+
+
+def _grid_rows(inst: Instance, d: int) -> list:
+    # the rows v·A | v·b of the compositions v of d, one lazy iterator
+    # per coordinate
+    return [_grid_values(col, d) for col in list(zip(*inst.A)) + [inst.b]]
 
 
 def _first_positions(inst: Instance, scheme: SampleScheme) -> list:
@@ -216,9 +250,7 @@ def _first_positions(inst: Instance, scheme: SampleScheme) -> list:
     # valid one-variable instance has every a_i >= 1, so v·a >= d > 0 as
     # `hull_keys` needs
     d = scheme.grid_denominator
-    keys = hull_keys(
-        inst.sense, _grid_rows(inst, d, _grid_bars(d, inst.m)), scheme.k
-    )
+    keys = hull_keys(inst.sense, _grid_rows(inst, d), scheme.k)
     first: dict = {}
     deque(map(first.setdefault, keys, itertools.count()), maxlen=0)
     return list(first.values())
@@ -227,14 +259,17 @@ def _first_positions(inst: Instance, scheme: SampleScheme) -> list:
 def _grid_hulls(inst: Instance, scheme: SampleScheme, budget: int) -> list:
     """The distinct integer hulls of the grid aggregations.
 
-    Walks the aggregations in `sample_lambdas` order as the bar positions
-    of their integer compositions v: a hull does not change when its row
-    is scaled, so the aggregated rows are integer, and each coordinate
-    of a row is one dot product with the bars.  A first pass keys every
-    aggregation's hull by `hull_keys` without building any hull; a second
-    builds ``integer_hull(build_relaxation(inst, v))`` for the first
-    aggregation of each key only, with int rows.  With k = 1 the
-    grid is streamed; with k >= 2 one key per composition is held.
+    Walks the aggregations in `sample_lambdas` order as their integer
+    compositions v: a hull does not change when its row is scaled, so
+    the aggregated rows v·A | v·b are integer.  A first pass reads the
+    rows off `_grid_rows`, which sums each coordinate over the trailing
+    parts once and adds the leading parts' share a chunk at a time, and
+    keys every aggregation's hull by `hull_keys` without building any
+    hull; a second walks the bar positions of `_grid_bars` to the first
+    aggregation of each key and builds
+    ``integer_hull(build_relaxation(inst, v))`` for it only, with int
+    rows.  With k = 1 the grid is streamed; with k >= 2 one key per
+    composition is held.
     Returns one ``(compositions, hull)`` pair per distinct hull object,
     with the compositions of its first aggregation, in order of first
     appearance; `_grid_aggregation` gives back the rational weights.  A

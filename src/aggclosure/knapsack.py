@@ -323,28 +323,41 @@ def _packing_points(rel: KnapsackRelaxation, bounds, free) -> list:
 
 
 def _covering_minimal(rel: KnapsackRelaxation, bounds) -> list:
+    # depth-first over the first n - 1 coordinates of the box; the last
+    # takes its smallest feasible value, so each prefix gives at most one
+    # candidate and the candidates come in lex order.  A candidate is
+    # minimal when no unit step down along the prefix stays feasible
     n = rel.n
-    rows = rel.aggregated_rows
-    rhs = rel.aggregated_rhs
+    cols = [[row[j] for row in rel.aggregated_rows] for j in range(n)]
+    *prefix_cols, last = cols
+    out: list = []
+    x = [0] * n
 
-    def feasible(p) -> bool:
-        return all(
-            sum(c * v for c, v in zip(row, p)) >= r for row, r in zip(rows, rhs)
-        )
+    def descend(j: int, residual) -> None:
+        if j == n - 1:
+            v = 0
+            for res, a in zip(residual, last):
+                if res > 0:
+                    if not a:
+                        return
+                    v = max(v, _ceil_div(res, a))
+            slack = [v * a - res for res, a in zip(residual, last)]
+            for xi, col in zip(x, prefix_cols):
+                if xi and all(s >= a for s, a in zip(slack, col)):
+                    return
+            x[j] = v
+            out.append(tuple(x))
+            return
+        for v in range(bounds[j] + 1):
+            x[j] = v
+            if v:
+                residual = tuple(r - a for r, a in zip(residual, cols[j]))
+            descend(j + 1, residual)
+            # once every row holds, a larger x_j can step down
+            if all(r <= 0 for r in residual):
+                break
 
-    cells: list = [()]
-    for j in range(n):
-        cells = [p + (v,) for p in cells for v in range(bounds[j] + 1)]
-    fset = {p for p in cells if feasible(p)}
-    out = []
-    for p in sorted(fset):
-        lowered = (
-            tuple(v - int(i == j) for i, v in enumerate(p))
-            for j in range(n)
-            if p[j] > 0
-        )
-        if all(q not in fset for q in lowered):
-            out.append(p)
+    descend(0, tuple(rel.aggregated_rhs))
     return out
 
 

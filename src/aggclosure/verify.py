@@ -353,36 +353,40 @@ def check_cg_dominance(
     Walks the single-row grid once, in `sample_lambdas` order.  Rounding,
     unlike the hull, changes when a row is scaled, so the cut of v/D is
     ``floor(v·a / D) x <= floor(v·b / D)`` on the integer row v·A | v·b,
-    tested against the hull of the row's `hull_keys` key.
+    tested against the hull of the row's `hull_keys` key.  The cut in
+    lowest terms is a positive multiple of that raw row, so the raw row
+    gives the same verdict, and the inequality is built for a witness only.
     """
     if inst.sense != PACKING:
         raise UsageError("rounding dominance check requires a packing instance")
     d = scheme.grid_denominator
     _check_grid_budget(inst.m, SampleScheme(d), budget)
+    # each coordinate is read twice in step: as the row and by its key
+    coords = [itertools.tee(c) for c in _grid_rows(inst, d)]
     walk = zip(
         _grid_bars(d, inst.m),
-        zip(*_grid_rows(inst, d, _grid_bars(d, inst.m))),
-        hull_keys(PACKING, _grid_rows(inst, d, _grid_bars(d, inst.m)), 1),
+        zip(*(row for row, _ in coords)),
+        hull_keys(PACKING, [key for _, key in coords], 1),
     )
     hulls: dict = {}
     for bars, row, key in walk:
         coeffs = [a // d for a in row[:-1]]
         if not any(coeffs):
             continue
-        cut = make_inequality(coeffs, row[-1] // d, LE)
+        rhs = row[-1] // d
         hull = hulls.get(key)
         if hull is None:
             comps = (_composition(bars, d),)
             hull = hulls[key] = integer_hull(build_relaxation(inst, comps), budget)
         for g in hull.generators:
-            if not cut.holds_at(g):
+            if idot(coeffs, g) > rhs * g[-1]:
                 # a ray shows as the first vertex pushed one step along it
                 probe = g if g[-1] else _pushed(hull.generators[0], g, 1)
                 return CheckReport(
                     "cg_dominance", inst.instance_id, FAIL,
                     witness_point=_point(probe),
                     witness_lambda=_grid_aggregation((_composition(bars, d),), d),
-                    witness_inequality=cut,
+                    witness_inequality=make_inequality(coeffs, rhs, LE),
                 )
     return CheckReport("cg_dominance", inst.instance_id, PASS)
 

@@ -1,8 +1,11 @@
-"""Exact rational helpers that only the tests use.
+"""Exact helpers that only the tests use.
 
 They are oracles for the integer kernels of `aggclosure.rational`: a
 square solver, an affine rank and a rank, on ``Fraction`` input where
-it applies, with the small helpers their tests use.
+it applies, with the small helpers their tests use.  The box enumerator
+of covering minimal points is the oracle of `knapsack._covering_minimal`,
+and `serialize_instance` writes the instance format `cli.parse_instance`
+reads.
 """
 
 from __future__ import annotations
@@ -84,3 +87,47 @@ def affine_rank(points: Sequence[Sequence]) -> int:
         ints, _ = int_clear(diff)
         ech.insert(ints)
     return ech.rank + 1
+
+
+def covering_minimal_box(rel, bounds) -> list:
+    """Domination-minimal feasible points of a covering relaxation, by
+    listing every cell of the box ``0 <= x_j <= bounds[j]``."""
+    n = rel.n
+    rows = rel.aggregated_rows
+    rhs = rel.aggregated_rhs
+
+    def feasible(p) -> bool:
+        return all(
+            sum(c * v for c, v in zip(row, p)) >= r for row, r in zip(rows, rhs)
+        )
+
+    cells: list = [()]
+    for j in range(n):
+        cells = [p + (v,) for p in cells for v in range(bounds[j] + 1)]
+    fset = {p for p in cells if feasible(p)}
+    out = []
+    for p in sorted(fset):
+        lowered = (
+            tuple(v - int(i == j) for i, v in enumerate(p))
+            for j in range(n)
+            if p[j] > 0
+        )
+        if all(q not in fset for q in lowered):
+            out.append(p)
+    return out
+
+
+def serialize_instance(inst) -> str:
+    """An instance in the text format of `aggclosure.cli.parse_instance`."""
+    lines = []
+    if inst.instance_id:
+        lines.append(f"id {inst.instance_id}")
+    lines.append(f"sense {inst.sense}")
+    lines.append(f"n {inst.n}")
+    lines.append(f"m {inst.m}")
+    lines.append("A")
+    for row in inst.A:
+        lines.append(" ".join(str(e) for e in row))
+    lines.append("b")
+    lines.append(" ".join(str(e) for e in inst.b))
+    return "\n".join(lines) + "\n"

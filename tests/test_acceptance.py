@@ -37,7 +37,7 @@ from aggclosure.verify import (
     check_sandwich,
 )
 from aggclosure import cli
-from aggclosure.cli import serialize_instance
+from oracles import serialize_instance
 
 
 def _inst(name, sense, rows, rhs):

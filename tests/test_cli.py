@@ -15,6 +15,7 @@ from aggclosure.errors import UsageError
 from aggclosure.knapsack import COVERING, Instance, PACKING
 from aggclosure.verify import FAIL, CheckReport
 from aggclosure.polyhedra import make_inequality, LE
+from oracles import serialize_instance
 
 PACK23_TEXT = "sense packing\nn 2\nm 1\nA\n2 3\nb\n4\n"
 COVER23_TEXT = "sense covering\nn 2\nm 1\nA\n2 3\nb\n4\n"
@@ -153,7 +154,7 @@ def instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_serialize_parse_round_trip(inst):
-    assert cli.parse_instance(cli.serialize_instance(inst)) == inst
+    assert cli.parse_instance(serialize_instance(inst)) == inst
 
 
 @pytest.fixture

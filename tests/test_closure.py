@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from aggclosure.closure import (
     FacetTuple,
     SampleScheme,
     _composition,
+    _first_positions,
     _grid_bars,
+    _grid_rows,
     aggregation_closure,
     build_K,
     build_L,
@@ -35,6 +38,7 @@ from aggclosure.knapsack import (
     PACKING,
     build_relaxation,
     integer_hull,
+    integer_row,
     normalize_aggregation,
 )
 from aggclosure.polyhedra import (
@@ -135,6 +139,66 @@ class TestSampleLambdas:
             itertools.combinations_with_replacement(columns, 2)
         )
         assert all(a.normalized for a in pairs)
+
+
+@st.composite
+def walk_instances(draw, max_m=6, max_n=3):
+    # equal neighbouring entries and entries that fall and rise along a
+    # column give zero, negative and positive steps between the parts
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    sense = draw(st.sampled_from([PACKING, COVERING]))
+    rows = tuple(
+        tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any)))
+        for _ in range(m)
+    )
+    b = tuple(draw(st.integers(1, 60)) for _ in range(m))
+    return Instance(sense, rows, b)
+
+
+def _first_occurrences(inst, sch):
+    # oracle: scan every aggregation in `sample_lambdas` order and keep the
+    # first position of each hull, named by its canonical key, or in one
+    # variable by the interval hull itself
+    d = sch.grid_denominator
+    comps = [_composition(c, d) for c in _grid_bars(d, inst.m)]
+    first = {}
+    for pos, picked in enumerate(itertools.combinations_with_replacement(comps, sch.k)):
+        rel = build_relaxation(inst, picked)
+        key = rel.canonical_key() if inst.n > 1 else integer_hull(rel).hrep
+        first.setdefault(key, pos)
+    return list(first.values())
+
+
+class TestGridWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(walk_instances(), st.integers(1, 12))
+    def test_rows_are_integer_rows_in_bar_order(self, inst, d):
+        rows = list(zip(*_grid_rows(inst, d)))
+        assert rows == [
+            integer_row(inst, _composition(c, d)) for c in _grid_bars(d, inst.m)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(walk_instances(max_m=4, max_n=2), st.integers(1, 6), st.integers(1, 2))
+    def test_first_positions_are_first_occurrences(self, inst, d, k):
+        if k == 2:
+            assume(math.comb(d + inst.m - 1, inst.m - 1) <= 40)
+        sch = scheme(d=d, k=k)
+        assert _first_positions(inst, sch) == _first_occurrences(inst, sch)
+
+    def test_walk_holds_less_than_a_coordinate_of_the_grid(self):
+        # 135,751 weights: a list per coordinate would take about 5 MB
+        inst = Instance(PACKING, ((3,), (5,), (7,), (2,), (9,)), (40, 51, 33, 27, 59))
+        tracemalloc.start()
+        try:
+            positions = _first_positions(inst, scheme(d=40))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the positions `_first_occurrences` finds, which takes about 4 s
+        assert positions == [0, 10, 22, 29, 33, 36, 38, 40, 510, 846]
+        assert peak < 2 * 2**20
 
 
 class TestSampledClosure:

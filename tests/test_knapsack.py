@@ -23,6 +23,7 @@ from aggclosure.knapsack import (
     lattice_points,
 )
 from aggclosure.polyhedra import contains, make_inequality, poly_equal, poly_subset
+from oracles import covering_minimal_box
 
 
 def half(x=1):
@@ -400,3 +401,36 @@ def test_rows_equal_fraction_sums_and_stay_int(case):
     rational = [[Fraction(w, d) for w in v] for v in columns]
     rel = build_relaxation(inst, rational)
     assert (rel.aggregated_rows, rel.aggregated_rhs) == _fraction_rows(inst, rational)
+
+
+@st.composite
+def covering_relaxations(draw):
+    # rows with zero entries and fractional data, as aggregation makes them
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    entries = st.fractions(min_value=0, max_value=5, max_denominator=2)
+    rows = tuple(
+        tuple(draw(st.lists(entries, min_size=n, max_size=n).filter(any)))
+        for _ in range(k)
+    )
+    rhs = tuple(
+        draw(st.fractions(min_value=Fraction(1, 3), max_value=10, max_denominator=3))
+        for _ in range(k)
+    )
+    return KnapsackRelaxation(
+        parent=None, weights=(), sense=COVERING, n=n,
+        aggregated_rows=rows, aggregated_rhs=rhs,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(covering_relaxations())
+def test_covering_minimal_points_match_box_oracle(rel):
+    # the box bounds of `lattice_points`: no minimal point lies outside
+    rows = list(zip(rel.aggregated_rows, rel.aggregated_rhs))
+    bounds = [
+        max([0] + [-(-r // row[j]) for row, r in rows if row[j]]) for j in range(rel.n)
+    ]
+    points, free = lattice_points(rel)
+    assert points == covering_minimal_box(rel, bounds)
+    assert free == set()
