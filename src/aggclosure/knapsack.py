@@ -380,7 +380,8 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
                 if row[j] > 0 and r > 0:
                     c = max(c, _ceil_div(r, row[j]))
             bounds.append(c)
-        _check_budget(bounds, budget)
+        # the search walks only the first n - 1 coordinates of the box
+        _check_budget(bounds[:-1], budget)
         return _covering_minimal(rel, bounds), set()
     bounds, free = _packing_bounds(rel)
     if all(b >= 0 for b in bounds):

@@ -89,8 +89,8 @@ class LinearInequality(Record):
         return idot(self.normal, g) - self.rhs * g[-1]
 
     def holds_at(self, g: IntVector) -> bool:
-        # `gap` written out: `poly_subset` runs this for every generator
-        # against every row, where the extra call shows
+        # `gap` written out: the probe loop of `verify._violated_row` runs
+        # this for every row at every probe point, where the extra call shows
         v = idot(self.normal, g) - self.rhs * g[-1]
         return v <= 0 if self.sense == LE else v >= 0
 
@@ -590,26 +590,22 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
 
 
 def intersect(polys, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
-    """Intersection of polyhedra over a shared ambient space."""
+    """Intersection of polyhedra over a shared ambient space: one
+    `hrep_to_vrep` run over the rows of all inputs, within ``budget`` ray
+    pairs.  The first infeasible input is returned if there is one, and a
+    single input as it is."""
     polys = list(polys)
     if not polys:
         raise ValueError("nothing to intersect")
     dim = polys[0].dim
     if any(p.dim != dim for p in polys):
         raise ValueError("dimension mismatch")
-    current = polys[0]
-    for nxt in polys[1:]:
-        if not current.feasible:
-            return current
-        if not nxt.feasible:
-            return nxt
-        if poly_subset(current, nxt):
-            continue
-        if poly_subset(nxt, current):
-            current = nxt
-            continue
-        current = hrep_to_vrep(current.hrep + nxt.hrep, dim, budget)
-    return current
+    empty = next((p for p in polys if not p.feasible), None)
+    if empty is not None:
+        return empty
+    if len(polys) == 1:
+        return polys[0]
+    return hrep_to_vrep([iq for p in polys for iq in p.hrep], dim, budget)
 
 
 def poly_subset(inner: Polyhedron, outer: Polyhedron) -> bool:

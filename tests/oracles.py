@@ -4,7 +4,8 @@ They are oracles for the integer kernels of `aggclosure.rational`: a
 square solver, an affine rank and a rank, on ``Fraction`` input where
 it applies, with the small helpers their tests use.  The box enumerator
 of covering minimal points is the oracle of `knapsack._covering_minimal`,
-and `serialize_instance` writes the instance format `cli.parse_instance`
+the pairwise fold is the oracle of `polyhedra.intersect`, and
+`serialize_instance` writes the instance format `cli.parse_instance`
 reads.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from aggclosure.polyhedra import DEFAULT_CELL_BUDGET, hrep_to_vrep, poly_subset
 from aggclosure.rational import (
     IntEchelon,
     Rat,
@@ -115,6 +117,31 @@ def covering_minimal_box(rel, bounds) -> list:
         if all(q not in fset for q in lowered):
             out.append(p)
     return out
+
+
+def intersect_fold(polys, budget: int = DEFAULT_CELL_BUDGET):
+    """Intersection of polyhedra folded pairwise: one double description
+    of ``current.hrep + nxt.hrep`` per step, skipped when one side
+    contains the other."""
+    polys = list(polys)
+    if not polys:
+        raise ValueError("nothing to intersect")
+    dim = polys[0].dim
+    if any(p.dim != dim for p in polys):
+        raise ValueError("dimension mismatch")
+    current = polys[0]
+    for nxt in polys[1:]:
+        if not current.feasible:
+            return current
+        if not nxt.feasible:
+            return nxt
+        if poly_subset(current, nxt):
+            continue
+        if poly_subset(nxt, current):
+            current = nxt
+            continue
+        current = hrep_to_vrep(current.hrep + nxt.hrep, dim, budget)
+    return current
 
 
 def serialize_instance(inst) -> str:

@@ -21,6 +21,7 @@ PACK23_TEXT = "sense packing\nn 2\nm 1\nA\n2 3\nb\n4\n"
 COVER23_TEXT = "sense covering\nn 2\nm 1\nA\n2 3\nb\n4\n"
 COVERFIX_TEXT = "sense covering\nn 2\nm 2\nA\n2 0\n1 3\nb\n3 4\n"
 PACK4X3_TEXT = "sense packing\nn 4\nm 3\nA\n3 2 4 1\n2 5 1 3\n4 1 3 2\nb\n9 10 8\n"
+PACK5X2_TEXT = "sense packing\nn 5\nm 2\nA\n3 2 4 1 2\n2 5 1 3 1\nb\n9 10\n"
 SRC = Path(__file__).resolve().parent.parent / "src"
 RUN_CLI = "import sys; from aggclosure.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -81,6 +82,107 @@ PACK4X3_G4_CLOSURE = (
     "9 2 7 4 <= 18\n"
     "T_sample 40\n"
     "S 40\n"
+    "saturation true\n"
+)
+
+PACK5X2_G8_CLOSURE = (
+    "closure\n"
+    "1 0 0 0 0 >= 0\n"
+    "0 1 0 0 0 >= 0\n"
+    "0 0 1 0 0 >= 0\n"
+    "0 0 0 1 0 >= 0\n"
+    "0 0 0 0 1 >= 0\n"
+    "1 1 2 0 1 <= 4\n"
+    "1 2 1 1 0 <= 4\n"
+    "1 3 0 2 0 <= 6\n"
+    "1 3 1 2 1 <= 7\n"
+    "2 1 3 0 1 <= 6\n"
+    "2 2 2 1 1 <= 6\n"
+    "2 2 3 1 1 <= 7\n"
+    "2 3 2 2 1 <= 8\n"
+    "2 5 1 3 1 <= 10\n"
+    "3 2 4 1 2 <= 9\n"
+    "3 5 3 3 3 <= 15\n"
+    "3 8 2 4 2 <= 16\n"
+    "4 4 8 3 4 <= 20\n"
+    "4 9 2 5 2 <= 18\n"
+    "6 6 7 3 4 <= 20\n"
+    "7 6 9 3 5 <= 23\n"
+    "8 7 11 4 6 <= 28\n"
+    "27 62 16 32 14 <= 124\n"
+    "L\n"
+    "1 0 0 0 0 >= 0\n"
+    "0 1 0 0 0 >= 0\n"
+    "0 0 1 0 0 >= 0\n"
+    "0 0 0 1 0 >= 0\n"
+    "0 0 0 0 1 >= 0\n"
+    "0 2 3 1 1 <= 7\n"
+    "0 2 4 1 2 <= 9\n"
+    "0 3 1 2 1 <= 7\n"
+    "0 3 2 2 1 <= 8\n"
+    "0 4 1 2 1 <= 8\n"
+    "0 4 8 3 4 <= 20\n"
+    "0 5 1 3 1 <= 10\n"
+    "0 5 3 3 3 <= 15\n"
+    "0 6 9 3 5 <= 23\n"
+    "0 7 11 4 6 <= 28\n"
+    "1 0 1 1 1 <= 5\n"
+    "1 0 1 2 1 <= 7\n"
+    "1 1 2 0 1 <= 4\n"
+    "1 2 1 1 0 <= 4\n"
+    "1 3 0 2 0 <= 6\n"
+    "1 3 0 2 1 <= 7\n"
+    "2 0 1 3 1 <= 10\n"
+    "2 0 2 1 1 <= 6\n"
+    "2 0 2 2 1 <= 8\n"
+    "2 0 3 1 1 <= 7\n"
+    "2 1 3 0 1 <= 6\n"
+    "2 2 0 1 1 <= 6\n"
+    "2 2 2 0 1 <= 6\n"
+    "2 2 2 1 0 <= 6\n"
+    "2 2 3 1 0 <= 7\n"
+    "2 5 0 3 1 <= 10\n"
+    "3 0 4 1 2 <= 9\n"
+    "3 2 0 1 2 <= 9\n"
+    "3 2 4 0 2 <= 9\n"
+    "3 2 4 1 0 <= 9\n"
+    "3 5 0 3 3 <= 15\n"
+    "3 8 0 4 2 <= 16\n"
+    "3 8 2 0 2 <= 16\n"
+    "4 0 8 3 4 <= 20\n"
+    "4 9 0 5 2 <= 18\n"
+    "4 9 2 0 2 <= 18\n"
+    "6 6 0 3 4 <= 20\n"
+    "7 6 0 3 5 <= 23\n"
+    "8 0 11 4 6 <= 28\n"
+    "27 62 16 0 14 <= 124\n"
+    "K\n"
+    "1 1 3 1 1 <= 7\n"
+    "1 3 1 1 1 <= 7\n"
+    "1 3 1 2 1 <= 7\n"
+    "2 2 2 1 1 <= 6\n"
+    "2 2 3 1 1 <= 7\n"
+    "2 3 2 2 1 <= 8\n"
+    "2 5 1 3 1 <= 10\n"
+    "2 5 2 3 1 <= 11\n"
+    "3 2 4 1 1 <= 9\n"
+    "3 2 4 1 2 <= 9\n"
+    "3 5 3 3 3 <= 15\n"
+    "3 7 2 4 1 <= 14\n"
+    "3 8 2 4 2 <= 16\n"
+    "4 4 8 3 4 <= 20\n"
+    "4 5 4 2 2 <= 14\n"
+    "4 7 2 4 2 <= 16\n"
+    "4 9 2 5 2 <= 18\n"
+    "6 4 7 2 4 <= 18\n"
+    "6 6 6 4 3 <= 20\n"
+    "6 6 7 3 4 <= 20\n"
+    "6 11 4 6 2 <= 24\n"
+    "7 6 9 3 5 <= 23\n"
+    "8 7 11 4 6 <= 28\n"
+    "27 62 16 32 14 <= 124\n"
+    "T_sample 50\n"
+    "S 50\n"
     "saturation true\n"
 )
 
@@ -155,6 +257,19 @@ def instances(draw):
 @given(instances())
 def test_serialize_parse_round_trip(inst):
     assert cli.parse_instance(serialize_instance(inst)) == inst
+
+
+def run_fresh_closure(path, grid):
+    # `closure PATH --grid GRID` in a new interpreter, so no memo is warm
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", RUN_CLI, "closure", str(path), "--grid", grid],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
 
 
 @pytest.fixture
@@ -324,20 +439,20 @@ class TestClosureCommand:
         # 0.6 s with double description
         path = fixture_dir / "pack4x3.txt"
         path.write_text(PACK4X3_TEXT)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-c", RUN_CLI, "closure", str(path), "--grid", "4"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        done = run_fresh_closure(path, "4")
         elapsed = time.perf_counter() - start
         assert done.returncode == 0 and done.stderr == ""
         assert done.stdout == PACK4X3_G4_CLOSURE
         assert elapsed < 2.5
+
+    def test_pack5x2_golden(self, fixture_dir):
+        # the L recursion at n = 5, in a fresh process
+        path = fixture_dir / "pack5x2.txt"
+        path.write_text(PACK5X2_TEXT)
+        done = run_fresh_closure(path, "8")
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == PACK5X2_G8_CLOSURE
 
     def test_identical_bytes_across_runs_and_threads(self, fixture_dir, capsys):
         argv = ["closure", str(fixture_dir / "coverfix.txt"), "--grid", "3"]

@@ -134,6 +134,17 @@ class TestLatticePoints:
         with pytest.raises(ResourceBudgetError):
             lattice_points(single_row(PACKING, (1, 1), 9), budget=50)
 
+    def test_covering_budget_counts_the_searched_prefix(self):
+        # the search walks 61 x 61 prefixes; the whole box has 61**3 cells
+        rel = single_row(COVERING, (1, 1, 1), 60)
+        pts, free = lattice_points(rel, budget=10_000)
+        assert pts == covering_minimal_box(rel, (60, 60, 60))
+        assert free == set()
+
+    def test_covering_prefix_over_budget(self):
+        with pytest.raises(ResourceBudgetError, match=r"box of 3721\+ cells exceeds budget 3720"):
+            lattice_points(single_row(COVERING, (1, 1, 1), 60), budget=3720)
+
     def test_box_bounds_are_exact_for_large_integer_rows(self):
         # the first bound is (10**17 + 2) / 3 = 33333333333333334 exactly;
         # a float quotient would make it 33333333333333336

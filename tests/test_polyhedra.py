@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +43,7 @@ from aggclosure.rational import (
     int_nullspace,
     reduce_gcd,
 )
-from oracles import affine_rank, solve_linear
+from oracles import affine_rank, intersect_fold, solve_linear
 
 
 def mk(normal, rhs, sense):
@@ -191,6 +191,20 @@ class TestIntersect:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             intersect([])
+
+    def test_single_input_returned_as_is(self):
+        a = hrep_to_vrep([mk((1, 0), 0, GE), mk((0, 1), 0, GE), mk((1, 2), 2, LE)], 2)
+        assert intersect([a]) is a
+
+    def test_first_infeasible_input_returned(self):
+        a = hrep_to_vrep([mk((1,), 0, GE), mk((1,), 2, LE)], 1)
+        gap = hrep_to_vrep([mk((1,), 2, GE), mk((1,), 1, LE)], 1)
+        assert not gap.feasible
+        assert intersect([a, gap, empty_polyhedron(1)]) is gap
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            intersect([orthant(2), orthant(1)])
 
 
 class TestPositiveNormalFacets:
@@ -594,6 +608,53 @@ class TestDifferentialAgainstFractionKernel:
         assert poly == subset_hrep_to_vrep(rows, 2)
         direct = vrep_to_hrep([(0, 1)], [(1, 0)], reduce_generators=False)
         assert rendered(direct) == rendered(poly)
+
+
+@st.composite
+def intersection_case(draw):
+    # 2 to 5 polyhedra in one space of 1 to 3 variables, each of 1 to 3
+    # small rows.  Opposed pairs make some lower-dimensional and fewer rows
+    # than variables leave a lineality space.  Rows hold at one shared
+    # anchor point with a slack of 0 to 2, except that about one input in
+    # four may miss it by 1, so most intersections are nonempty and some
+    # are empty
+    dim = draw(st.integers(1, 3))
+    anchor = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    coeffs = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    polys = []
+    for _ in range(draw(st.integers(2, 5))):
+        low = draw(st.sampled_from((0, 0, 0, -1)))
+        rows = []
+        for _ in range(draw(st.integers(1, 3))):
+            normal = draw(coeffs)
+            level = sum(a * c for a, c in zip(normal, anchor))
+            slack = draw(st.integers(low, 2))
+            sense = draw(st.sampled_from((LE, GE, LE, GE, "=")))
+            if sense == "=":
+                rhs = level + min(slack, 0)
+                rows += [mk(normal, rhs, LE), mk(normal, rhs, GE)]
+            else:
+                rows.append(mk(normal, level + slack if sense == LE else level - slack, sense))
+        polys.append(hrep_to_vrep(rows, dim))
+    return dim, polys
+
+
+class TestIntersectAgainstFold:
+    @settings(max_examples=300, deadline=None)
+    @given(intersection_case())
+    # a line, a half-plane with lineality and a strip
+    @example((2, [
+        hrep_to_vrep([mk((1, 0), 1, LE), mk((1, 0), 1, GE)], 2),
+        hrep_to_vrep([mk((1, 1), 2, LE)], 2),
+        hrep_to_vrep([mk((0, 1), -1, GE), mk((0, 1), 3, LE)], 2),
+    ]))
+    def test_one_run_matches_pairwise_fold(self, case):
+        dim, polys = case
+        got = intersect(polys)
+        assert poly_equal(got, intersect_fold(polys))
+        for x in product(range(-3, 4), repeat=dim):
+            expect = all(contains(p, x) for p in polys)
+            assert contains(got, x) == expect
 
 
 class TestKernelBudget:
