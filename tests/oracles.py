@@ -4,16 +4,21 @@ They are oracles for the integer kernels of `aggclosure.rational`: a
 square solver, an affine rank and a rank, on ``Fraction`` input where
 it applies, with the small helpers their tests use.  The box enumerator
 of covering minimal points is the oracle of `knapsack._covering_minimal`,
-the pairwise fold is the oracle of `polyhedra.intersect`, and
+the pairwise fold is the oracle of `polyhedra.intersect`,
 `serialize_instance` writes the instance format `cli.parse_instance`
-reads.
+reads, and `build_parser` is the argparse command line that
+`cli.parse_args` replaced.
 """
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from aggclosure import cli
+from aggclosure.cli import cmd_closure, cmd_hull, cmd_separate, cmd_verify
+from aggclosure.errors import UsageError
 from aggclosure.polyhedra import DEFAULT_CELL_BUDGET, hrep_to_vrep, poly_subset
 from aggclosure.rational import (
     IntEchelon,
@@ -158,3 +163,85 @@ def serialize_instance(inst) -> str:
     lines.append("b")
     lines.append(" ".join(str(e) for e in inst.b))
     return "\n".join(lines) + "\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    # usage problems must map to exit code 1, not argparse's default 2
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text, 10)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got '{text}'")
+    return value
+
+
+def _add_common(sub, k_flag=True, refine_flag=True, out_flag=False):
+    sub.add_argument("--grid", type=int, default=4, help="grid denominator D")
+    if k_flag:
+        sub.add_argument("--k", type=int, default=1, help="columns per aggregation")
+    if refine_flag:
+        sub.add_argument("--refine", type=int, default=1, help="refinement rounds")
+    sub.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=DEFAULT_CELL_BUDGET,
+        help="work budget per enumeration: lattice cells, ray pairs of one "
+        "kernel run, or aggregations of one grid walk",
+    )
+    sub.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="accepted for compatibility; all work runs on one thread",
+    )
+    if out_flag:
+        sub.add_argument("--out", default="", help="directory for report files")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="aggclosure", description=cli.__doc__.splitlines()[0])
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    hull = subs.add_parser("hull", help="integer hull of an aggregated relaxation")
+    hull.add_argument("instance", help="instance file")
+    hull.add_argument(
+        "--lam",
+        action="append",
+        required=True,
+        help="aggregation weights, e.g. --lam '1/2 1/2'; repeat for more columns",
+    )
+    hull.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=DEFAULT_CELL_BUDGET,
+        help="work budget per enumeration: lattice cells, or ray pairs of one kernel run",
+    )
+    hull.set_defaults(func=cmd_hull)
+
+    closure = subs.add_parser("closure", help="closure construction artifacts")
+    closure.add_argument("instance", help="instance file")
+    _add_common(closure, out_flag=True)
+    closure.set_defaults(func=cmd_closure)
+
+    sep = subs.add_parser("separate", help="find a violated sampled cut")
+    sep.add_argument("instance", help="instance file")
+    sep.add_argument("--point", required=True, help="coordinates, e.g. '3/2 1/2'")
+    _add_common(sep, k_flag=False)
+    sep.set_defaults(func=cmd_separate)
+
+    ver = subs.add_parser("verify", help="run the check suite over a directory")
+    ver.add_argument("instances", help="directory of instance files")
+    _add_common(ver, refine_flag=False, out_flag=True)
+    ver.add_argument(
+        "--timings",
+        action="store_true",
+        help="record check timings (report bytes then vary run to run)",
+    )
+    ver.set_defaults(func=cmd_verify)
+    return parser

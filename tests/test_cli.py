@@ -1,5 +1,7 @@
 """Instance file format and command-line behavior."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,14 +10,14 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aggclosure import cli, verify
 from aggclosure.errors import UsageError
 from aggclosure.knapsack import COVERING, Instance, PACKING
 from aggclosure.verify import FAIL, CheckReport
 from aggclosure.polyhedra import make_inequality, LE
-from oracles import serialize_instance
+from oracles import build_parser, serialize_instance
 
 PACK23_TEXT = "sense packing\nn 2\nm 1\nA\n2 3\nb\n4\n"
 COVER23_TEXT = "sense covering\nn 2\nm 1\nA\n2 3\nb\n4\n"
@@ -622,3 +624,142 @@ def test_nonpositive_numeric_flag_is_usage_error(
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["closure"],
+        ["closure", "f", "--grid"],
+        ["closure", "f", "--grid", "two"],
+        ["closure", "f", "g"],
+        ["closure", "f", "--bogus"],
+        ["closure", "f", "--point", "1"],
+        ["verify", "d", "--t"],
+        ["verify", "d", "--timings=yes"],
+        ["hull", "f"],
+        ["separate", "f"],
+    ],
+)
+def test_parse_failure_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]])
+def test_top_level_help(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    for command in ("hull", "closure", "separate", "verify"):
+        assert command in out
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_help_names_every_flag(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, flag)
+    assert (code, err) == (0, "")
+    _, _, (positional, _), flags, _ = cli.COMMANDS[command]
+    assert positional.upper() in out
+    for name in flags:
+        assert name in out
+
+
+# Differential test of `cli.parse_args` against the argparse parser it
+# replaced.  Values never look like flags and a flag with no value comes
+# last: there argparse reports a missing value, while `parse_args` takes
+# the next token whatever it is.
+POSITIVE = st.integers(1, 40).map(str)
+INT_VALUES = st.one_of(
+    POSITIVE,
+    POSITIVE,
+    POSITIVE,
+    st.integers(-3, 0).map(str),
+    st.sampled_from(["abc", "1.5", "", " 7 ", "+3", "0x10", "1/2"]),
+)
+TEXT_VALUES = st.sampled_from(["1/2 1/2", "-1 0", "3", "1", "x", "2/3", "out dir", "a=b", ""])
+POSITIONALS = st.sampled_from(["f.txt", "inst", "dir/x", "-1", "-.5", "-1 0", "-", "a=b"])
+
+
+def _prefixes(flag, flags):
+    names = (*flags, "--help")
+    return [
+        flag[:i]
+        for i in range(3, len(flag))
+        if [f for f in names if f.startswith(flag[:i])] == [flag]
+    ]
+
+
+def _ambiguous(flags):
+    names = (*flags, "--help")
+    return [
+        f[:i]
+        for f in names
+        for i in range(3, len(f))
+        if len([g for g in names if g.startswith(f[:i])]) > 1
+    ]
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, _, flags, _ = cli.COMMANDS[command]
+    groups = []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))):
+        groups.append([draw(POSITIONALS)])
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=6)):
+        name = draw(st.sampled_from([flag, flag, *_prefixes(flag, flags)]))
+        convert = flags[flag][1]
+        if convert is None:
+            groups.append([name])
+            continue
+        value = draw(TEXT_VALUES if convert is str else INT_VALUES)
+        groups.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    unknown = [f for f in ("--bogus", "-x", "--point", "--lam", "--timings") if f not in flags]
+    stray = draw(st.sampled_from([None] * 12 + unknown + _ambiguous(flags)))
+    if stray is not None:
+        groups.append([stray])
+    if stray not in _ambiguous(flags) and draw(st.integers(0, 9)) == 0:
+        groups.append([draw(st.sampled_from(["--help", "-h", "--he"]))])
+    argv = [command] + [t for group in draw(st.permutations(groups)) for t in group]
+    takes_value = sorted(f for f in flags if flags[f][1] is not None)
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(takes_value)))
+    return argv
+
+
+def _parse_outcome(parse, argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = parse(argv)
+    except UsageError:
+        return "usage error"
+    except SystemExit as exc:  # argparse's help action
+        return ("help", exc.code)
+    if args.func is cli._print_help:
+        return ("help", 0)
+    return vars(args)
+
+
+ORACLE_PARSER = build_parser()
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["separate", "f.txt", "--point", "-1 0"])
+@example(["closure", "f.txt", "--grid=2"])
+@example(["closure", "--grid", "2", "--", "f.txt"])
+@example(["hull", "f.txt", "--lam", "1", "--la=1/2 1/2", "--budget", "9"])
+@example(["verify", "d", "--ti", "--t", "2"])
+@example(["closure", "--gr", "3", "f.txt", "--r=2", "--k", "-1"])
+@example([])
+@example(["bogus", "f.txt"])
+@example(["-h"])
+def test_parse_args_matches_argparse(argv):
+    assert _parse_outcome(cli.parse_args, argv) == _parse_outcome(
+        ORACLE_PARSER.parse_args, argv
+    )
