@@ -38,7 +38,7 @@ from .knapsack import (
     DEFAULT_CELL_BUDGET,
     Instance,
     PACKING,
-    _interval_hull,
+    _hull_1d,
     build_relaxation,
     hull_keys,
     integer_hull,
@@ -56,6 +56,7 @@ from .polyhedra import (
     intersect,
     make_inequality,
     orthant,
+    poly_equal,
     positive_normal_facets,
     whole_space,
 )
@@ -321,8 +322,7 @@ def saturated(art: ClosureArtifacts, budget: int = DEFAULT_CELL_BUDGET) -> bool:
     `aggregation_closure`, so the two are compared as canonical
     inequality systems.
     """
-    sc = sampled_closure(art.instance, art.sample, budget)
-    return art.closure.hrep == sc.hrep and art.closure.feasible == sc.feasible
+    return poly_equal(art.closure, sampled_closure(art.instance, art.sample, budget))
 
 
 def closure_1d(inst: Instance) -> Polyhedron:
@@ -331,15 +331,12 @@ def closure_1d(inst: Instance) -> Polyhedron:
     Every aggregated rhs/coefficient ratio is a weighted mediant of the
     row ratios, so the extreme rounding is attained at a unit weight:
     packing keeps 0 <= x <= min_i floor(b_i / a_i), covering keeps
-    x >= max_i ceil(b_i / a_i).  These are the shared interval hulls of
-    `integer_hull` in one variable.
+    x >= max_i ceil(b_i / a_i).  That is `integer_hull`'s one-variable
+    hull of all rows taken at once, `_hull_1d`.
     """
     if inst.n != 1:
         raise UsageError("closed form only applies to one variable")
-    ratios = [(inst.b[i], inst.A[i][0]) for i in range(inst.m)]
-    if inst.sense == PACKING:
-        return _interval_hull(PACKING, min(b // a for b, a in ratios), bounded=True)
-    return _interval_hull(COVERING, max(-((-b) // a) for b, a in ratios), bounded=False)
+    return _hull_1d(inst.sense, zip(inst.A, inst.b))
 
 
 def build_Qj(inst: Instance, j: int) -> Instance | None:

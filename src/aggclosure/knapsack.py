@@ -12,7 +12,6 @@ plus the nonnegative orthant cone.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations_with_replacement
 from math import ceil, floor
 from operator import floordiv, neg
@@ -28,7 +27,9 @@ from .polyhedra import (
     GE,
     LE,
     Polyhedron,
+    _unit,
     empty_polyhedron,
+    interval,
     make_inequality,
     vrep_to_hrep,
 )
@@ -393,22 +394,13 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
 _HULL_MEMO: dict = {}
 
 
-def _unit(n: int, j: int):
-    return tuple(int(i == j) for i in range(n))
-
-
-# distinct aggregated rows collapse to very few distinct intervals, so
-# one-variable hulls are cached by endpoint rather than by canonical key
-@cache
-def _interval_hull(sense: str, c: int, bounded: bool) -> Polyhedron:
-    if not bounded:
-        return vrep_to_hrep([(c,)], [(1,)], reduce_generators=False)
-    points = [(0,)] if c == 0 else [(0,), (c,)]
-    return vrep_to_hrep(points, [], reduce_generators=False)
-
-
 def _hull_1d(sense: str, row_data) -> Polyhedron:
-    # integer hull in one variable of the (row, rhs) pairs
+    """Integer hull in one variable of the (row, rhs) pairs, all at once.
+
+    Each row rounds to ``x <= floor(r / a)`` for packing or ``x >= ceil(r
+    / a)`` for covering, and the hull is the interval the tightest one
+    leaves on ``x >= 0``: one shared `interval` per endpoint.
+    """
     row_data = list(row_data)
     if sense == COVERING:
         for row, r in row_data:
@@ -418,17 +410,17 @@ def _hull_1d(sense: str, row_data) -> Polyhedron:
         for row, r in row_data:
             if row[0] > 0 and r > 0:
                 c = max(c, _ceil_div(r, row[0]))
-        return _interval_hull(COVERING, c, bounded=False)
+        return interval(c)
     for row, r in row_data:
         if not any(row) and r < 0:
             return empty_polyhedron(1)
     limits = [r // row[0] for row, r in row_data if row[0] > 0]
     if not limits:
-        return _interval_hull(PACKING, 0, bounded=False)
+        return interval(0)
     c = min(limits)
     if c < 0:
         return empty_polyhedron(1)
-    return _interval_hull(PACKING, c, bounded=True)
+    return interval(0, c)
 
 
 def _packing_core(points, bounds, free) -> list:

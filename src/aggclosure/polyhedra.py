@@ -27,6 +27,9 @@ the extreme rays of the polar cone, which are the facet normals, and keeps
 a generator as extreme when its set of tight facets is maximal among the
 proper ones.  Each run counts the ray pairs it tests against a work
 budget.
+
+Shapes whose canonical form is known, `orthant`, `whole_space` and the
+one-variable `interval`, are written down and run no double description.
 """
 
 from __future__ import annotations
@@ -474,22 +477,17 @@ def _nullbasis(gens, width) -> list[IntVector]:
     return int_row_basis(int_nullspace(gens, width), width)
 
 
-def vrep_to_hrep(
-    points,
-    rays=(),
-    reduce_generators: bool = True,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> Polyhedron:
+def vrep_to_hrep(points, rays=(), budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
     """Facet description of conv(points) + cone(rays).
 
     Requires at least one point.  The facet normals are the extreme rays
     of the polar of the homogenized cone, found by double description; the
     face at infinity ``t >= 0``, the one facet with no point on it, is
     dropped.  Implied equalities come from the integer nullspace of the
-    generator span and are emitted as opposed inequality pairs.  With
-    ``reduce_generators`` only the extreme generators are kept, read off
-    the facets tight on each.  More than ``budget`` ray pairs in one double
-    description raise `ResourceBudgetError`.
+    generator span and are emitted as opposed inequality pairs.  Only the
+    extreme generators are kept, read off the facets tight on each.  More
+    than ``budget`` ray pairs in one double description raise
+    `ResourceBudgetError`.
     """
     gens = _canonical_order({homogenize(p) for p in points})
     if not gens:
@@ -501,8 +499,7 @@ def vrep_to_hrep(
     nullbasis = _nullbasis(gens, width)
     normals = _polar(gens, nullbasis, width, budget)
     facets = {make_inequality(y[:-1], -y[-1], LE) for y, z in normals if z & on_points}
-    if reduce_generators:
-        gens = _irredundant_generators(gens, normals, width, budget)
+    gens = _irredundant_generators(gens, normals, width, budget)
     ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
     return _build(dim, gens, ineqs, dim - len(nullbasis))
 
@@ -678,6 +675,10 @@ def facet_lattice_tuple(poly: Polyhedron, facet: LinearInequality) -> tuple[IntV
     return tuple(chosen)
 
 
+def _unit(dim: int, j: int) -> IntVector:
+    return tuple(int(i == j) for i in range(dim))
+
+
 def embed_with_free_axis(poly: Polyhedron, axis: int) -> Polyhedron:
     """Cylinder ``{x : x_axis >= 0, drop(x, axis) in poly}`` one dimension up."""
     if not poly.feasible:
@@ -690,7 +691,7 @@ def embed_with_free_axis(poly: Polyhedron, axis: int) -> Polyhedron:
         return tuple(vec[:axis]) + (fill,) + tuple(vec[axis:])
 
     hrep = [LinearInequality(widen(iq.normal, 0), iq.rhs, iq.sense) for iq in poly.hrep]
-    unit = tuple(int(j == axis) for j in range(n))
+    unit = _unit(n, axis)
     hrep.append(LinearInequality(unit, 0, GE))
     gens = [widen(g, 0) for g in poly.generators]
     gens.append(unit + (0,))
@@ -699,20 +700,27 @@ def embed_with_free_axis(poly: Polyhedron, axis: int) -> Polyhedron:
 
 @cache
 def orthant(dim: int) -> Polyhedron:
-    zero = (0,) * dim
-    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    return vrep_to_hrep([zero], units, reduce_generators=False)
+    units = [_unit(dim, j) for j in range(dim)]
+    rows = [LinearInequality(u, 0, GE) for u in units]
+    return _build(dim, [(0,) * dim + (1,)] + [u + (0,) for u in units], rows, dim)
 
 
 @cache
 def whole_space(dim: int) -> Polyhedron:
-    zero = (0,) * dim
-    rays = []
-    for i in range(dim):
-        unit = tuple(int(i == j) for j in range(dim))
-        rays.append(unit)
-        rays.append(tuple(-a for a in unit))
-    return vrep_to_hrep([zero], rays, reduce_generators=False)
+    units = [_unit(dim, j) for j in range(dim)]
+    rays = [u + (0,) for u in units] + [_negated(u) + (0,) for u in units]
+    return _build(dim, [(0,) * dim + (1,)] + rays, (), dim)
+
+
+@cache
+def interval(lo: int, hi: int | None = None) -> Polyhedron:
+    """The interval ``[lo, hi]`` of integers ``lo <= hi``, or ``[lo, inf)``
+    when ``hi`` is None; ``[c, c]`` keeps both rows as an equality pair."""
+    rows = [LinearInequality((1,), lo, GE)]
+    if hi is None:
+        return _build(1, [(lo, 1), (1, 0)], rows, 1)
+    rows.append(LinearInequality((1,), hi, LE))
+    return _build(1, {(lo, 1), (hi, 1)}, rows, int(hi > lo))
 
 
 def render_point(p: RatVector) -> str:

@@ -50,6 +50,7 @@ from .polyhedra import (
     Polyhedron,
     intersect,
     make_inequality,
+    poly_equal,
     render_point,
 )
 from .rational import RatVector, as_vector, format_rat, idot, int_clear
@@ -236,7 +237,7 @@ def check_oracle_m1(
     art = aggregation_closure(inst, scheme, budget=budget)
     unit = Aggregation(((Fraction(1),),), normalized=True)
     hull = integer_hull(build_relaxation(inst, unit), budget)
-    if art.closure.hrep == hull.hrep and art.closure.feasible == hull.feasible:
+    if poly_equal(art.closure, hull):
         return CheckReport("oracle_m1", inst.instance_id, PASS)
     hit = _escape_witness(art.closure, hull) or _escape_witness(hull, art.closure)
     if hit is None:

@@ -4,7 +4,9 @@ They are oracles for the integer kernels of `aggclosure.rational`: a
 square solver, an affine rank and a rank, on ``Fraction`` input where
 it applies, with the small helpers their tests use.  The box enumerator
 of covering minimal points is the oracle of `knapsack._covering_minimal`,
-the pairwise fold is the oracle of `polyhedra.intersect`,
+the pairwise fold is the oracle of `polyhedra.intersect`, the interval
+hulls built by double description and `closure_1d_rounding` are the
+oracles of `polyhedra.interval` and `closure.closure_1d`,
 `serialize_instance` writes the instance format `cli.parse_instance`
 reads, and `build_parser` is the argparse command line that
 `cli.parse_args` replaced.
@@ -14,12 +16,19 @@ from __future__ import annotations
 
 import argparse
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from aggclosure import cli
 from aggclosure.cli import cmd_closure, cmd_hull, cmd_separate, cmd_verify
 from aggclosure.errors import UsageError
-from aggclosure.polyhedra import DEFAULT_CELL_BUDGET, hrep_to_vrep, poly_subset
+from aggclosure.knapsack import COVERING, PACKING
+from aggclosure.polyhedra import (
+    DEFAULT_CELL_BUDGET,
+    hrep_to_vrep,
+    poly_subset,
+    vrep_to_hrep,
+)
 from aggclosure.rational import (
     IntEchelon,
     Rat,
@@ -147,6 +156,25 @@ def intersect_fold(polys, budget: int = DEFAULT_CELL_BUDGET):
             continue
         current = hrep_to_vrep(current.hrep + nxt.hrep, dim, budget)
     return current
+
+
+@cache
+def interval_hull(sense: str, c: int, bounded: bool):
+    """The one-variable hull ``[0, c]``, or ``[c, inf)`` when not
+    ``bounded``, converted from its generators by double description."""
+    if not bounded:
+        return vrep_to_hrep([(c,)], [(1,)])
+    points = [(0,)] if c == 0 else [(0,), (c,)]
+    return vrep_to_hrep(points, [])
+
+
+def closure_1d_rounding(inst):
+    """The one-variable closure from the row ratios: packing keeps
+    ``[0, min floor(b_i / a_i)]``, covering ``[max ceil(b_i / a_i), inf)``."""
+    ratios = [(inst.b[i], inst.A[i][0]) for i in range(inst.m)]
+    if inst.sense == PACKING:
+        return interval_hull(PACKING, min(b // a for b, a in ratios), bounded=True)
+    return interval_hull(COVERING, max(-((-b) // a) for b, a in ratios), bounded=False)
 
 
 def serialize_instance(inst) -> str:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aggclosure import closure, knapsack
+from aggclosure import closure, knapsack, polyhedra
 from aggclosure.closure import (
     ClosureArtifacts,
     FacetTuple,
@@ -54,7 +54,7 @@ from aggclosure.polyhedra import (
     positive_normal_facets,
     whole_space,
 )
-from oracles import affine_rank, solve_linear
+from oracles import affine_rank, closure_1d_rounding, solve_linear
 
 F = Fraction
 
@@ -251,6 +251,42 @@ class TestClosure1d:
     def test_needs_one_variable(self):
         with pytest.raises(UsageError):
             closure_1d(PACK_23)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from((PACKING, COVERING)),
+        st.lists(
+            st.tuples(
+                st.integers(1, 40),
+                st.one_of(st.integers(1, 100), st.integers(10**9, 10**18)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(PACKING, [(3, 10**17 + 2)])
+    @example(COVERING, [(3, 10**17 + 2), (7, 5)])
+    def test_matches_rounding_oracle(self, sense, rows):
+        inst = Instance(sense, tuple((a,) for a, _ in rows), tuple(b for _, b in rows))
+        assert closure_1d(inst) == closure_1d_rounding(inst)
+
+    def test_one_double_description_per_closure(self, monkeypatch):
+        # the intervals are written down, so of a one-variable closure
+        # and its sampled closure only the final intersection of the
+        # sampled hulls runs the kernel
+        runs = []
+        kernel = polyhedra._double_description
+
+        def counted(*args):
+            runs.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(polyhedra, "_double_description", counted)
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        inst = Instance(PACKING, ((2,), (3,), (5,), (7,), (4,)), (97, 131, 311, 401, 113))
+        aggregation_closure(inst, scheme(d=16))
+        sampled_closure(inst, scheme(d=16))
+        assert len(runs) == 1
 
 
 class TestBuildQj:
@@ -667,7 +703,9 @@ def test_pairwise_aggregation_refines_single(inst):
 
 def _cold():
     knapsack._HULL_MEMO.clear()
-    knapsack._interval_hull.cache_clear()
+    polyhedra.interval.cache_clear()
+    polyhedra.orthant.cache_clear()
+    polyhedra.whole_space.cache_clear()
     closure._CLOSURE_MEMO.clear()
 
 

@@ -25,6 +25,7 @@ from aggclosure.polyhedra import (
     homogenize,
     hrep_to_vrep,
     intersect,
+    interval,
     lp_feasible,
     make_inequality,
     orthant,
@@ -297,6 +298,30 @@ class TestSubsetEqualEmbed:
         assert poly_subset(orthant(2), whole_space(2))
 
 
+def _units(d):
+    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
+class TestWrittenShapesMatchKernel:
+    # the shapes written down are the records the kernel makes of the
+    # same generators
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_orthant(self, d):
+        assert orthant(d) == vrep_to_hrep([(0,) * d], _units(d))
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_whole_space(self, d):
+        rays = [r for u in _units(d) for r in (u, tuple(-a for a in u))]
+        assert whole_space(d) == vrep_to_hrep([(0,) * d], rays)
+
+    @pytest.mark.parametrize("lo", [-7, -1, 0, 1, 3, 10**17 + 1])
+    def test_interval(self, lo):
+        assert interval(lo) == vrep_to_hrep([(lo,)], [(1,)])
+        for hi in (lo, lo + 1, lo + 5, 3 * 10**17):
+            assert interval(lo, hi) == vrep_to_hrep([(lo,), (hi,)])
+
+
 point2 = st.tuples(st.integers(0, 6), st.integers(0, 6))
 
 
@@ -562,7 +587,7 @@ def vrep_case(draw):
     rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=4))
     if rays and draw(st.booleans()):
         rays.append(tuple(-a for a in rays[0]))
-    return points, rays, draw(st.booleans())
+    return points, rays
 
 
 class TestDifferentialAgainstFractionKernel:
@@ -588,15 +613,14 @@ class TestDifferentialAgainstFractionKernel:
         assert poly == subset_hrep_to_vrep(rows, dim)
         if poly.feasible:
             # the two conversions agree on each other's output
-            back = vrep_to_hrep(poly.vrep_points, poly.vrep_rays, reduce_generators=False)
+            back = vrep_to_hrep(poly.vrep_points, poly.vrep_rays)
             assert (back.hrep, back.generators, back.affine_dim) == (poly.hrep, poly.generators, poly.affine_dim)
 
     @settings(max_examples=300, deadline=None)
     @given(vrep_case())
     def test_vrep_to_hrep_matches_subset_pass(self, case):
-        points, rays, reduce_generators = case
-        got = vrep_to_hrep(points, rays, reduce_generators=reduce_generators)
-        assert got == subset_vrep_to_hrep(points, rays, reduce_generators)
+        points, rays = case
+        assert vrep_to_hrep(points, rays) == subset_vrep_to_hrep(points, rays)
 
     def test_lower_dimensional_face_at_infinity(self):
         # the rays span a facet of the homogenized cone whose normal,
@@ -606,7 +630,7 @@ class TestDifferentialAgainstFractionKernel:
         poly = hrep_to_vrep(rows, 2)
         assert rendered(poly) == ["1 0 >= 0", "0 1 <= 1", "0 1 >= 1"]
         assert poly == subset_hrep_to_vrep(rows, 2)
-        direct = vrep_to_hrep([(0, 1)], [(1, 0)], reduce_generators=False)
+        direct = vrep_to_hrep([(0, 1)], [(1, 0)])
         assert rendered(direct) == rendered(poly)
 
 
@@ -663,9 +687,9 @@ class TestKernelBudget:
 
     def test_vrep_to_hrep_pairs(self):
         cube = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-        assert vrep_to_hrep(cube, reduce_generators=False, budget=10).feasible
+        assert vrep_to_hrep(cube, budget=10).feasible
         with pytest.raises(ResourceBudgetError, match=r"vrep_to_hrep double description of 10\+ ray pairs exceeds budget 9"):
-            vrep_to_hrep(cube, reduce_generators=False, budget=9)
+            vrep_to_hrep(cube, budget=9)
 
     def test_hrep_to_vrep_pairs(self):
         box = [mk(u, 0, GE) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
@@ -762,7 +786,7 @@ def generator_set(draw):
     coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
     points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6))
     rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=3))
-    return points, rays, draw(st.booleans())
+    return points, rays
 
 
 class TestGeneratorFormat:
@@ -775,9 +799,9 @@ class TestGeneratorFormat:
     @settings(max_examples=200, deadline=None)
     @given(generator_set())
     def test_points_match_fraction_vrep(self, case):
-        points, rays, reduce_generators = case
-        poly = vrep_to_hrep(points, rays, reduce_generators=reduce_generators)
-        assert_matches_fraction_vrep(poly, *fraction_vrep_of_points(points, rays, reduce_generators))
+        points, rays = case
+        poly = vrep_to_hrep(points, rays)
+        assert_matches_fraction_vrep(poly, *fraction_vrep_of_points(points, rays, reduce_generators=True))
 
     @settings(max_examples=200, deadline=None)
     @given(inequality_system())
