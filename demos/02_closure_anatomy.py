@@ -25,7 +25,7 @@ def main():
     art = aggregation_closure(inst, scheme)
 
     print("\nrecursion bound L (one-variable closures, one per dropped column):")
-    for line in art.L.render_lines():
+    for line in art.L().render_lines():
         print(f"  {line}")
 
     print(f"\nfacet tuples collected: {len(art.T_sample)}, surviving antichain: {len(art.S)}")
@@ -35,7 +35,7 @@ def main():
         print(f"  tuple ({pts})  from weights {lam}")
 
     print("\ntuple body K:")
-    for line in art.K.render_lines():
+    for line in art.K().render_lines():
         print(f"  {line}")
 
     print("\nclosure = K, L, and the nonnegative orthant intersected:")

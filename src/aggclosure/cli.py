@@ -191,13 +191,9 @@ def cmd_closure(args) -> int:
     inst = _read_instance(args.instance)
     art = aggregation_closure(inst, _scheme(args), budget=args.budget)
     is_saturated = saturated(art, args.budget)
+    L, K = art.L(args.budget).render_lines(), art.K(args.budget).render_lines()
 
-    lines = ["closure"]
-    lines += art.closure.render_lines()
-    lines.append("L")
-    lines += art.L.render_lines()
-    lines.append("K")
-    lines += art.K.render_lines()
+    lines = ["closure", *art.closure.render_lines(), "L", *L, "K", *K]
     lines.append(f"T_sample {len(art.T_sample)}")
     lines.append(f"S {len(art.S)}")
     if inst.sense == COVERING and art.gamma is not None:
@@ -213,8 +209,8 @@ def cmd_closure(args) -> int:
         record = {
             "instance": inst.instance_id,
             "closure": art.closure.render_lines(),
-            "L": art.L.render_lines(),
-            "K": art.K.render_lines(),
+            "L": L,
+            "K": K,
             "T_sample": len(art.T_sample),
             "S": len(art.S),
             "gamma": art.gamma,

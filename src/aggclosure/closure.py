@@ -18,7 +18,8 @@ intersection of two finitely generated outer bodies:
 Their intersection with the nonnegative orthant reproduces the closure
 whenever the sample grid is fine enough to expose every needed facet;
 for a single-row instance any grid does, which is what the verification
-checks lean on.
+checks lean on.  The closure is one kernel run over the tuple rows, the
+orthant and ``L``'s parts; ``L`` and ``K`` are built only on request.
 
 All geometry is exact rational arithmetic; nothing here uses floats.
 """
@@ -111,15 +112,22 @@ class FacetTuple(Record):
 
 
 class ClosureArtifacts(Record):
-    """Everything the closure construction produces for one instance."""
+    """Everything the closure construction produces for one instance;
+    ``L`` is the intersection of ``parts``, built with ``K`` on request."""
 
-    __slots__ = ("instance", "sample", "L", "K", "closure", "gamma", "T_sample", "S")
+    __slots__ = ("instance", "sample", "parts", "closure", "gamma", "T_sample", "S")
 
     def __init__(
-        self, instance: Instance, sample: SampleScheme, L: Polyhedron, K: Polyhedron,
+        self, instance: Instance, sample: SampleScheme, parts: tuple,
         closure: Polyhedron, gamma: int | None, T_sample: tuple, S: tuple,
     ) -> None:
-        set_fields(self, instance, sample, L, K, closure, gamma, T_sample, S)
+        set_fields(self, instance, sample, parts, closure, gamma, T_sample, S)
+
+    def L(self, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
+        return intersect(self.parts, budget)
+
+    def K(self, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
+        return build_K(self.S, self.instance.sense, self.instance.n, budget)
 
 
 class SeparationResult(Record):
@@ -376,9 +384,9 @@ def build_L(
     inst: Instance,
     scheme: SampleScheme,
     budget: int = DEFAULT_CELL_BUDGET,
-) -> Polyhedron:
-    """Intersection over j of the closure of the j-relaxed sub-instance,
-    each embedded with coordinate j free."""
+) -> tuple:
+    """The parts whose intersection is ``L``: over j, the closure of the
+    j-relaxed sub-instance, each embedded with coordinate j free."""
     if inst.n < 2:
         raise UsageError("the recursive bound needs at least two variables")
     parts = []
@@ -389,7 +397,7 @@ def build_L(
             continue
         art = aggregation_closure(sub, scheme, budget=budget)
         parts.append(embed_with_free_axis(art.closure, j - 1))
-    return intersect(parts, budget)
+    return tuple(parts)
 
 
 def compute_gamma(inst: Instance) -> int:
@@ -511,6 +519,8 @@ def build_K(
     tuples, sense: str, dim: int, budget: int = DEFAULT_CELL_BUDGET
 ) -> Polyhedron:
     """Intersection of the tuple inequalities; whole space when empty."""
+    if not tuples:
+        return whole_space(dim)
     ineqs = [tuple_to_inequality(t, sense) for t in tuples]
     return hrep_to_vrep(ineqs, dim, budget)
 
@@ -526,8 +536,9 @@ def aggregation_closure(
     with a column no row uses splits off that coordinate as a free
     factor and recurses on the rest.  Otherwise the closure is the
     intersection of the recursive bound L, the tuple body K, and the
-    nonnegative orthant.  The shift bound gamma is attached for
-    covering instances; results are memoized per (instance, scheme).
+    nonnegative orthant, in one kernel run over their rows.  The shift
+    bound gamma is attached for covering instances; results are memoized
+    per (instance, scheme).
     """
     memo_key = (inst.key(), scheme.key())
     cached = _CLOSURE_MEMO.get(memo_key)
@@ -540,8 +551,8 @@ def aggregation_closure(
     if inst.sense == COVERING and n > 1:
         free = next((j for j in range(n) if not any(row[j] for row in inst.A)), None)
     if n == 1:
-        L = body = closure_1d(inst)
-        K = whole_space(1)
+        body = closure_1d(inst)
+        parts = (body,)
     elif free is not None:
         # the free coordinate factors out of every aggregated hull, so
         # the closure is a cylinder over the reduced closure
@@ -551,20 +562,20 @@ def aggregation_closure(
             inst.b,
         )
         inner = aggregation_closure(sub, scheme, budget=budget)
-        L = body = embed_with_free_axis(inner.closure, free)
-        K = whole_space(n)
+        body = embed_with_free_axis(inner.closure, free)
+        parts = (body,)
     else:
-        L = build_L(inst, scheme, budget=budget)
+        parts = build_L(inst, scheme, budget=budget)
         T = tuple(enumerate_tuples(inst, scheme, budget=budget))
         S = tuple(filter_minimal_tuples(T, inst.sense))
-        K = build_K(S, inst.sense, n, budget)
-        body = intersect([K, L, orthant(n)], budget)
+        rows = [tuple_to_inequality(t, inst.sense) for t in S]
+        rows += [iq for part in (orthant(n), *parts) for iq in part.hrep]
+        body = hrep_to_vrep(rows, n, budget)
     gamma = compute_gamma(inst) if inst.sense == COVERING and free is None else None
     art = _CLOSURE_MEMO[memo_key] = ClosureArtifacts(
         instance=inst,
         sample=scheme,
-        L=L,
-        K=K,
+        parts=parts,
         closure=body,
         gamma=gamma,
         T_sample=T,

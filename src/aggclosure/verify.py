@@ -268,16 +268,17 @@ def check_sandwich(
     """
     art = aggregation_closure(inst, scheme, budget=budget)
     sc = sampled_closure(inst, scheme, budget=budget)
+    K, L = art.K(budget), art.L(budget)
     name = "sandwich"
 
-    hit = _escape_witness(sc, art.K)
+    hit = _escape_witness(sc, K)
     if hit is not None:
         return CheckReport(
             name, inst.instance_id, FAIL,
             witness_point=hit[0], witness_inequality=hit[1],
             note="sampled closure escapes the tuple body",
         )
-    hit = _escape_witness(sc, art.L)
+    hit = _escape_witness(sc, L)
     if hit is not None:
         return CheckReport(
             name, inst.instance_id, FAIL,
@@ -285,7 +286,7 @@ def check_sandwich(
             note="sampled closure escapes the recursion bound",
         )
     for p in _probe_points(inst):
-        for body in (art.K, art.L):
+        for body in (K, L):
             row = _violated_row(body, p + (1,))
             if row is not None:
                 return CheckReport(
@@ -321,7 +322,7 @@ def check_gamma(
         )
     gamma = art.gamma if gamma_override is None else gamma_override
     hulls = _grid_hulls(inst, scheme, budget)
-    for v in art.L.generators:
+    for v in art.L(budget).generators:
         if not v[-1]:
             break
         for j in range(inst.n):

@@ -207,7 +207,7 @@ def test_c05_recursion_bound_probe(capsys):
     for inst in insts:
         art = aggregation_closure(inst, SCHEME2)
         sc = sampled_closure(inst, SCHEME2)
-        for x in art.L.vrep_points:
+        for x in art.L().vrep_points:
             for j in range(inst.n):
                 y = tuple(v if i != j else 0 for i, v in enumerate(x))
                 probes += 1

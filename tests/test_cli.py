@@ -24,6 +24,7 @@ COVER23_TEXT = "sense covering\nn 2\nm 1\nA\n2 3\nb\n4\n"
 COVERFIX_TEXT = "sense covering\nn 2\nm 2\nA\n2 0\n1 3\nb\n3 4\n"
 PACK4X3_TEXT = "sense packing\nn 4\nm 3\nA\n3 2 4 1\n2 5 1 3\n4 1 3 2\nb\n9 10 8\n"
 PACK5X2_TEXT = "sense packing\nn 5\nm 2\nA\n3 2 4 1 2\n2 5 1 3 1\nb\n9 10\n"
+PACK6X2_TEXT = "sense packing\nn 6\nm 2\nA\n3 2 4 1 2 3\n2 5 1 3 1 2\nb\n9 10\n"
 SRC = Path(__file__).resolve().parent.parent / "src"
 RUN_CLI = "import sys; from aggclosure.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -185,6 +186,95 @@ PACK5X2_G8_CLOSURE = (
     "27 62 16 32 14 <= 124\n"
     "T_sample 50\n"
     "S 50\n"
+    "saturation true\n"
+)
+
+PACK6X2_G4_CLOSURE = (
+    "closure\n"
+    "1 0 0 0 0 0 >= 0\n"
+    "0 1 0 0 0 0 >= 0\n"
+    "0 0 1 0 0 0 >= 0\n"
+    "0 0 0 1 0 0 >= 0\n"
+    "0 0 0 0 1 0 >= 0\n"
+    "0 0 0 0 0 1 >= 0\n"
+    "1 1 1 1 0 1 <= 4\n"
+    "1 1 2 0 1 1 <= 4\n"
+    "1 1 3 1 1 1 <= 7\n"
+    "1 3 0 2 0 1 <= 6\n"
+    "1 3 1 2 1 1 <= 7\n"
+    "2 1 3 0 1 2 <= 6\n"
+    "2 2 2 1 1 2 <= 6\n"
+    "2 5 1 3 1 2 <= 10\n"
+    "2 5 2 3 1 2 <= 11\n"
+    "3 2 4 1 2 3 <= 9\n"
+    "3 6 2 3 0 3 <= 12\n"
+    "4 4 8 3 4 4 <= 20\n"
+    "6 6 7 3 4 6 <= 20\n"
+    "L\n"
+    "1 0 0 0 0 0 >= 0\n"
+    "0 1 0 0 0 0 >= 0\n"
+    "0 0 1 0 0 0 >= 0\n"
+    "0 0 0 1 0 0 >= 0\n"
+    "0 0 0 0 1 0 >= 0\n"
+    "0 0 0 0 0 1 >= 0\n"
+    "0 1 3 1 1 1 <= 7\n"
+    "0 2 2 1 1 2 <= 6\n"
+    "0 2 4 1 2 3 <= 9\n"
+    "0 3 1 2 1 1 <= 7\n"
+    "0 4 8 3 4 4 <= 20\n"
+    "0 5 1 3 1 2 <= 10\n"
+    "0 5 2 3 1 2 <= 11\n"
+    "0 6 7 3 4 6 <= 20\n"
+    "1 0 1 2 1 1 <= 7\n"
+    "1 0 3 1 1 1 <= 7\n"
+    "1 1 1 1 0 1 <= 4\n"
+    "1 1 2 0 1 1 <= 4\n"
+    "1 1 3 1 0 1 <= 7\n"
+    "1 1 3 1 1 0 <= 7\n"
+    "1 3 0 2 0 1 <= 6\n"
+    "1 3 0 2 1 1 <= 7\n"
+    "1 3 1 2 1 0 <= 7\n"
+    "2 0 1 3 1 2 <= 10\n"
+    "2 0 2 1 1 2 <= 6\n"
+    "2 1 3 0 1 2 <= 6\n"
+    "2 2 0 1 1 2 <= 6\n"
+    "2 2 2 0 1 2 <= 6\n"
+    "2 2 2 1 0 2 <= 6\n"
+    "2 2 2 1 1 0 <= 6\n"
+    "2 5 0 3 1 2 <= 10\n"
+    "2 5 1 0 1 2 <= 10\n"
+    "2 5 1 3 0 2 <= 10\n"
+    "2 5 1 3 1 0 <= 10\n"
+    "2 5 2 3 0 2 <= 11\n"
+    "2 5 2 3 1 0 <= 11\n"
+    "3 0 4 1 2 3 <= 9\n"
+    "3 2 0 1 2 3 <= 9\n"
+    "3 2 4 0 2 3 <= 9\n"
+    "3 2 4 1 0 3 <= 9\n"
+    "3 2 4 1 2 0 <= 9\n"
+    "3 6 2 3 0 3 <= 12\n"
+    "4 0 8 3 4 4 <= 20\n"
+    "4 4 8 3 4 0 <= 20\n"
+    "6 6 0 3 4 6 <= 20\n"
+    "6 6 7 3 4 0 <= 20\n"
+    "K\n"
+    "1 1 3 1 1 1 <= 7\n"
+    "1 3 1 1 1 1 <= 7\n"
+    "1 3 1 2 1 1 <= 7\n"
+    "2 2 2 1 1 2 <= 6\n"
+    "2 4 2 2 1 2 <= 10\n"
+    "2 5 1 3 1 2 <= 10\n"
+    "2 5 2 3 1 2 <= 11\n"
+    "3 2 4 1 2 3 <= 9\n"
+    "3 4 3 2 2 3 <= 12\n"
+    "4 4 8 3 4 4 <= 20\n"
+    "4 5 4 2 2 4 <= 14\n"
+    "4 7 2 4 2 4 <= 16\n"
+    "6 6 7 3 4 6 <= 20\n"
+    "6 11 4 6 2 6 <= 24\n"
+    "7 14 6 8 4 7 <= 32\n"
+    "T_sample 20\n"
+    "S 20\n"
     "saturation true\n"
 )
 
@@ -413,8 +503,9 @@ class TestClosureCommand:
         assert record["saturation"] is True
 
     def test_kernel_budget_exit_code(self, fixture_dir, capsys):
-        # every lattice box of pack4x3 at grid 4 fits in 792 cells, but one
-        # of its double description runs tests 1,296 ray pairs
+        # every lattice box of pack4x3 at grid 4 fits in 792 cells, but the
+        # one double description run of the top-level closure tests 1,292
+        # ray pairs and passes the budget at 1,025
         path = fixture_dir / "pack4x3.txt"
         path.write_text(PACK4X3_TEXT)
         code, out, err = run_cli(
@@ -455,6 +546,15 @@ class TestClosureCommand:
         done = run_fresh_closure(path, "8")
         assert done.returncode == 0 and done.stderr == ""
         assert done.stdout == PACK5X2_G8_CLOSURE
+
+    def test_pack6x2_golden(self, fixture_dir):
+        # the L recursion at n = 6, where the closure of each sub-instance
+        # is one kernel run over its parts, in a fresh process
+        path = fixture_dir / "pack6x2.txt"
+        path.write_text(PACK6X2_TEXT)
+        done = run_fresh_closure(path, "4")
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == PACK6X2_G4_CLOSURE
 
     def test_identical_bytes_across_runs_and_threads(self, fixture_dir, capsys):
         argv = ["closure", str(fixture_dir / "coverfix.txt"), "--grid", "3"]

@@ -324,7 +324,7 @@ class TestBuildQj:
 
 class TestBuildL:
     def test_packing_box(self):
-        assert build_L(PACK_23, scheme()).render_lines() == [
+        assert intersect(build_L(PACK_23, scheme())).render_lines() == [
             "1 0 >= 0",
             "0 1 >= 0",
             "0 1 <= 1",
@@ -332,7 +332,7 @@ class TestBuildL:
         ]
 
     def test_covering_fixture(self):
-        assert build_L(COVER_FIX, scheme(d=3)).render_lines() == [
+        assert intersect(build_L(COVER_FIX, scheme(d=3))).render_lines() == [
             "0 1 >= 0",
             "1 0 >= 2",
         ]
@@ -470,8 +470,8 @@ class TestAggregationClosure:
     def test_packing_single_row(self):
         art = aggregation_closure(PACK_23, scheme())
         assert art.closure.render_lines() == ["1 0 >= 0", "0 1 >= 0", "1 2 <= 2"]
-        assert art.K.render_lines() == ["1 2 <= 2"]
-        assert art.L.render_lines() == ["1 0 >= 0", "0 1 >= 0", "0 1 <= 1", "1 0 <= 2"]
+        assert art.K().render_lines() == ["1 2 <= 2"]
+        assert art.L().render_lines() == ["1 0 >= 0", "0 1 >= 0", "0 1 <= 1", "1 0 <= 2"]
         assert [t.points for t in art.S] == [((0, 1), (2, 0))]
         assert art.gamma is None
 
@@ -489,15 +489,15 @@ class TestAggregationClosure:
         inst = Instance(PACKING, ((2,),), (5,))
         art = aggregation_closure(inst, scheme())
         assert art.closure.render_lines() == ["1 >= 0", "1 <= 2"]
-        assert poly_equal(art.K, whole_space(1))
-        assert poly_equal(art.L, art.closure)
+        assert poly_equal(art.K(), whole_space(1))
+        assert poly_equal(art.L(), art.closure)
         assert art.T_sample == () and art.S == ()
 
     def test_covering_free_column_splits_off(self):
         inst = Instance(COVERING, ((2, 0),), (3,))
         art = aggregation_closure(inst, scheme())
         assert art.closure.render_lines() == ["0 1 >= 0", "1 0 >= 2"]
-        assert poly_equal(art.K, whole_space(2))
+        assert poly_equal(art.K(), whole_space(2))
         assert art.gamma is None
         assert art.T_sample == () and art.S == ()
 
@@ -508,8 +508,27 @@ class TestAggregationClosure:
 
     def test_closure_equals_K_cap_L_cap_orthant(self):
         art = aggregation_closure(COVER_FIX, scheme(d=3))
-        rebuilt = intersect([art.K, art.L, orthant(COVER_FIX.n)])
+        rebuilt = intersect([art.K(), art.L(), orthant(COVER_FIX.n)])
         assert poly_equal(art.closure, rebuilt)
+
+    def test_recursion_builds_neither_L_nor_K(self, monkeypatch):
+        # each closure of the recursion is one kernel run over the rows of
+        # its inputs; L and K are built only when a caller asks for them
+        calls = {"build_K": 0, "intersect": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(closure, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(closure, name, counted)
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        inst = Instance(PACKING, ((3, 2, 4), (2, 5, 1), (4, 1, 3)), (9, 10, 8))
+        art = aggregation_closure(inst, scheme(d=4))
+        assert calls == {"build_K": 0, "intersect": 0}
+        art.L()
+        art.K()
+        assert calls == {"build_K": 1, "intersect": 1}
 
 
 class TestSeparate:
@@ -616,7 +635,7 @@ def test_shift_bound_reenters_all_hulls(inst):
     if art.gamma is None:
         return
     body = sampled_closure(inst, sch)
-    for v in art.L.vrep_points:
+    for v in art.L().vrep_points:
         for j in range(inst.n):
             shifted = tuple(c + art.gamma * (1 if i == j else 0) for i, c in enumerate(v))
             assert contains(body, shifted)
@@ -655,7 +674,7 @@ def test_filter_preserves_tuple_body_on_orthant(inst):
     # covering tuples agree on the orthant alone
     bodies = [orthant(inst.n)]
     if inst.sense == PACKING:
-        bodies.append(aggregation_closure(inst, sch).L)
+        bodies.append(aggregation_closure(inst, sch).L())
     full = intersect([build_K(T, inst.sense, inst.n), *bodies])
     slim = intersect([build_K(S, inst.sense, inst.n), *bodies])
     assert poly_equal(full, slim)
@@ -665,10 +684,15 @@ def test_filter_preserves_tuple_body_on_orthant(inst):
 @given(instances(max_n=3))
 @example(Instance(PACKING, ((2,), (3,)), (5, 7)))
 @example(Instance(COVERING, ((2, 0, 1), (1, 0, 3)), (3, 4)))
+# L is lower-dimensional: dropping x_2 leaves 3 x_1 <= 2, so x_1 = 0
+@example(Instance(PACKING, ((3, 1),), (2,)))
+@example(Instance(PACKING, ((3, 1, 2), (4, 1, 1)), (2, 3)))
+# four variables, beyond the drawn cases
+@example(Instance(PACKING, ((5, 4, 4, 3),), (11,)))
 def test_closure_is_exactly_K_cap_L_cap_orthant(inst):
     # `saturated` compares art.closure itself against the sampled closure
     art = aggregation_closure(inst, scheme())
-    rebuilt = intersect([art.K, art.L, orthant(inst.n)])
+    rebuilt = intersect([art.K(), art.L(), orthant(inst.n)])
     assert rebuilt.hrep == art.closure.hrep
     assert rebuilt.feasible == art.closure.feasible
 

@@ -62,8 +62,7 @@ FIELDS = {
     ClosureArtifacts: dict(
         instance=INST,
         sample=SCHEME,
-        L=QUAD,
-        K=QUAD,
+        parts=(QUAD,),
         closure=QUAD,
         gamma=None,
         T_sample=(),
