@@ -172,6 +172,7 @@ def _scheme(args) -> SampleScheme:
         grid_denominator=args.grid,
         k=getattr(args, "k", 1),
         refinement_rounds=getattr(args, "refine", 1),
+        budget=args.budget,
     )
 
 
@@ -189,9 +190,9 @@ def cmd_hull(args) -> int:
 
 def cmd_closure(args) -> int:
     inst = _read_instance(args.instance)
-    art = aggregation_closure(inst, _scheme(args), budget=args.budget)
-    is_saturated = saturated(art, args.budget)
-    L, K = art.L(args.budget).render_lines(), art.K(args.budget).render_lines()
+    art = aggregation_closure(inst, _scheme(args))
+    is_saturated = saturated(art)
+    L, K = art.L().render_lines(), art.K().render_lines()
 
     lines = ["closure", *art.closure.render_lines(), "L", *L, "K", *K]
     lines.append(f"T_sample {len(art.T_sample)}")
@@ -223,7 +224,7 @@ def cmd_closure(args) -> int:
 def cmd_separate(args) -> int:
     inst = _read_instance(args.instance)
     point = _parse_weights(args.point)
-    res = separate(inst, _scheme(args), point, budget=args.budget)
+    res = separate(inst, _scheme(args), point)
     if res.inside:
         _emit(["inside"])
     else:
@@ -249,12 +250,7 @@ def cmd_verify(args) -> int:
             reports.append(
                 CheckReport("parse", path.stem, SKIPPED, note=str(exc))
             )
-    reports += run_suite(
-        instances,
-        _scheme(args),
-        budget=args.budget,
-        timings=args.timings,
-    )
+    reports += run_suite(instances, _scheme(args), timings=args.timings)
     lines = suite_lines(reports)
     tally = {"pass": 0, "fail": 0, "skipped": 0}
     for rep in reports:

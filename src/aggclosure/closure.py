@@ -73,13 +73,17 @@ class SampleScheme(Record):
     to one.  Unit vectors are the extreme compositions and therefore
     present for every D.  ``k`` picks how many aggregated rows are
     formed at once, and ``refinement_rounds`` bounds the local grid
-    refinement performed by the separation routine.
+    refinement performed by the separation routine.  ``budget`` caps
+    each enumeration the scheme's work makes: the aggregations of one
+    grid walk, the lattice cells of one hull, the ray pairs of one
+    kernel run.
     """
 
-    __slots__ = ("grid_denominator", "k", "refinement_rounds")
+    __slots__ = ("grid_denominator", "k", "refinement_rounds", "budget")
 
     def __init__(
-        self, grid_denominator: int = 4, k: int = 1, refinement_rounds: int = 1
+        self, grid_denominator: int = 4, k: int = 1, refinement_rounds: int = 1,
+        budget: int = DEFAULT_CELL_BUDGET,
     ) -> None:
         if not isinstance(grid_denominator, int) or grid_denominator < 1:
             raise UsageError("grid denominator must be a positive integer")
@@ -87,10 +91,9 @@ class SampleScheme(Record):
             raise UsageError("aggregation count k must be a positive integer")
         if not isinstance(refinement_rounds, int) or refinement_rounds < 0:
             raise UsageError("refinement rounds must be a nonnegative integer")
-        set_fields(self, grid_denominator, k, refinement_rounds)
-
-    def key(self):
-        return (self.grid_denominator, self.k, self.refinement_rounds)
+        if not isinstance(budget, int) or budget < 1:
+            raise UsageError("work budget must be a positive integer")
+        set_fields(self, grid_denominator, k, refinement_rounds, budget)
 
 
 class FacetTuple(Record):
@@ -123,11 +126,11 @@ class ClosureArtifacts(Record):
     ) -> None:
         set_fields(self, instance, sample, parts, closure, gamma, T_sample, S)
 
-    def L(self, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
-        return intersect(self.parts, budget)
+    def L(self) -> Polyhedron:
+        return intersect(self.parts, self.sample.budget)
 
-    def K(self, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
-        return build_K(self.S, self.instance.sense, self.instance.n, budget)
+    def K(self) -> Polyhedron:
+        return build_K(self.S, self.instance.sense, self.instance.n, self.sample.budget)
 
 
 class SeparationResult(Record):
@@ -142,7 +145,7 @@ class SeparationResult(Record):
         set_fields(self, inside, cut, violation, witness)
 
 
-# closure artifacts keyed by (instance key, scheme key); sub-instances of
+# closure artifacts keyed by (instance key, scheme); sub-instances of
 # different parents share entries, which is what makes the recursion cheap
 _CLOSURE_MEMO: dict = {}
 
@@ -161,13 +164,13 @@ def _composition(bars, d: int) -> tuple:
     )
 
 
-def _check_grid_budget(m: int, scheme: SampleScheme, budget: int) -> None:
+def _check_grid_budget(m: int, scheme: SampleScheme) -> None:
     # one walk makes C(d + m - 1, m - 1) multichoose k aggregations
     columns = comb(scheme.grid_denominator + m - 1, m - 1)
     count = comb(columns + scheme.k - 1, scheme.k)
-    if count > budget:
+    if count > scheme.budget:
         raise ResourceBudgetError(
-            f"grid walk of {count} aggregations exceeds budget {budget}"
+            f"grid walk of {count} aggregations exceeds budget {scheme.budget}"
         )
 
 
@@ -179,9 +182,7 @@ def _grid_aggregation(comps, d: int) -> Aggregation:
     )
 
 
-def sample_lambdas(
-    m: int, scheme: SampleScheme, budget: int = DEFAULT_CELL_BUDGET
-) -> list[Aggregation]:
+def sample_lambdas(m: int, scheme: SampleScheme) -> list[Aggregation]:
     """All grid aggregations for m rows, in lexicographic order.
 
     Each column is v/D for a nonnegative integer composition v of D, so
@@ -191,12 +192,12 @@ def sample_lambdas(
     ``combinations_with_replacement`` of the columns.  The compositions
     are read off the bar positions of `_grid_bars`, in the order in
     which `_grid_rows` yields their aggregated rows to `_grid_hulls`,
-    and a grid of more than ``budget`` aggregations raises
+    and a grid of more than ``scheme.budget`` aggregations raises
     `ResourceBudgetError`.
     """
     if m < 1:
         raise UsageError("need at least one row to aggregate")
-    _check_grid_budget(m, scheme, budget)
+    _check_grid_budget(m, scheme)
     d = scheme.grid_denominator
     columns = [_composition(bars, d) for bars in _grid_bars(d, m)]
     return [
@@ -265,7 +266,7 @@ def _first_positions(inst: Instance, scheme: SampleScheme) -> list:
     return list(first.values())
 
 
-def _grid_hulls(inst: Instance, scheme: SampleScheme, budget: int) -> list:
+def _grid_hulls(inst: Instance, scheme: SampleScheme) -> list:
     """The distinct integer hulls of the grid aggregations.
 
     Walks the aggregations in `sample_lambdas` order as their integer
@@ -279,32 +280,28 @@ def _grid_hulls(inst: Instance, scheme: SampleScheme, budget: int) -> list:
     ``integer_hull(build_relaxation(inst, v))`` for it only, with int
     rows.  With k = 1 the grid is streamed; with k >= 2 one key per
     composition is held.
-    Returns one ``(compositions, hull)`` pair per distinct hull object,
-    with the compositions of its first aggregation, in order of first
-    appearance; `_grid_aggregation` gives back the rational weights.  A
-    grid of more than ``budget`` aggregations raises `ResourceBudgetError`
+    Returns one ``(compositions, hull)`` pair per hull key, with the
+    compositions of its first aggregation, in order of first appearance;
+    keys and hull objects correspond one to one, so no hull repeats.
+    `_grid_aggregation` gives back the rational weights.  A grid of more
+    than ``scheme.budget`` aggregations raises `ResourceBudgetError`
     before the walk.
     """
-    _check_grid_budget(inst.m, scheme, budget)
+    _check_grid_budget(inst.m, scheme)
     d, k = scheme.grid_denominator, scheme.k
     bars = _grid_bars(d, inst.m)
     walk = zip(bars) if k == 1 else itertools.combinations_with_replacement(bars, k)
-    distinct: dict = {}
+    hulls = []
     previous = -1
     for position in _first_positions(inst, scheme):
         picked = next(itertools.islice(walk, position - previous - 1, None))
         previous = position
         comps = tuple(_composition(c, d) for c in picked)
-        hull = integer_hull(build_relaxation(inst, comps), budget)
-        distinct.setdefault(id(hull), (comps, hull))
-    return list(distinct.values())
+        hulls.append((comps, integer_hull(build_relaxation(inst, comps), scheme.budget)))
+    return hulls
 
 
-def sampled_closure(
-    inst: Instance,
-    scheme: SampleScheme,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> Polyhedron:
+def sampled_closure(inst: Instance, scheme: SampleScheme) -> Polyhedron:
     """Intersection of the integer hulls of all sampled aggregations.
 
     Outer approximation of the closure; exact for m = 1 at any grid and
@@ -315,22 +312,22 @@ def sampled_closure(
     their endpoints before any hull is looked up (`_grid_hulls`).
     Memoized per (instance, scheme).
     """
-    memo_key = (inst.key(), scheme.key(), "sampled")
+    memo_key = (inst.key(), scheme, "sampled")
     cached = _CLOSURE_MEMO.get(memo_key)
     if cached is None:
-        hulls = [hull for _, hull in _grid_hulls(inst, scheme, budget)]
-        cached = _CLOSURE_MEMO[memo_key] = intersect(hulls, budget)
+        hulls = [hull for _, hull in _grid_hulls(inst, scheme)]
+        cached = _CLOSURE_MEMO[memo_key] = intersect(hulls, scheme.budget)
     return cached
 
 
-def saturated(art: ClosureArtifacts, budget: int = DEFAULT_CELL_BUDGET) -> bool:
+def saturated(art: ClosureArtifacts) -> bool:
     """Whether ``K ∩ L ∩ orthant`` equals the sampled closure exactly.
 
     ``art.closure`` is that outer intersection in every branch of
     `aggregation_closure`, so the two are compared as canonical
     inequality systems.
     """
-    return poly_equal(art.closure, sampled_closure(art.instance, art.sample, budget))
+    return poly_equal(art.closure, sampled_closure(art.instance, art.sample))
 
 
 def closure_1d(inst: Instance) -> Polyhedron:
@@ -380,11 +377,7 @@ def build_Qj(inst: Instance, j: int) -> Instance | None:
     return Instance(COVERING, rows, tuple(inst.b[i] for i in keep))
 
 
-def build_L(
-    inst: Instance,
-    scheme: SampleScheme,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> tuple:
+def build_L(inst: Instance, scheme: SampleScheme) -> tuple:
     """The parts whose intersection is ``L``: over j, the closure of the
     j-relaxed sub-instance, each embedded with coordinate j free."""
     if inst.n < 2:
@@ -395,7 +388,7 @@ def build_L(
         if sub is None:
             parts.append(orthant(inst.n))
             continue
-        art = aggregation_closure(sub, scheme, budget=budget)
+        art = aggregation_closure(sub, scheme)
         parts.append(embed_with_free_axis(art.closure, j - 1))
     return tuple(parts)
 
@@ -421,11 +414,7 @@ def compute_gamma(inst: Instance) -> int:
     return -((-worst.numerator) // worst.denominator)
 
 
-def enumerate_tuples(
-    inst: Instance,
-    scheme: SampleScheme,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> list[FacetTuple]:
+def enumerate_tuples(inst: Instance, scheme: SampleScheme) -> list[FacetTuple]:
     """Tight lattice tuples of every positive-normal facet of every
     sampled hull, deduplicated by point tuple and sorted.
 
@@ -437,7 +426,7 @@ def enumerate_tuples(
     construction honest and skips such a facet if one ever arises.
     """
     found: dict = {}
-    for comps, hull in _grid_hulls(inst, scheme, budget):
+    for comps, hull in _grid_hulls(inst, scheme):
         if not hull.feasible or hull.affine_dim < hull.dim:
             continue
         for facet in positive_normal_facets(hull):
@@ -525,11 +514,7 @@ def build_K(
     return hrep_to_vrep(ineqs, dim, budget)
 
 
-def aggregation_closure(
-    inst: Instance,
-    scheme: SampleScheme,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> ClosureArtifacts:
+def aggregation_closure(inst: Instance, scheme: SampleScheme) -> ClosureArtifacts:
     """Closure of an instance under all sampled aggregations.
 
     One variable uses the closed form directly.  A covering instance
@@ -540,7 +525,7 @@ def aggregation_closure(
     bound gamma is attached for covering instances; results are memoized
     per (instance, scheme).
     """
-    memo_key = (inst.key(), scheme.key())
+    memo_key = (inst.key(), scheme)
     cached = _CLOSURE_MEMO.get(memo_key)
     if cached is not None:
         return cached
@@ -561,16 +546,16 @@ def aggregation_closure(
             tuple(row[:free] + row[free + 1 :] for row in inst.A),
             inst.b,
         )
-        inner = aggregation_closure(sub, scheme, budget=budget)
+        inner = aggregation_closure(sub, scheme)
         body = embed_with_free_axis(inner.closure, free)
         parts = (body,)
     else:
-        parts = build_L(inst, scheme, budget=budget)
-        T = tuple(enumerate_tuples(inst, scheme, budget=budget))
+        parts = build_L(inst, scheme)
+        T = tuple(enumerate_tuples(inst, scheme))
         S = tuple(filter_minimal_tuples(T, inst.sense))
         rows = [tuple_to_inequality(t, inst.sense) for t in S]
         rows += [iq for part in (orthant(n), *parts) for iq in part.hrep]
-        body = hrep_to_vrep(rows, n, budget)
+        body = hrep_to_vrep(rows, n, scheme.budget)
     gamma = compute_gamma(inst) if inst.sense == COVERING and free is None else None
     art = _CLOSURE_MEMO[memo_key] = ClosureArtifacts(
         instance=inst,
@@ -590,12 +575,7 @@ def _violation(ineq: LinearInequality, g) -> int:
     return gap if ineq.sense == LE else -gap
 
 
-def separate(
-    inst: Instance,
-    scheme: SampleScheme,
-    x_star,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> SeparationResult:
+def separate(inst: Instance, scheme: SampleScheme, x_star) -> SeparationResult:
     """Look for a sampled hull facet that cuts off a nonnegative point.
 
     Scans the grid for the facet with the largest violation in lowest
@@ -624,7 +604,7 @@ def separate(
 
     # a repeated hull has the same gaps and cannot beat its first weights;
     # the winning compositions become the rational weights refined below
-    for comps, hull in _grid_hulls(inst, scheme, budget):
+    for comps, hull in _grid_hulls(inst, scheme):
         consider(hull, comps)
     if best is not None:
         best = (best[0], _grid_aggregation(best[1], scheme.grid_denominator), best[2])
@@ -640,7 +620,7 @@ def separate(
                 if any(w < 0 for w in cand) or not any(cand):
                     continue
                 agg = normalize_aggregation(Aggregation((cand,)))
-                consider(integer_hull(build_relaxation(inst, agg), budget), agg)
+                consider(integer_hull(build_relaxation(inst, agg), scheme.budget), agg)
 
     if best is None:
         return SeparationResult(inside=True)

@@ -423,7 +423,7 @@ def _hull_1d(sense: str, row_data) -> Polyhedron:
     return interval(0, c)
 
 
-def _packing_core(points, bounds, free) -> list:
+def _packing_core(points) -> list:
     # keep p only when no unit increment inside its support stays feasible;
     # every hull vertex survives (a feasible increment plus down-closure
     # writes p as a midpoint) and survivors shrink the reduction workload
@@ -465,8 +465,7 @@ def integer_hull(
         rays = [_unit(rel.n, j) for j in range(rel.n)]
         hull = vrep_to_hrep(points, rays, budget=budget)
     else:
-        bounds, _ = _packing_bounds(rel)
-        core = _packing_core(points, bounds, free)
+        core = _packing_core(points)
         rays = [_unit(rel.n, j) for j in sorted(free)]
         hull = vrep_to_hrep(core, rays, budget=budget)
     _HULL_MEMO[key] = hull

@@ -474,7 +474,7 @@ def _equalities(nullbasis, dim) -> list[LinearInequality]:
 def _nullbasis(gens, width) -> list[IntVector]:
     # RREF'd orthogonal-complement basis: equality rows come out axis-aligned
     # whenever the span allows it
-    return int_row_basis(int_nullspace(gens, width), width)
+    return int_row_basis(int_nullspace(gens, width))
 
 
 def vrep_to_hrep(points, rays=(), budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
@@ -561,7 +561,7 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     tight = _transpose([z for _, z in rays], len(rows))
     at_infinity, tight = tight[0], tight[first:]
     full = (1 << len(gens)) - 1
-    nullbasis = int_row_basis([h for h, t in zip(rows[first:], tight) if t == full], width)
+    nullbasis = int_row_basis([h for h, t in zip(rows[first:], tight) if t == full])
     base = int_echelon(nullbasis + lines)
     facets = []
     # t >= 0 need not join the comparison: a face strictly inside the face

@@ -158,7 +158,7 @@ def int_echelon(rows: Iterable[Sequence[int]]) -> IntEchelon:
     return ech
 
 
-def int_row_basis(rows: Iterable[Sequence[int]], width: int) -> list[IntVector]:
+def int_row_basis(rows: Iterable[Sequence[int]]) -> list[IntVector]:
     """Canonical gcd-reduced integer basis of the row space (RREF rows).
 
     Each row of an echelon of ``rows`` is cleared above its pivot, in

@@ -37,7 +37,6 @@ from .errors import ResourceBudgetError, UsageError
 from .knapsack import (
     Aggregation,
     COVERING,
-    DEFAULT_CELL_BUDGET,
     Instance,
     PACKING,
     build_relaxation,
@@ -221,11 +220,7 @@ def _probe_points(inst: Instance):
             yield p
 
 
-def check_oracle_m1(
-    inst: Instance,
-    scheme: SampleScheme,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> CheckReport:
+def check_oracle_m1(inst: Instance, scheme: SampleScheme) -> CheckReport:
     """Single-row closure against the brute-force hull.
 
     With one row every aggregation is a positive scaling of it, so the
@@ -234,9 +229,9 @@ def check_oracle_m1(
     """
     if inst.m != 1:
         raise UsageError("oracle check requires a single row")
-    art = aggregation_closure(inst, scheme, budget=budget)
+    art = aggregation_closure(inst, scheme)
     unit = Aggregation(((Fraction(1),),), normalized=True)
-    hull = integer_hull(build_relaxation(inst, unit), budget)
+    hull = integer_hull(build_relaxation(inst, unit), scheme.budget)
     if poly_equal(art.closure, hull):
         return CheckReport("oracle_m1", inst.instance_id, PASS)
     hit = _escape_witness(art.closure, hull) or _escape_witness(hull, art.closure)
@@ -253,11 +248,7 @@ def check_oracle_m1(
     )
 
 
-def check_sandwich(
-    inst: Instance,
-    scheme: SampleScheme,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> CheckReport:
+def check_sandwich(inst: Instance, scheme: SampleScheme) -> CheckReport:
     """Sampled closure against its two outer bodies.
 
     The sampled closure must sit inside the tuple body and inside the
@@ -266,9 +257,9 @@ def check_sandwich(
     the sampled closure is reported as a note, not asserted: sampling
     guarantees it only for special classes.
     """
-    art = aggregation_closure(inst, scheme, budget=budget)
-    sc = sampled_closure(inst, scheme, budget=budget)
-    K, L = art.K(budget), art.L(budget)
+    art = aggregation_closure(inst, scheme)
+    sc = sampled_closure(inst, scheme)
+    K, L = art.K(), art.L()
     name = "sandwich"
 
     hit = _escape_witness(sc, K)
@@ -296,15 +287,12 @@ def check_sandwich(
                 )
     return CheckReport(
         name, inst.instance_id, PASS,
-        note=f"saturation={'true' if saturated(art, budget) else 'false'}",
+        note=f"saturation={'true' if saturated(art) else 'false'}",
     )
 
 
 def check_gamma(
-    inst: Instance,
-    scheme: SampleScheme,
-    budget: int = DEFAULT_CELL_BUDGET,
-    gamma_override: int | None = None,
+    inst: Instance, scheme: SampleScheme, gamma_override: int | None = None
 ) -> CheckReport:
     """Shift bound for covering instances.
 
@@ -314,15 +302,15 @@ def check_gamma(
     """
     if inst.sense != COVERING:
         raise UsageError("shift bound check requires a covering instance")
-    art = aggregation_closure(inst, scheme, budget=budget)
+    art = aggregation_closure(inst, scheme)
     if art.gamma is None:
         return CheckReport(
             "gamma", inst.instance_id, SKIPPED,
             note="free coordinate splits off; shift bound undefined",
         )
     gamma = art.gamma if gamma_override is None else gamma_override
-    hulls = _grid_hulls(inst, scheme, budget)
-    for v in art.L(budget).generators:
+    hulls = _grid_hulls(inst, scheme)
+    for v in art.L().generators:
         if not v[-1]:
             break
         for j in range(inst.n):
@@ -344,11 +332,7 @@ def check_gamma(
     return CheckReport("gamma", inst.instance_id, PASS, note=f"gamma={gamma}")
 
 
-def check_cg_dominance(
-    inst: Instance,
-    scheme: SampleScheme,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> CheckReport:
+def check_cg_dominance(inst: Instance, scheme: SampleScheme) -> CheckReport:
     """Rounding cuts of sampled weights are valid for the sampled hulls,
     i.e. aggregation cuts are at least as strong.
 
@@ -362,7 +346,7 @@ def check_cg_dominance(
     if inst.sense != PACKING:
         raise UsageError("rounding dominance check requires a packing instance")
     d = scheme.grid_denominator
-    _check_grid_budget(inst.m, SampleScheme(d), budget)
+    _check_grid_budget(inst.m, SampleScheme(d, budget=scheme.budget))
     # each coordinate is read twice in step: as the row and by its key
     coords = [itertools.tee(c) for c in _grid_rows(inst, d)]
     walk = zip(
@@ -379,7 +363,7 @@ def check_cg_dominance(
         hull = hulls.get(key)
         if hull is None:
             comps = (_composition(bars, d),)
-            hull = hulls[key] = integer_hull(build_relaxation(inst, comps), budget)
+            hull = hulls[key] = integer_hull(build_relaxation(inst, comps), scheme.budget)
         for g in hull.generators:
             if idot(coeffs, g) > rhs * g[-1]:
                 # a ray shows as the first vertex pushed one step along it
@@ -412,12 +396,7 @@ def _optimum(poly: Polyhedron, objective: RatVector, maximize: bool):
     return max(values) if maximize else min(values)
 
 
-def check_onerow_ratio(
-    inst: Instance,
-    scheme: SampleScheme,
-    objective=None,
-    budget: int = DEFAULT_CELL_BUDGET,
-) -> CheckReport:
+def check_onerow_ratio(inst: Instance, scheme: SampleScheme, objective=None) -> CheckReport:
     """Ratio between per-row hull intersection and sampled closure optima.
 
     Informational: the ratio is reported in the note; packing ratios
@@ -435,10 +414,10 @@ def check_onerow_ratio(
     for i in range(inst.m):
         col = tuple(Fraction(1 if t == i else 0) for t in range(inst.m))
         unit_hulls.append(
-            integer_hull(build_relaxation(inst, Aggregation((col,))), budget)
+            integer_hull(build_relaxation(inst, Aggregation((col,))), scheme.budget)
         )
-    rowwise = intersect(unit_hulls, budget)
-    sc = sampled_closure(inst, scheme, budget=budget)
+    rowwise = intersect(unit_hulls, scheme.budget)
+    sc = sampled_closure(inst, scheme)
 
     maximize = inst.sense == PACKING
     opt_rows = _optimum(rowwise, c, maximize)
@@ -474,12 +453,7 @@ def _applicable_checks(inst: Instance):
     return checks
 
 
-def run_suite(
-    instances,
-    scheme: SampleScheme,
-    budget: int = DEFAULT_CELL_BUDGET,
-    timings: bool = False,
-) -> list[CheckReport]:
+def run_suite(instances, scheme: SampleScheme, timings: bool = False) -> list[CheckReport]:
     """All applicable checks over all instances, deterministic order.
 
     A check that raises reports as skipped with the reason; timings are
@@ -490,7 +464,7 @@ def run_suite(
         for check in _applicable_checks(inst):
             started = time.perf_counter()
             try:
-                rep = check(inst, scheme, budget=budget)
+                rep = check(inst, scheme)
             except (UsageError, ResourceBudgetError) as exc:
                 rep = CheckReport(
                     check.__name__.removeprefix("check_"),

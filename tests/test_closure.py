@@ -1,5 +1,6 @@
 """Closure construction: grid sampling, recursion bound, tuple body."""
 
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aggclosure import closure, knapsack, polyhedra
+from aggclosure import closure, knapsack, polyhedra, verify
 from aggclosure.closure import (
     ClosureArtifacts,
     FacetTuple,
@@ -16,6 +17,7 @@ from aggclosure.closure import (
     _composition,
     _first_positions,
     _grid_bars,
+    _grid_hulls,
     _grid_rows,
     aggregation_closure,
     build_K,
@@ -30,7 +32,7 @@ from aggclosure.closure import (
     separate,
     tuple_to_inequality,
 )
-from aggclosure.errors import UsageError
+from aggclosure.errors import ResourceBudgetError, UsageError
 from aggclosure.knapsack import (
     Aggregation,
     COVERING,
@@ -185,7 +187,12 @@ class TestGridWalk:
         if k == 2:
             assume(math.comb(d + inst.m - 1, inst.m - 1) <= 40)
         sch = scheme(d=d, k=k)
-        assert _first_positions(inst, sch) == _first_occurrences(inst, sch)
+        positions = _first_positions(inst, sch)
+        assert positions == _first_occurrences(inst, sch)
+        # one hull per key, and no hull object under two keys
+        hulls = [hull for _, hull in _grid_hulls(inst, sch)]
+        assert len(hulls) == len(positions)
+        assert len({id(hull) for hull in hulls}) == len(hulls)
 
     def test_walk_holds_less_than_a_coordinate_of_the_grid(self):
         # 135,751 weights: a list per coordinate would take about 5 MB
@@ -529,6 +536,66 @@ class TestAggregationClosure:
         art.L()
         art.K()
         assert calls == {"build_K": 1, "intersect": 1}
+
+
+class TestSchemeBudget:
+    # the work budget is a field of the scheme; the closure and check
+    # functions read it from there and take no budget of their own
+
+    @pytest.mark.parametrize("budget", [0, "5"])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        with pytest.raises(UsageError, match="work budget"):
+            SampleScheme(budget=budget)
+
+    def test_closures_are_kept_per_budget(self, monkeypatch):
+        # the scheme, budget included, is the memo key
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        a = aggregation_closure(PACK_23, scheme())
+        b = aggregation_closure(PACK_23, SampleScheme(2, budget=500))
+        assert a is not b and a.closure == b.closure
+        assert aggregation_closure(PACK_23, SampleScheme(2, budget=500)) is b
+
+    def test_kernel_trip_names_the_run(self, monkeypatch):
+        # the message `closure pack4x3 --grid 4 --budget 1000` prints
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        inst = Instance(PACKING, ((3, 2, 4, 1), (2, 5, 1, 3), (4, 1, 3, 2)), (9, 10, 8))
+        with pytest.raises(ResourceBudgetError) as err:
+            aggregation_closure(inst, SampleScheme(4, budget=1000))
+        assert str(err.value) == (
+            "hrep_to_vrep double description of 1025+ ray pairs exceeds budget 1000"
+        )
+
+    def test_grid_trip_under_the_default_budget(self, monkeypatch):
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        inst = Instance(PACKING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26))
+        with pytest.raises(ResourceBudgetError) as err:
+            sampled_closure(inst, SampleScheme(16, k=2))
+        assert str(err.value) == "grid walk of 11739435 aggregations exceeds budget 10000000"
+
+    def test_only_build_K_takes_a_budget(self):
+        # build_K is called with tuples, not with a scheme
+        takers = {
+            f"{module.__name__}.{qualname}"
+            for module in (closure, verify)
+            for qualname, func in _functions(module)
+            if "budget" in inspect.signature(func).parameters
+        }
+        assert takers == {"aggclosure.closure.build_K"}
+
+
+def _functions(module):
+    # the module's own functions and the methods of its own classes; the
+    # constructors are left out, SampleScheme's sets the budget field
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member) and attr != "__init__":
+                    yield f"{name}.{attr}", member
 
 
 class TestSeparate:

@@ -215,7 +215,7 @@ class TestOneVariableGridPath:
             knapsack, "KnapsackRelaxation",
             lambda *a, **kw: built.append(1) or KnapsackRelaxation(*a, **kw),
         )
-        distinct = _grid_hulls(inst, SampleScheme(grid_denominator=grid, k=k), 10**7)
+        distinct = _grid_hulls(inst, SampleScheme(grid_denominator=grid, k=k, budget=10**7))
         assert 1 < len(built) <= len(distinct)
 
 

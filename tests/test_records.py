@@ -1,5 +1,6 @@
 """The immutable value records and the modules a request imports."""
 
+import ast
 import copy
 import pickle
 import subprocess
@@ -57,7 +58,7 @@ FIELDS = {
         aggregated_rows=((2, 3),),
         aggregated_rhs=(4,),
     ),
-    SampleScheme: dict(grid_denominator=8, k=2, refinement_rounds=0),
+    SampleScheme: dict(grid_denominator=8, k=2, refinement_rounds=0, budget=500),
     FacetTuple: dict(points=((0, 1), (2, 0)), source_lambda=AGG, source_facet=IQ),
     ClosureArtifacts: dict(
         instance=INST,
@@ -233,3 +234,32 @@ def test_cli_import_loads_no_heavy_modules():
         "locale",
     }
     assert not heavy & loaded
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is passed along for nothing;
+    # dunder protocol methods keep the signature their protocol fixes
+    unread = []
+    for path in sorted((SRC / "aggclosure").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{node.lineno} {name}({p.arg})"
+                for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")
+            ]
+    assert unread == []

@@ -269,7 +269,7 @@ class TestRunSuite:
         # hull results are memoized, so a starved budget only bites on
         # an instance no other test has touched
         fresh = Instance(PACKING, ((3, 5),), (941,), instance_id="fresh")
-        reports = run_suite([fresh], scheme(), budget=1)
+        reports = run_suite([fresh], SampleScheme(grid_denominator=2, budget=1))
         assert reports and all(r.status == SKIPPED for r in reports)
         assert failures(reports) == 0
         assert all("budget" in r.note for r in reports)
