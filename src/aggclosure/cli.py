@@ -432,18 +432,21 @@ def parse_args(argv) -> SimpleNamespace:
     handler, _, (positional, _), flags, required = COMMANDS[command]
     values = {dest: default for dest, _, default, _ in flags.values()}
     given = set()
-    # positionals and unknown flags; like argparse, report extras only
-    # once the whole line is read, so a later --help still wins
-    loose, unknown = [], []
+    # the first positional is the command's; every later positional and
+    # every unknown flag is an extra, kept in command-line order.  Like
+    # argparse, report extras only once the whole line is read, so a
+    # later --help still wins
+    first, extras = [], []
     tokens = iter(rest)
     for token in tokens:
         if token == "--":
-            loose += tokens
+            for token in tokens:
+                (extras if first else first).append(token)
             break
         name, eq, value = token.partition("=")
         flag = _flag(name, flags) if token.startswith("-") else None
         if flag is None:
-            (loose if _is_loose(token) else unknown).append(token)
+            (extras if first or not _is_loose(token) else first).append(token)
             continue
         dest, convert, default, _ = flags.get(flag, _HELP)
         if convert is None:
@@ -463,13 +466,13 @@ def parse_args(argv) -> SimpleNamespace:
         except ValueError as exc:
             raise UsageError(f"argument {flag}: {exc}") from None
         values[dest] = [*values[dest], value] if isinstance(default, tuple) else value
-    missing = [] if loose else [positional]
+    missing = [] if first else [positional]
     missing += [f for f in required if f not in given]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    if len(loose) > 1 or unknown:
-        raise UsageError(f"unrecognized arguments: {' '.join(loose[1:] + unknown)}")
-    values[positional] = loose[0]
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    values[positional] = first[0]
     return SimpleNamespace(command=command, func=handler, **values)
 
 

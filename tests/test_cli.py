@@ -863,3 +863,21 @@ def test_parse_args_matches_argparse(argv):
     assert _parse_outcome(cli.parse_args, argv) == _parse_outcome(
         ORACLE_PARSER.parse_args, argv
     )
+
+
+@pytest.mark.parametrize(
+    "argv,extras",
+    [
+        ("separate f --grid 16 --k 2 --point 7/2", "--k 2"),
+        ("closure f --bogus x y", "--bogus x y"),
+        ("closure f --grid 4 stray --zap 3", "stray --zap 3"),
+        ("closure --bogus 1 f", "--bogus f"),
+        ("separate f extra --bogus --point 1", "extra --bogus"),
+    ],
+)
+def test_extras_are_reported_in_command_line_order(argv, extras):
+    message = f"unrecognized arguments: {extras}"
+    for parse in (cli.parse_args, ORACLE_PARSER.parse_args):
+        with pytest.raises(UsageError) as err:
+            parse(argv.split())
+        assert str(err.value) == message

@@ -208,6 +208,32 @@ class TestGridWalk:
         assert peak < 2 * 2**20
 
 
+# the five rows of the `fine5` fixture in tests/test_cli.py, as (a, b)
+FINE5_ROWS = [(9, 48), (2, 37), (8, 34), (3, 57), (5, 26)]
+
+
+@st.composite
+def one_variable_grids(draw):
+    # (sense, rows, grid, k) with 1 to 5 rows; at k = 2 the grid is
+    # capped so that the walk stays under 300 columns
+    sense = draw(st.sampled_from((PACKING, COVERING)))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(1, 40),
+                st.one_of(st.integers(1, 100), st.integers(10**9, 10**18)),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    k = draw(st.integers(1, 2))
+    top = 16
+    if k == 2:
+        top = max(d for d in range(1, 17) if math.comb(d + len(rows) - 1, len(rows) - 1) <= 300)
+    return sense, rows, draw(st.integers(1, top)), k
+
+
 class TestSampledClosure:
     def test_one_variable_packing(self):
         inst = Instance(PACKING, ((2,), (3,)), (5, 7))
@@ -233,6 +259,21 @@ class TestSampledClosure:
             assert line in sampled_closure(inst, scheme(d=16)).render_lines()
             hull = integer_hull(build_relaxation(inst, (1,)))
             assert line in hull.render_lines()
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_variable_grids())
+    @example((PACKING, [(3, 10**17 + 2)], 16, 1))
+    @example((COVERING, [(3, 10**17 + 2), (7, 10**17 - 1)], 5, 2))
+    @example((PACKING, FINE5_ROWS, 16, 1))
+    @example((COVERING, FINE5_ROWS, 16, 1))
+    def test_one_variable_matches_the_intersected_grid_hulls(self, case):
+        # the old path is the reference: every distinct grid hull built
+        # and intersected in one kernel run
+        sense, rows, d, k = case
+        inst = Instance(sense, tuple((a,) for a, _ in rows), tuple(b for _, b in rows))
+        sch = scheme(d=d, k=k)
+        reference = intersect([hull for _, hull in _grid_hulls(inst, sch)], sch.budget)
+        assert sampled_closure(inst, sch) == reference
 
     def test_memoized_per_instance_and_scheme(self):
         a = sampled_closure(PACK_23, scheme())
@@ -277,10 +318,9 @@ class TestClosure1d:
         inst = Instance(sense, tuple((a,) for a, _ in rows), tuple(b for _, b in rows))
         assert closure_1d(inst) == closure_1d_rounding(inst)
 
-    def test_one_double_description_per_closure(self, monkeypatch):
-        # the intervals are written down, so of a one-variable closure
-        # and its sampled closure only the final intersection of the
-        # sampled hulls runs the kernel
+    def test_no_double_description_in_one_variable(self, monkeypatch):
+        # the intervals are written down and the sampled closure is read
+        # off the grid's hull keys, so neither runs the kernel
         runs = []
         kernel = polyhedra._double_description
 
@@ -293,7 +333,7 @@ class TestClosure1d:
         inst = Instance(PACKING, ((2,), (3,), (5,), (7,), (4,)), (97, 131, 311, 401, 113))
         aggregation_closure(inst, scheme(d=16))
         sampled_closure(inst, scheme(d=16))
-        assert len(runs) == 1
+        assert len(runs) == 0
 
 
 class TestBuildQj:
@@ -568,10 +608,14 @@ class TestSchemeBudget:
 
     def test_grid_trip_under_the_default_budget(self, monkeypatch):
         monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        # the `fine5` fixture: the trip comes before any row is walked
+        walked = []
+        monkeypatch.setattr(closure, "_grid_rows", lambda *args: walked.append(args))
         inst = Instance(PACKING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26))
         with pytest.raises(ResourceBudgetError) as err:
             sampled_closure(inst, SampleScheme(16, k=2))
         assert str(err.value) == "grid walk of 11739435 aggregations exceeds budget 10000000"
+        assert walked == []
 
     def test_only_build_K_takes_a_budget(self):
         # build_K is called with tuples, not with a scheme

@@ -60,9 +60,14 @@ def test_traced_request_matches_untraced(instance_dir, argv):
     assert traced["stdout"]
 
 
-def test_one_variable_grid_hulls_are_traced(instance_dir):
-    # every grid hull, one-variable intervals included, goes through
-    # build_relaxation and integer_hull, where the trace sees it
-    traced = _request(1, ["closure", f"{instance_dir}/one/cover1x5.txt", "--grid", "16"])
-    assert traced["trace"]["knapsack.integer_hull"]["calls"] > 0
-    assert traced["trace"]["knapsack.build_relaxation"]["calls"] > 0
+def test_one_variable_closure_builds_no_hull(instance_dir):
+    # the one-variable sampled closure is read off the grid's hull keys:
+    # the trace sees the one sampled_closure call and no relaxation or hull
+    argv = ["closure", f"{instance_dir}/one/cover1x5.txt", "--grid", "16"]
+    plain = _request(0, argv)
+    traced = _request(1, argv)
+    assert traced["trace"]["closure.sampled_closure"]["calls"] == 1
+    assert traced["trace"]["knapsack.integer_hull"]["calls"] == 0
+    assert traced["trace"]["knapsack.build_relaxation"]["calls"] == 0
+    assert traced["stdout"] == plain["stdout"]
+    assert traced["stdout"]
