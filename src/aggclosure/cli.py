@@ -437,16 +437,22 @@ def parse_args(argv) -> SimpleNamespace:
     # argparse, report extras only once the whole line is read, so a
     # later --help still wins
     first, extras = [], []
+    joined = False  # whether the token just read was the positional
     tokens = iter(rest)
     for token in tokens:
         if token == "--":
+            # argparse reads a -- together with the positional, just
+            # before or just after it, and drops it; any other -- is an extra
+            if first and not joined:
+                extras.append(token)
             for token in tokens:
                 (extras if first else first).append(token)
             break
         name, eq, value = token.partition("=")
         flag = _flag(name, flags) if token.startswith("-") else None
+        joined = flag is None and not first and _is_loose(token)
         if flag is None:
-            (extras if first or not _is_loose(token) else first).append(token)
+            (first if joined else extras).append(token)
             continue
         dest, convert, default, _ = flags.get(flag, _HELP)
         if convert is None:

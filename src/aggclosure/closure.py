@@ -11,9 +11,9 @@ intersection of two finitely generated outer bodies:
   by relaxing coordinate j (drop the column for packing; keep only the
   rows that do not use the column for covering), embedded back with the
   coordinate left free.  Computed recursively on fewer variables.
-* ``K``: the intersection of the inequalities spanned by the sampled
-  facet tuples ``S`` (tight lattice-point tuples of sampled hulls that
-  survive a domination filter).
+* ``K``: the intersection of the sampled facets whose tight lattice
+  tuples ``S`` survive a domination filter; each tuple carries the
+  facet it was read from, so K's rows are those facets.
 
 Their intersection with the nonnegative orthant reproduces the closure
 whenever the sample grid is fine enough to expose every needed facet;
@@ -46,7 +46,6 @@ from .knapsack import (
     normalize_aggregation,
 )
 from .polyhedra import (
-    GE,
     LE,
     LinearInequality,
     Polyhedron,
@@ -56,13 +55,12 @@ from .polyhedra import (
     hrep_to_vrep,
     intersect,
     interval,
-    make_inequality,
     orthant,
     poly_equal,
     positive_normal_facets,
     whole_space,
 )
-from .rational import Rat, as_vector, int_clear, int_nullspace
+from .rational import Rat, as_vector
 from .record import Record, set_fields
 
 
@@ -102,8 +100,9 @@ class FacetTuple(Record):
 
     The points are stored in increasing lexicographic order.  The source
     fields record which sampled aggregation and which facet (in lowest
-    integer terms) produced the tuple; they are None for tuples built
-    directly from points.
+    integer terms) produced the tuple; ``source_facet`` is the tuple's
+    row of K.  Both are None only for tuples built directly from points,
+    which can be filtered but give no K.
     """
 
     __slots__ = ("points", "source_lambda", "source_facet")
@@ -131,7 +130,7 @@ class ClosureArtifacts(Record):
         return intersect(self.parts, self.sample.budget)
 
     def K(self) -> Polyhedron:
-        return build_K(self.S, self.instance.sense, self.instance.n, self.sample.budget)
+        return build_K(self.S, self.instance.n, self.sample.budget)
 
 
 class SeparationResult(Record):
@@ -422,16 +421,11 @@ def compute_gamma(inst: Instance) -> int:
     """
     if inst.sense != COVERING:
         raise UsageError("the shift bound is defined for covering instances")
-    worst = None
-    for j in range(inst.n):
-        for i in range(inst.m):
-            if inst.A[i][j] > 0:
-                ratio = Fraction(inst.b[i], inst.A[i][j])
-                if worst is None or ratio > worst:
-                    worst = ratio
-    if worst is None:
+    # the ceiling of the largest ratio is the largest of the ceilings
+    ceilings = [-(-b // a) for row, b in zip(inst.A, inst.b) for a in row if a]
+    if not ceilings:
         raise UsageError("every column is zero")
-    return -((-worst.numerator) // worst.denominator)
+    return max(ceilings)
 
 
 def enumerate_tuples(inst: Instance, scheme: SampleScheme) -> list[FacetTuple]:
@@ -504,34 +498,16 @@ def filter_minimal_tuples(tuples, sense: str) -> list[FacetTuple]:
     return sorted(kept, key=_flat_key)
 
 
-def tuple_to_inequality(t, sense: str) -> LinearInequality:
-    """Inequality ``<a, x> <= c`` (``>=`` for covering) of the hyperplane
-    through a tuple's points.
+def build_K(tuples, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
+    """Intersection of the sampled facets the tuples were read from.
 
-    ``(a, -c)`` is the one integer null vector of the homogeneous points
-    ``(p_i, 1)``, oriented so that ``c > 0``.  The points must be
-    linearly independent: a null space of another dimension, or a
-    hyperplane through the origin (``c == 0``), raises RuntimeError.
+    Each tuple's ``source_facet`` is its row of K: the tuple's n affinely
+    independent points lie on that facet and on no other hyperplane.
+    The whole space when there are no tuples.
     """
-    pts = t.points if isinstance(t, FacetTuple) else t
-    rows = [int_clear(tuple(p) + (1,))[0] for p in pts]
-    basis = int_nullspace(rows, len(rows[0]))
-    if len(basis) != 1 or not basis[0][-1]:
-        raise RuntimeError("tuple points do not determine a hyperplane")
-    (v,) = basis
-    if v[-1] > 0:
-        v = tuple(-a for a in v)
-    return make_inequality(v[:-1], -v[-1], LE if sense == PACKING else GE)
-
-
-def build_K(
-    tuples, sense: str, dim: int, budget: int = DEFAULT_CELL_BUDGET
-) -> Polyhedron:
-    """Intersection of the tuple inequalities; whole space when empty."""
     if not tuples:
         return whole_space(dim)
-    ineqs = [tuple_to_inequality(t, sense) for t in tuples]
-    return hrep_to_vrep(ineqs, dim, budget)
+    return hrep_to_vrep([t.source_facet for t in tuples], dim, budget)
 
 
 def aggregation_closure(inst: Instance, scheme: SampleScheme) -> ClosureArtifacts:
@@ -573,7 +549,7 @@ def aggregation_closure(inst: Instance, scheme: SampleScheme) -> ClosureArtifact
         parts = build_L(inst, scheme)
         T = tuple(enumerate_tuples(inst, scheme))
         S = tuple(filter_minimal_tuples(T, inst.sense))
-        rows = [tuple_to_inequality(t, inst.sense) for t in S]
+        rows = [t.source_facet for t in S]
         rows += [iq for part in (orthant(n), *parts) for iq in part.hrep]
         body = hrep_to_vrep(rows, n, scheme.budget)
     gamma = compute_gamma(inst) if inst.sense == COVERING and free is None else None

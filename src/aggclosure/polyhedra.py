@@ -500,7 +500,7 @@ def vrep_to_hrep(points, rays=(), budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     normals = _polar(gens, nullbasis, width, budget)
     facets = {make_inequality(y[:-1], -y[-1], LE) for y, z in normals if z & on_points}
     gens = _irredundant_generators(gens, normals, width, budget)
-    ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
+    ineqs = _equalities(nullbasis, dim) + list(facets)
     return _build(dim, gens, ineqs, dim - len(nullbasis))
 
 
@@ -578,7 +578,7 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
         if idot(y, gens[(off & -off).bit_length() - 1]) > 0:
             y = _negated(y)
         facets.append(make_inequality(y[:-1], -y[-1], LE))
-    ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
+    ineqs = _equalities(nullbasis, dim) + facets
     return _build(dim, gens + lines, ineqs, dim - len(nullbasis))
 
 

@@ -1,13 +1,18 @@
-"""Exact rational scalars, vectors, and small dense linear algebra.
+"""Exact rational scalars and integer linear algebra.
 
-Every quantity in this package is exact: scalars are ``fractions.Fraction``
-(arbitrary-precision integer numerator and denominator, always reduced,
-denominator >= 1), vectors are tuples of Fraction, matrices are tuples of row
-tuples.  No floating point is used anywhere.
+Every quantity in this package is exact; no floating point is used
+anywhere.  Rationals are ``fractions.Fraction`` (arbitrary-precision
+integer numerator and denominator, always reduced, denominator >= 1)
+and rational vectors are tuples of them; they are what the user writes
+and reads (weights, points, violations).  Wherever the denominator is
+known the work is done on ints instead: `int_clear` scales a rational
+vector to an integer one over a common denominator, inequalities are
+stored as integer rows and vertices and rays as homogeneous integer
+tuples.
 
-The integer kernels at the bottom (gcd-reduced fraction-free elimination) keep
-intermediate coefficient growth under control and are shared by the polyhedral
-conversion routines.
+The integer kernels at the bottom (gcd-reduced fraction-free elimination)
+keep intermediate coefficient growth under control and are shared by the
+polyhedral conversion routines.
 """
 
 from __future__ import annotations

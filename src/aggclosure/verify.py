@@ -230,7 +230,7 @@ def check_oracle_m1(inst: Instance, scheme: SampleScheme) -> CheckReport:
     if inst.m != 1:
         raise UsageError("oracle check requires a single row")
     art = aggregation_closure(inst, scheme)
-    unit = Aggregation(((Fraction(1),),), normalized=True)
+    unit = Aggregation(((1,),), normalized=True)
     hull = integer_hull(build_relaxation(inst, unit), scheme.budget)
     if poly_equal(art.closure, hull):
         return CheckReport("oracle_m1", inst.instance_id, PASS)
@@ -412,7 +412,7 @@ def check_onerow_ratio(inst: Instance, scheme: SampleScheme, objective=None) -> 
 
     unit_hulls = []
     for i in range(inst.m):
-        col = tuple(Fraction(1 if t == i else 0) for t in range(inst.m))
+        col = tuple(1 if t == i else 0 for t in range(inst.m))
         unit_hulls.append(
             integer_hull(build_relaxation(inst, Aggregation((col,))), scheme.budget)
         )

@@ -7,9 +7,11 @@ of covering minimal points is the oracle of `knapsack._covering_minimal`,
 the pairwise fold is the oracle of `polyhedra.intersect`, the interval
 hulls built by double description and `closure_1d_rounding` are the
 oracles of `polyhedra.interval` and `closure.closure_1d`,
-`serialize_instance` writes the instance format `cli.parse_instance`
-reads, and `build_parser` is the argparse command line that
-`cli.parse_args` replaced.
+`tuple_to_inequality`, the hyperplane through a tuple's points, is the
+oracle of the sampled facet each `closure.FacetTuple` carries as its row
+of K, `serialize_instance` writes the instance format
+`cli.parse_instance` reads, and `build_parser` is the argparse command
+line that `cli.parse_args` replaced.
 """
 
 from __future__ import annotations
@@ -21,11 +23,16 @@ from typing import Iterable, Optional, Sequence
 
 from aggclosure import cli
 from aggclosure.cli import cmd_closure, cmd_hull, cmd_separate, cmd_verify
+from aggclosure.closure import FacetTuple
 from aggclosure.errors import UsageError
 from aggclosure.knapsack import COVERING, PACKING
 from aggclosure.polyhedra import (
     DEFAULT_CELL_BUDGET,
+    GE,
+    LE,
+    LinearInequality,
     hrep_to_vrep,
+    make_inequality,
     poly_subset,
     vrep_to_hrep,
 )
@@ -37,6 +44,7 @@ from aggclosure.rational import (
     as_vector,
     int_clear,
     int_echelon,
+    int_nullspace,
 )
 
 
@@ -175,6 +183,26 @@ def closure_1d_rounding(inst):
     if inst.sense == PACKING:
         return interval_hull(PACKING, min(b // a for b, a in ratios), bounded=True)
     return interval_hull(COVERING, max(-((-b) // a) for b, a in ratios), bounded=False)
+
+
+def tuple_to_inequality(t, sense: str) -> LinearInequality:
+    """Inequality ``<a, x> <= c`` (``>=`` for covering) of the hyperplane
+    through a tuple's points.
+
+    ``(a, -c)`` is the one integer null vector of the homogeneous points
+    ``(p_i, 1)``, oriented so that ``c > 0``.  The points must be
+    linearly independent: a null space of another dimension, or a
+    hyperplane through the origin (``c == 0``), raises RuntimeError.
+    """
+    pts = t.points if isinstance(t, FacetTuple) else t
+    rows = [int_clear(tuple(p) + (1,))[0] for p in pts]
+    basis = int_nullspace(rows, len(rows[0]))
+    if len(basis) != 1 or not basis[0][-1]:
+        raise RuntimeError("tuple points do not determine a hyperplane")
+    (v,) = basis
+    if v[-1] > 0:
+        v = tuple(-a for a in v)
+    return make_inequality(v[:-1], -v[-1], LE if sense == PACKING else GE)
 
 
 def serialize_instance(inst) -> str:

@@ -772,7 +772,8 @@ def test_command_help_names_every_flag(capsys, command, flag):
 # Differential test of `cli.parse_args` against the argparse parser it
 # replaced.  Values never look like flags and a flag with no value comes
 # last: there argparse reports a missing value, while `parse_args` takes
-# the next token whatever it is.
+# the next token whatever it is.  For the same reason a `--` never follows
+# a flag that takes a value.
 POSITIVE = st.integers(1, 40).map(str)
 INT_VALUES = st.one_of(
     POSITIVE,
@@ -825,7 +826,11 @@ def command_lines(draw):
         groups.append([stray])
     if stray not in _ambiguous(flags) and draw(st.integers(0, 9)) == 0:
         groups.append([draw(st.sampled_from(["--help", "-h", "--he"]))])
-    argv = [command] + [t for group in draw(st.permutations(groups)) for t in group]
+    groups = draw(st.permutations(groups))
+    # a -- between groups, never between a flag and its value
+    if draw(st.integers(0, 3)) == 0:
+        groups.insert(draw(st.integers(0, len(groups))), ["--"])
+    argv = [command] + [t for group in groups for t in group]
     takes_value = sorted(f for f in flags if flags[f][1] is not None)
     if draw(st.integers(0, 9)) == 0:
         argv.append(draw(st.sampled_from(takes_value)))
@@ -833,11 +838,13 @@ def command_lines(draw):
 
 
 def _parse_outcome(parse, argv):
+    # the message of an unrecognized-arguments error is compared too
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             args = parse(argv)
-    except UsageError:
-        return "usage error"
+    except UsageError as exc:
+        unrecognized = str(exc).startswith("unrecognized arguments:")
+        return ("usage error", str(exc) if unrecognized else None)
     except SystemExit as exc:  # argparse's help action
         return ("help", exc.code)
     if args.func is cli._print_help:
@@ -881,3 +888,29 @@ def test_extras_are_reported_in_command_line_order(argv, extras):
         with pytest.raises(UsageError) as err:
             parse(argv.split())
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv,extras",
+    [
+        ("closure f --grid 4 --", "--"),
+        ("verify d --timings --", "--"),
+        ("closure f x --bogus -- y", "x --bogus -- y"),
+        ("closure x --bogus --", "--bogus --"),
+        ("closure f x -- --bogus", "x -- --bogus"),
+        ("separate f --point 1 -- x", "-- x"),
+        ("closure f -- x", "x"),
+        ("closure -- f x", "x"),
+        ("closure f --", None),
+    ],
+)
+def test_double_dash_is_dropped_only_next_to_the_positional(argv, extras):
+    # argparse reads a -- with the command's positional, just before or
+    # just after it; any other -- is an unrecognized argument
+    for parse in (cli.parse_args, ORACLE_PARSER.parse_args):
+        if extras is None:
+            assert parse(argv.split()).instance == "f"
+            continue
+        with pytest.raises(UsageError) as err:
+            parse(argv.split())
+        assert str(err.value) == f"unrecognized arguments: {extras}"

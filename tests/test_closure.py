@@ -30,7 +30,6 @@ from aggclosure.closure import (
     sample_lambdas,
     sampled_closure,
     separate,
-    tuple_to_inequality,
 )
 from aggclosure.errors import ResourceBudgetError, UsageError
 from aggclosure.knapsack import (
@@ -48,6 +47,7 @@ from aggclosure.polyhedra import (
     LE,
     contains,
     facet_lattice_tuple,
+    hrep_to_vrep,
     intersect,
     make_inequality,
     orthant,
@@ -56,7 +56,7 @@ from aggclosure.polyhedra import (
     positive_normal_facets,
     whole_space,
 )
-from oracles import affine_rank, closure_1d_rounding, solve_linear
+from oracles import affine_rank, closure_1d_rounding, solve_linear, tuple_to_inequality
 
 F = Fraction
 
@@ -404,6 +404,14 @@ class TestComputeGamma:
         with pytest.raises(UsageError):
             compute_gamma(PACK_23)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.deferred(lambda: instances(
+        max_n=4, max_m=3, max_coeff=9, max_rhs=60, sense=COVERING
+    )))
+    def test_matches_the_ceiling_of_the_largest_ratio(self, inst):
+        ratios = [F(b, a) for row, b in zip(inst.A, inst.b) for a in row if a]
+        assert compute_gamma(inst) == math.ceil(max(ratios))
+
 
 class TestEnumerateTuples:
     def test_packing_single_row(self):
@@ -497,20 +505,25 @@ class TestTupleToInequality:
             assert tuple_to_inequality(points, sense) == expected
 
 
+def _facet_tuple(points, sense):
+    # a tuple with the facet it was read from, as `enumerate_tuples` makes it
+    return FacetTuple(points=points, source_facet=tuple_to_inequality(points, sense))
+
+
 class TestBuildK:
     def test_empty_family_is_whole_space(self):
-        assert poly_equal(build_K([], PACKING, 2), whole_space(2))
+        assert poly_equal(build_K([], 2), whole_space(2))
 
     def test_single_tuple(self):
-        t = FacetTuple(points=((0, 1), (2, 0)))
-        assert build_K([t], PACKING, 2).render_lines() == ["1 2 <= 2"]
+        t = _facet_tuple(((0, 1), (2, 0)), PACKING)
+        assert build_K([t], 2).render_lines() == ["1 2 <= 2"]
 
     def test_redundant_tuples_merge(self):
-        strong = FacetTuple(points=((0, 1), (2, 0)))
-        weak = FacetTuple(points=((0, 2), (4, 0)))
-        body = build_K([strong, weak], PACKING, 2)
+        strong = _facet_tuple(((0, 1), (2, 0)), PACKING)
+        weak = _facet_tuple(((0, 2), (4, 0)), PACKING)
+        body = build_K([strong, weak], 2)
         assert body.render_lines() == ["1 2 <= 2"]
-        assert poly_subset(body, build_K([weak], PACKING, 2))
+        assert poly_subset(body, build_K([weak], 2))
 
 
 class TestAggregationClosure:
@@ -786,9 +799,37 @@ def test_filter_preserves_tuple_body_on_orthant(inst):
     bodies = [orthant(inst.n)]
     if inst.sense == PACKING:
         bodies.append(aggregation_closure(inst, sch).L())
-    full = intersect([build_K(T, inst.sense, inst.n), *bodies])
-    slim = intersect([build_K(S, inst.sense, inst.n), *bodies])
+    full = intersect([build_K(T, inst.n), *bodies])
+    slim = intersect([build_K(S, inst.n), *bodies])
     assert poly_equal(full, slim)
+
+
+@st.composite
+def tuple_cases(draw):
+    inst = draw(instances(max_n=4, max_m=3).filter(lambda inst: inst.n >= 2))
+    k = draw(st.integers(1, 2))
+    # the grid cap of `grid_cases`: pairs over wide instances take seconds
+    d = draw(st.integers(1, 4 if k == 1 or inst.n * inst.m <= 4 else 3))
+    return inst, scheme(d=d, k=k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tuple_cases())
+@example((Instance(PACKING, ((3, 2, 4), (2, 5, 1), (4, 1, 3)), (9, 10, 8)), scheme(d=4)))
+# a free column: the closure splits it off and reads no tuples
+@example((Instance(COVERING, ((2, 0, 1), (1, 0, 3)), (3, 4)), scheme(d=2)))
+@example((Instance(PACKING, ((3, 2), (1, 4), (2, 2)), (5, 6, 4)), scheme(d=3, k=2)))
+def test_K_rows_are_the_facets_the_tuples_were_read_from(case):
+    # oracle: the hyperplane through each tuple's points, by null space
+    inst, sch = case
+    for t in enumerate_tuples(inst, sch):
+        assert t.source_facet == tuple_to_inequality(t.points, inst.sense)
+    art = aggregation_closure(inst, sch)
+    if art.S:
+        expected = hrep_to_vrep([tuple_to_inequality(t, inst.sense) for t in art.S], inst.n)
+    else:
+        expected = whole_space(inst.n)
+    assert art.K() == expected
 
 
 @settings(max_examples=20, deadline=None)

@@ -263,3 +263,31 @@ def test_every_parameter_is_read():
                 if p.arg not in read and p.arg not in ("self", "cls")
             ]
     assert unread == []
+
+
+def test_every_import_is_used():
+    # a name imported and never read is a dependency for nothing; a name
+    # listed in `__all__` is read by the package's importers
+    unused = []
+    for path in sorted((SRC / "aggclosure").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []
