@@ -18,15 +18,19 @@ by `Polyhedron.vrep_points` and when rational input is converted.
 
 Both conversions run one integer double description routine (Motzkin et
 al. 1953; Fukuda & Prodon 1996) on a pointed cone and read the incidence
-off the zero set it returns with each ray.  H->V takes the extreme rays of
-the homogenized cone ``{(x, t) : rows, t >= 0}`` after splitting off the
-lineality space.  The input rows tight on every ray span the implied
-equalities, and the rows whose tight sets are maximal among the proper
-ones cut the facets, except the face at infinity ``t >= 0``.  V->H takes
-the extreme rays of the polar cone, which are the facet normals, and keeps
-a generator as extreme when its set of tight facets is maximal among the
-proper ones.  Each run counts the ray pairs it tests against a work
-budget.
+off the zero set it returns with each ray.  The routine starts from a
+simplicial cone ``{v : B v >= 0}``, whose rays it reads off ``B^-1`` by
+one elimination; when the cone is full-dimensional, the rows of ``B`` are
+the independent rows the conversion's own echelon has already found.
+H->V takes the extreme rays of the homogenized cone
+``{(x, t) : rows, t >= 0}`` after splitting off the lineality space.  The
+input rows tight on every ray span the implied equalities, and the rows
+whose tight sets are maximal among the proper ones cut the facets, except
+the face at infinity ``t >= 0``; in a full-dimensional result each such
+row is itself the facet.  V->H takes the extreme rays of the polar cone,
+which are the facet normals, and keeps a generator as extreme when its
+set of tight facets is maximal among the proper ones.  Each run counts
+the ray pairs it tests against a work budget.
 
 Shapes whose canonical form is known, `orthant`, `whole_space` and the
 one-variable `interval`, are written down and run no double description.
@@ -48,7 +52,6 @@ from .rational import (
     RatVector,
     idot,
     int_clear,
-    int_nullspace,
     reduce_gcd,
 )
 from .record import Record, set_fields
@@ -320,33 +323,65 @@ def _negated(v: IntVector) -> IntVector:
     return tuple(-a for a in v)
 
 
-def _double_description(rows, width: int, phase: str, budget: int):
+def _independent(rows, width: int) -> tuple[IntEchelon, list[int]]:
+    # an echelon of the rows taken in order, stopped once its rank is
+    # ``width``, and the positions of the rows it kept
+    ech = IntEchelon()
+    kept = []
+    for i, h in enumerate(rows):
+        if ech.insert(h):
+            kept.append(i)
+            if ech.rank == width:
+                break
+    return ech, kept
+
+
+def _inverse_columns(B, width: int) -> list[IntVector]:
+    """The columns of ``B^-1`` for a nonsingular square integer ``B``,
+    each as the primitive integer vector of the same direction.
+
+    One fraction-free Gauss-Jordan pass over ``[B | I]`` (Bareiss
+    division by the previous pivot, rows swapped where a pivot is 0)
+    leaves ``[d I | d B^-1]`` with ``d = +-det B``.
+    """
+    m = [list(b) + [int(j == i) for j in range(width)] for i, b in enumerate(B)]
+    prev = 1
+    for c in range(width):
+        p = next(k for k in range(c, width) if m[k][c])
+        m[c], m[p] = m[p], m[c]
+        prow = m[c]
+        a = prow[c]
+        for k in range(width):
+            f = m[k][c]
+            # a row with f = 0 only scales by a / prev
+            if k != c and (f or a != prev):
+                m[k] = [(a * x - f * y) // prev for x, y in zip(m[k], prow)]
+        prev = a
+    sign = 1 if prev > 0 else -1
+    return [reduce_gcd([sign * row[width + i] for row in m]) for i in range(width)]
+
+
+def _double_description(rows, width: int, phase: str, budget: int, start=None):
     """Extreme rays of the pointed cone ``{v : h . v >= 0 for every row h}``.
 
-    The rows must have rank ``width``.  The first ``width`` independent
-    rows give a simplicial cone; the others are inserted one at a time
-    (Motzkin et al. 1953; Fukuda & Prodon 1996).  Each ray is a
-    gcd-reduced integer vector paired with its zero set, an ``int``
-    bitset with bit i set when row i is tight on it.  A row keeps the rays
+    The rows must have rank ``width``.  The rows at the positions
+    ``start``, by default the first ``width`` independent rows, give a
+    simplicial cone ``{v : B v >= 0}`` whose rays are the columns of
+    ``B^-1``; the other rows are inserted one at a time (Motzkin et al.
+    1953; Fukuda & Prodon 1996).  Each ray is a gcd-reduced integer
+    vector paired with its zero set, an ``int`` bitset with bit i set
+    when row i is tight on it.  A row keeps the rays
     on its nonnegative side and joins a ray on each side exactly when the
     two are adjacent: they share at least ``width - 2`` tight rows and no
     third ray is tight on all of those.  Every insertion counts its pairs
     of opposite-side rays; more than ``budget`` in one run raise
     `ResourceBudgetError` naming the phase.
     """
-    ech = IntEchelon()
-    start = []
-    for i, h in enumerate(rows):
-        if ech.insert(h):
-            start.append(i)
-            if ech.rank == width:
-                break
-    rays = []
-    for i in start:
-        (r,) = int_nullspace([rows[j] for j in start if j != i], width)
-        if idot(rows[i], r) < 0:
-            r = _negated(r)
-        rays.append((r, sum(1 << j for j in start if j != i)))
+    if start is None:
+        start = _independent(rows, width)[1]
+    bits = sum(1 << i for i in start)
+    columns = _inverse_columns([rows[i] for i in start], width)
+    rays = [(r, bits & ~(1 << i)) for i, r in zip(start, columns)]
     skip = set(start)
     need = width - 2
     pairs = 0
@@ -387,30 +422,34 @@ def _double_description(rows, width: int, phase: str, budget: int):
     return rays
 
 
-def _polar(gens, nullbasis, width: int, budget: int):
+def _polar(gens, nullbasis, kept, width: int, budget: int):
     """Facet normals of ``cone(gens)``, each with the generators tight on it.
 
     They are the extreme rays of the polar ``{y : y . g <= 0 for every
     generator g, y orthogonal to nullbasis}``, which is pointed because it
     lies in the span of the generators.  Each normal comes with a bitset
-    whose bit k is set when generator k is tight on it.
+    whose bit k is set when generator k is tight on it.  When the span is
+    the whole space, the generators at the positions ``kept`` (from
+    `_nullbasis`) are independent and start the double description.
     """
     rows = []
     for nu in nullbasis:
         rows += [nu, _negated(nu)]
     rows += [_negated(g) for g in gens]
     shift = 2 * len(nullbasis)
-    return [(y, z >> shift) for y, z in _double_description(rows, width, "vrep_to_hrep", budget)]
+    start = None if nullbasis else kept
+    rays = _double_description(rows, width, "vrep_to_hrep", budget, start)
+    return [(y, z >> shift) for y, z in rays]
 
 
 def _in_cone(g: IntVector, rays, width: int, budget: int) -> bool:
     # in the span of the rays and on the inner side of every facet
     if not rays:
         return False
-    nullbasis = _nullbasis(rays, width)
+    nullbasis, kept = _nullbasis(rays, width)
     if any(idot(nu, g) for nu in nullbasis):
         return False
-    return all(idot(y, g) <= 0 for y, _ in _polar(rays, nullbasis, width, budget))
+    return all(idot(y, g) <= 0 for y, _ in _polar(rays, nullbasis, kept, width, budget))
 
 
 def _transpose(sets, n: int) -> list[int]:
@@ -471,10 +510,14 @@ def _equalities(nullbasis, dim) -> list[LinearInequality]:
     return out
 
 
-def _nullbasis(gens, width) -> list[IntVector]:
+def _nullbasis(gens, width) -> tuple[list[IntVector], list[int]]:
     # RREF'd orthogonal-complement basis: equality rows come out axis-aligned
-    # whenever the span allows it
-    return int_row_basis(int_nullspace(gens, width))
+    # whenever the span allows it.  Also the positions of the generators
+    # that span the rest.
+    ech, kept = _independent(gens, width)
+    if ech.rank == width:
+        return [], kept
+    return int_row_basis(ech.nullspace(width)), kept
 
 
 def vrep_to_hrep(points, rays=(), budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
@@ -496,8 +539,8 @@ def vrep_to_hrep(points, rays=(), budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     on_points = (1 << len(gens)) - 1
     gens += _canonical_rays(rays)
     width = dim + 1
-    nullbasis = _nullbasis(gens, width)
-    normals = _polar(gens, nullbasis, width, budget)
+    nullbasis, kept = _nullbasis(gens, width)
+    normals = _polar(gens, nullbasis, kept, width, budget)
     facets = {make_inequality(y[:-1], -y[-1], LE) for y, z in normals if z & on_points}
     gens = _irredundant_generators(gens, normals, width, budget)
     ineqs = _equalities(nullbasis, dim) + list(facets)
@@ -510,17 +553,13 @@ def vrep_to_hrep(points, rays=(), budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
 
 def _canonical_system(ineqs) -> list[LinearInequality]:
     # Dedup and keep only the binding bound among parallel same-sense rows.
-    best: dict[tuple, int] = {}
+    best: dict[tuple, LinearInequality] = {}
     for iq in ineqs:
         key = (iq.normal, iq.sense)
-        if key not in best:
-            best[key] = iq.rhs
-        elif iq.sense == LE:
-            best[key] = min(best[key], iq.rhs)
-        else:
-            best[key] = max(best[key], iq.rhs)
-    out = [LinearInequality(nrm, rhs, sen) for (nrm, sen), rhs in best.items()]
-    return sorted(out, key=_hrep_sort_key)
+        old = best.get(key)
+        if old is None or (iq.rhs < old.rhs if iq.sense == LE else iq.rhs > old.rhs):
+            best[key] = iq
+    return sorted(best.values(), key=_hrep_sort_key)
 
 
 def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
@@ -534,13 +573,19 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     ``budget`` ray pairs.  The irredundant rows are read off the rays'
     zero sets: the input rows tight on every ray span the equalities, and
     each maximal proper zero set, other than that of ``t >= 0``, is a
-    facet whose normal is the null vector of the equalities, the
-    lineality and the rays on it.
+    facet.  With no equalities the set is full-dimensional, and the one
+    canonical input row tight on exactly that zero set is the facet.
+    Otherwise the facet's normal is the null vector of the equalities,
+    the lineality and the rays on it, in the kernel's reduced form.
+    When the normals have full rank, ``t >= 0`` and the rows of the
+    independent normals the lineality echelon kept start the double
+    description.
     """
     if dim < 1:
         raise ValueError("dimension must be positive")
     canon = _canonical_system(ineqs)
-    lineality = int_nullspace([iq.normal for iq in canon], dim)
+    ech, kept = _independent([iq.normal for iq in canon], dim)
+    lineality = ech.nullspace(dim) if ech.rank < dim else []
     width = dim + 1
     # each row as h with h . (x, t) >= 0
     rows = [(0,) * dim + (1,)]
@@ -552,7 +597,9 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     for iq in canon:
         h = iq.normal + (-iq.rhs,)
         rows.append(h if iq.sense == GE else _negated(h))
-    rays = _double_description(rows, width, "hrep_to_vrep", budget)
+    # t >= 0 and the rows of independent normals are independent
+    start = None if lineality else [0] + [first + i for i in kept]
+    rays = _double_description(rows, width, "hrep_to_vrep", budget, start)
     gens = [g for g, _ in rays]
     if not any(g[-1] for g in gens):
         return empty_polyhedron(dim, canon)
@@ -561,14 +608,19 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     tight = _transpose([z for _, z in rays], len(rows))
     at_infinity, tight = tight[0], tight[first:]
     full = (1 << len(gens)) - 1
-    nullbasis = int_row_basis([h for h, t in zip(rows[first:], tight) if t == full])
-    base = int_echelon(nullbasis + lines)
-    facets = []
     # t >= 0 need not join the comparison: a face strictly inside the face
     # at infinity also lies in a facet that an input row cuts
-    for face in _maximal(tight, full):
-        if face == at_infinity:
-            continue
+    faces = _maximal(tight, full)
+    faces.pop(at_infinity, None)
+    implied = [h for h, t in zip(rows[first:], tight) if t == full]
+    if not implied:
+        # full-dimensional: a facet has one canonical supporting row
+        facets = [canon[k] for k in faces.values()]
+        return _build(dim, gens + lines, facets, dim)
+    nullbasis = int_row_basis(implied)
+    base = int_echelon(nullbasis + lines)
+    facets = []
+    for face in faces:
         ech = IntEchelon(base.rows, base.pivots)
         for k, g in enumerate(gens):
             if face >> k & 1 and ech.insert(g) and ech.rank == width - 1:

@@ -11,7 +11,11 @@ oracles of `polyhedra.interval` and `closure.closure_1d`,
 oracle of the sampled facet each `closure.FacetTuple` carries as its row
 of K, `serialize_instance` writes the instance format
 `cli.parse_instance` reads, and `build_parser` is the argparse command
-line that `cli.parse_args` replaced.
+line that `cli.parse_args` replaced.  Two oracles check the polyhedral
+kernel's set-up: `nullspace_start`, one null vector of the other rows per
+row, is the oracle of the simplicial start `polyhedra._inverse_columns`,
+and `echelon_hrep_to_vrep`, which reads every facet normal off an echelon
+of the rays on it, is the oracle of `polyhedra.hrep_to_vrep`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,14 @@ from aggclosure.polyhedra import (
     GE,
     LE,
     LinearInequality,
+    _build,
+    _canonical_system,
+    _double_description,
+    _equalities,
+    _maximal,
+    _negated,
+    _transpose,
+    empty_polyhedron,
     hrep_to_vrep,
     make_inequality,
     poly_subset,
@@ -38,13 +50,16 @@ from aggclosure.polyhedra import (
 )
 from aggclosure.rational import (
     IntEchelon,
+    IntVector,
     Rat,
     RatMatrix,
     RatVector,
     as_vector,
+    idot,
     int_clear,
     int_echelon,
     int_nullspace,
+    int_row_basis,
 )
 
 
@@ -164,6 +179,65 @@ def intersect_fold(polys, budget: int = DEFAULT_CELL_BUDGET):
             continue
         current = hrep_to_vrep(current.hrep + nxt.hrep, dim, budget)
     return current
+
+
+def nullspace_start(B, width: int) -> list[IntVector]:
+    """The extreme rays of the simplicial cone ``{v : B v >= 0}`` of a
+    nonsingular square integer ``B``, in row order: the ray of row i is
+    the one integer null vector of the other rows, oriented so that
+    ``B_i . r > 0``."""
+    rays = []
+    for i in range(len(B)):
+        (r,) = int_nullspace([B[j] for j in range(len(B)) if j != i], width)
+        if idot(B[i], r) < 0:
+            r = _negated(r)
+        rays.append(r)
+    return rays
+
+
+def echelon_hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET):
+    """`polyhedra.hrep_to_vrep` with every facet normal read off an
+    echelon: the null vector of the equalities, the lineality and the
+    rays on the facet, oriented away from a ray off it.  The double
+    description finds its own start."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    canon = _canonical_system(ineqs)
+    lineality = int_nullspace([iq.normal for iq in canon], dim)
+    width = dim + 1
+    rows = [(0,) * dim + (1,)]
+    lines = []
+    for ell in lineality:
+        lines += [ell + (0,), _negated(ell) + (0,)]
+    rows += lines
+    first = len(rows)
+    for iq in canon:
+        h = iq.normal + (-iq.rhs,)
+        rows.append(h if iq.sense == GE else _negated(h))
+    rays = _double_description(rows, width, "hrep_to_vrep", budget)
+    gens = [g for g, _ in rays]
+    if not any(g[-1] for g in gens):
+        return empty_polyhedron(dim, canon)
+    tight = _transpose([z for _, z in rays], len(rows))
+    at_infinity, tight = tight[0], tight[first:]
+    full = (1 << len(gens)) - 1
+    nullbasis = int_row_basis([h for h, t in zip(rows[first:], tight) if t == full])
+    base = int_echelon(nullbasis + lines)
+    facets = []
+    for face in _maximal(tight, full):
+        if face == at_infinity:
+            continue
+        ech = IntEchelon(base.rows, base.pivots)
+        for k, g in enumerate(gens):
+            if face >> k & 1 and ech.insert(g) and ech.rank == width - 1:
+                break
+        (y,) = ech.nullspace(width)
+        off = full & ~face
+        if idot(y, gens[(off & -off).bit_length() - 1]) > 0:
+            y = _negated(y)
+        facets.append(make_inequality(y[:-1], -y[-1], LE))
+    ineqs = _equalities(nullbasis, dim) + facets
+    return _build(dim, gens + lines, ineqs, dim - len(nullbasis))
 
 
 @cache

@@ -3,20 +3,23 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aggclosure.errors import DegenerateFacetError, ResourceBudgetError
 from aggclosure.polyhedra import (
     GE,
     LE,
+    DEFAULT_CELL_BUDGET,
     LinearInequality,
     _build,
     _canonical_order,
     _canonical_rays,
     _canonical_system,
+    _double_description,
     _equalities,
     _hrep_sort_key,
+    _inverse_columns,
     _nullbasis,
     contains,
     embed_with_free_axis,
@@ -44,7 +47,13 @@ from aggclosure.rational import (
     int_nullspace,
     reduce_gcd,
 )
-from oracles import affine_rank, intersect_fold, solve_linear
+from oracles import (
+    affine_rank,
+    echelon_hrep_to_vrep,
+    intersect_fold,
+    nullspace_start,
+    solve_linear,
+)
 
 
 def mk(normal, rhs, sense):
@@ -502,7 +511,7 @@ def subset_vrep_to_hrep(points, rays=(), reduce_generators=True):
     if reduce_generators and len(gens) > 2:
         gens = fraction_extreme_generators(gens)
     width = dim + 1
-    nullbasis = _nullbasis(gens, width)
+    nullbasis, _ = _nullbasis(gens, width)
     depth_target = width - len(nullbasis) - 1
     facets = set()
     if depth_target >= 1:
@@ -704,6 +713,102 @@ class TestKernelBudget:
         assert hrep_to_vrep(rows, 3, budget=3).vrep_rays == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
         with pytest.raises(ResourceBudgetError, match=r"hrep_to_vrep double description of 3\+"):
             hrep_to_vrep(rows, 3, budget=2)
+
+
+@st.composite
+def nonsingular_matrix(draw):
+    # entries -5..5; half of them with a zero leading entry, so that the
+    # first pivot needs a row swap
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-5, 5), min_size=width, max_size=width)
+    B = [draw(row) for _ in range(width)]
+    if draw(st.booleans()):
+        B[0][0] = 0
+    assume(int_echelon(B).rank == width)
+    return [tuple(r) for r in B]
+
+
+def _as_le(iq):
+    # (normal, rhs) of normal . x <= rhs
+    if iq.sense == LE:
+        return iq.normal, iq.rhs
+    return tuple(-a for a in iq.normal), -iq.rhs
+
+
+@st.composite
+def facet_system(draw):
+    # rows in 2 to 5 variables: equalities give lower-dimensional sets,
+    # normals that miss the last variable give a lineality space, and a
+    # row may come twice (scaled), with a looser parallel copy or with
+    # the sum of two rows, which is redundant
+    dim = draw(st.integers(2, 5))
+    span = dim - draw(st.integers(0, 1))
+    coeffs = st.lists(st.integers(-2, 2), min_size=span, max_size=span).filter(any)
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        normal = tuple(draw(coeffs)) + (0,) * (dim - span)
+        rhs = draw(st.integers(-3, 3))
+        kind = draw(st.sampled_from((LE, GE, "=", "twice", "parallel")))
+        if kind == "=":
+            rows += [mk(normal, rhs, LE), mk(normal, rhs, GE)]
+            continue
+        sense = kind if kind in (LE, GE) else draw(st.sampled_from((LE, GE)))
+        rows.append(mk(normal, rhs, sense))
+        if kind == "twice":
+            rows.append(mk(tuple(2 * a for a in normal), 2 * rhs, sense))
+        elif kind == "parallel":
+            rows.append(mk(normal, rhs + (2 if sense == LE else -2), sense))
+    if len(rows) >= 2 and draw(st.booleans()):
+        (a, r), (b, q) = _as_le(rows[0]), _as_le(rows[-1])
+        normal = tuple(x + y for x, y in zip(a, b))
+        if any(normal):
+            rows.append(mk(normal, r + q + draw(st.integers(0, 2)), LE))
+    return dim, rows
+
+
+class TestKernelSetUp:
+    # the simplicial start is read off B^-1 and a full-dimensional H->V
+    # takes its facets from the input rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonsingular_matrix())
+    @example([(0, 1), (1, 0)])
+    @example([(0, 0, 2), (0, 3, 1), (4, 1, 0)])
+    @example([(-3,)])
+    def test_start_matches_null_vectors(self, B):
+        assert _inverse_columns(B, len(B)) == nullspace_start(B, len(B))
+
+    @settings(max_examples=300, deadline=None)
+    @given(facet_system())
+    # full-dimensional, with a repeated and a looser parallel row
+    @example((2, [mk((1, 0), 0, GE), mk((0, 1), 0, GE), mk((1, 1), 2, LE), mk((2, 2), 4, LE), mk((1, 1), 5, LE)]))
+    # an implied equality x1 + x2 = 1 from two opposed rows
+    @example((3, [mk((1, 1, 0), 1, LE), mk((1, 1, 0), 1, GE), mk((1, 0, 0), 0, GE), mk((0, 0, 1), 0, GE), mk((0, 0, 1), 2, LE)]))
+    # x3 is free, and x1 + x2 <= 3 is the sum of two bounds
+    @example((3, [mk((1, 0, 0), 0, GE), mk((0, 1, 0), 0, GE), mk((1, 0, 0), 1, LE), mk((0, 1, 0), 2, LE), mk((1, 1, 0), 3, LE)]))
+    def test_facets_match_echelon_reading(self, case):
+        dim, rows = case
+        assert hrep_to_vrep(rows, dim) == echelon_hrep_to_vrep(rows, dim)
+
+    def test_full_dimensional_runs_solve_no_null_space(self, monkeypatch):
+        calls = []
+        nullspace = IntEchelon.nullspace
+
+        def counted(self, width):
+            calls.append(width)
+            return nullspace(self, width)
+
+        monkeypatch.setattr(IntEchelon, "nullspace", counted)
+        rows = [mk(u, 0, GE) for u in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        rows += [mk((1, 1, 1), 3, LE), mk((2, 1, 0), 4, LE)]
+        poly = hrep_to_vrep(rows, 3)
+        back = vrep_to_hrep(poly.vrep_points)
+        # the kernel searching its own start: the second row is dependent
+        cone = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)]
+        rays = _double_description(cone, 3, "hrep_to_vrep", DEFAULT_CELL_BUDGET)
+        assert calls == []
+        assert back.hrep == poly.hrep and poly.affine_dim == 3
+        assert sorted(r for r, _ in rays) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 # The V-representation as it was stored before homogeneous generators:
