@@ -145,7 +145,8 @@ class SeparationResult(Record):
         set_fields(self, inside, cut, violation, witness)
 
 
-# closure artifacts keyed by (instance key, scheme); sub-instances of
+# closure artifacts keyed by (instance key, scheme), sampled closures and
+# grid hulls by the same key tagged "sampled" and "grid"; sub-instances of
 # different parents share entries, which is what makes the recursion cheap
 _CLOSURE_MEMO: dict = {}
 
@@ -266,7 +267,7 @@ def _first_positions(inst: Instance, scheme: SampleScheme) -> list:
     return list(first.values())
 
 
-def _grid_hulls(inst: Instance, scheme: SampleScheme) -> list:
+def _grid_hulls(inst: Instance, scheme: SampleScheme) -> tuple:
     """The distinct integer hulls of the grid aggregations.
 
     Walks the aggregations in `sample_lambdas` order as their integer
@@ -285,8 +286,13 @@ def _grid_hulls(inst: Instance, scheme: SampleScheme) -> list:
     keys and hull objects correspond one to one, so no hull repeats.
     `_grid_aggregation` gives back the rational weights.  A grid of more
     than ``scheme.budget`` aggregations raises `ResourceBudgetError`
-    before the walk.
+    before the walk.  Memoized per (instance, scheme), so the closure,
+    its tuples, separation and the checks share one walk.
     """
+    memo_key = (inst.key(), scheme, "grid")
+    cached = _CLOSURE_MEMO.get(memo_key)
+    if cached is not None:
+        return cached
     _check_grid_budget(inst.m, scheme)
     d, k = scheme.grid_denominator, scheme.k
     bars = _grid_bars(d, inst.m)
@@ -298,7 +304,8 @@ def _grid_hulls(inst: Instance, scheme: SampleScheme) -> list:
         previous = position
         comps = tuple(_composition(c, d) for c in picked)
         hulls.append((comps, integer_hull(build_relaxation(inst, comps), scheme.budget)))
-    return hulls
+    cached = _CLOSURE_MEMO[memo_key] = tuple(hulls)
+    return cached
 
 
 def sampled_closure(inst: Instance, scheme: SampleScheme) -> Polyhedron:

@@ -6,7 +6,11 @@ Aggregating rows with nonnegative weights gives a knapsack relaxation whose
 integer hull is computed exactly: packing feasible sets are finite over the
 bounded coordinates (zero columns become rays), covering feasible sets are
 up-closed so the hull is the convex hull of the domination-minimal points
-plus the nonnegative orthant cone.
+plus the nonnegative orthant cone.  A one-variable hull is an interval
+read off the rows, a full-dimensional two-variable hull with no free
+column a polygon read off the lattice points by one monotone chain
+(Andrew 1979), and every other hull is converted from its lattice points
+by the polyhedral kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from .polyhedra import (
     DEFAULT_CELL_BUDGET,
     GE,
     LE,
+    LinearInequality,
     Polyhedron,
+    _build,
     _unit,
     empty_polyhedron,
     interval,
@@ -442,6 +448,56 @@ def _packing_core(points) -> list:
     return out
 
 
+def _cross(o, a, b) -> int:
+    # twice the signed area of the triangle o, a, b: positive on a left turn
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _left_chain(points) -> list:
+    # one monotone-chain pass (Andrew 1979) over points in lexicographic
+    # order or its reverse: the points where the boundary turns left, so
+    # collinear points drop out
+    chain = []
+    for p in points:
+        while len(chain) > 1 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _left_side(p, q) -> LinearInequality:
+    # the half-plane on the left of the directed line p -> q
+    normal = (q[1] - p[1], p[0] - q[0])
+    return make_inequality(normal, normal[0] * p[0] + normal[1] * p[1], LE)
+
+
+def _polygon_hull(sense: str, points) -> Polyhedron:
+    """Full-dimensional integer hull in two variables with no free column,
+    read off `lattice_points`' output (lexicographic order) by one
+    monotone chain.
+
+    Packing: the set is down-closed, so its hull is the polygon of the
+    staircase, the top x2 of each x1 with the two axis points, traversed
+    counterclockwise.  Covering: the minimal points come with x1 rising
+    and x2 falling, and the hull is their lower chain from the leftmost
+    to the lowest, closed by the rays e2 above the first and e1 beyond
+    the last.  Every edge keeps the side on its left.
+    """
+    if sense == COVERING:
+        chain = _left_chain(points)
+        rows = [
+            LinearInequality((1, 0), chain[0][0], GE),
+            LinearInequality((0, 1), chain[-1][1], GE),
+        ]
+        rows += map(_left_side, chain, chain[1:])
+        return _build(2, [p + (1,) for p in chain] + [(1, 0, 0), (0, 1, 0)], rows, 2)
+    top = dict(points)  # in lexicographic order the last x2 of an x1 is its top
+    stair = sorted({(0, 0), (max(top), 0), *top.items()})
+    ring = _left_chain(stair)[:-1] + _left_chain(reversed(stair))[:-1]
+    rows = map(_left_side, ring, ring[1:] + ring[:1])
+    return _build(2, [p + (1,) for p in ring], rows, 2)
+
+
 def integer_hull(
     rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET
 ) -> Polyhedron:
@@ -450,7 +506,13 @@ def integer_hull(
     The one hull routine.  In one variable the hull is one of a few
     shared intervals, read straight off the rows with no memo entry;
     otherwise it is memoized by `KnapsackRelaxation.canonical_key`, so
-    every caller shares hulls with every other.
+    every caller shares hulls with every other.  In two variables with
+    no free column a full-dimensional hull is written down as the
+    polygon of `_polygon_hull`; every other hull, a packing segment or
+    point among them, is converted from its lattice points by
+    `vrep_to_hrep`, which writes equalities in its own reduced form.
+    Both read the same `lattice_points`, so both charge the same lattice
+    box to ``budget``.
     """
     if rel.n == 1:
         return _hull_1d(rel.sense, zip(rel.aggregated_rows, rel.aggregated_rhs))
@@ -461,6 +523,12 @@ def integer_hull(
     points, free = lattice_points(rel, budget)
     if not points:
         hull = empty_polyhedron(rel.n)
+    elif rel.n == 2 and not free and (
+        # a covering hull holds a quadrant; a packing set holds the origin
+        # and is full-dimensional when both coordinates leave 0
+        rel.sense == COVERING or all(map(max, zip(*points)))
+    ):
+        hull = _polygon_hull(rel.sense, points)
     elif rel.sense == COVERING:
         rays = [_unit(rel.n, j) for j in range(rel.n)]
         hull = vrep_to_hrep(points, rays, budget=budget)

@@ -33,7 +33,9 @@ set of tight facets is maximal among the proper ones.  Each run counts
 the ray pairs it tests against a work budget.
 
 Shapes whose canonical form is known, `orthant`, `whole_space` and the
-one-variable `interval`, are written down and run no double description.
+one-variable `interval`, are written down and run no double description;
+`knapsack` writes down its two-variable polygons the same way, through
+`_build`.
 """
 
 from __future__ import annotations
@@ -641,9 +643,10 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
 def intersect(polys, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
     """Intersection of polyhedra over a shared ambient space: one
     `hrep_to_vrep` run over the rows of all inputs, within ``budget`` ray
-    pairs.  The first infeasible input is returned if there is one, and a
-    single input as it is."""
-    polys = list(polys)
+    pairs.  The first infeasible input is returned if there is one.  A
+    repeated input object counts once, and a single distinct input is
+    returned as it is."""
+    polys = list({id(p): p for p in polys}.values())
     if not polys:
         raise ValueError("nothing to intersect")
     dim = polys[0].dim

@@ -185,6 +185,8 @@ def int_row_basis(rows: Iterable[Sequence[int]]) -> list[IntVector]:
     return [row for _, row in reversed(done)]
 
 
+# no caller in src/; kept because bench/tracer.py looks it up with getattr
+# and no default, so deleting it would break `bench/run.py --trace 1`
 def int_nullspace(rows: Iterable[Sequence[int]], width: int) -> list[IntVector]:
     """Deterministic gcd-reduced integer basis of the right nullspace.
 

@@ -6,7 +6,9 @@ it applies, with the small helpers their tests use.  The box enumerator
 of covering minimal points is the oracle of `knapsack._covering_minimal`,
 the pairwise fold is the oracle of `polyhedra.intersect`, the interval
 hulls built by double description and `closure_1d_rounding` are the
-oracles of `polyhedra.interval` and `closure.closure_1d`,
+oracles of `polyhedra.interval` and `closure.closure_1d`, `vertex_hull`,
+a hull converted from its lattice points by double description, is the
+oracle of the two-variable polygons of `knapsack.integer_hull`,
 `tuple_to_inequality`, the hyperplane through a tuple's points, is the
 oracle of the sampled facet each `closure.FacetTuple` carries as its row
 of K, `serialize_instance` writes the instance format
@@ -29,7 +31,7 @@ from aggclosure import cli
 from aggclosure.cli import cmd_closure, cmd_hull, cmd_separate, cmd_verify
 from aggclosure.closure import FacetTuple
 from aggclosure.errors import UsageError
-from aggclosure.knapsack import COVERING, PACKING
+from aggclosure.knapsack import COVERING, PACKING, _packing_core, lattice_points
 from aggclosure.polyhedra import (
     DEFAULT_CELL_BUDGET,
     GE,
@@ -238,6 +240,21 @@ def echelon_hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET):
         facets.append(make_inequality(y[:-1], -y[-1], LE))
     ineqs = _equalities(nullbasis, dim) + facets
     return _build(dim, gens + lines, ineqs, dim - len(nullbasis))
+
+
+def vertex_hull(rel, budget: int = DEFAULT_CELL_BUDGET):
+    """The integer hull of a relaxation converted from its lattice points
+    by `vrep_to_hrep`: covering minimal points with every unit ray, or
+    the packing core with a unit ray per free column.  The oracle of the
+    polygons `knapsack.integer_hull` writes down in two variables."""
+    points, free = lattice_points(rel, budget)
+    if not points:
+        return empty_polyhedron(rel.n)
+    units = [tuple(int(i == j) for i in range(rel.n)) for j in range(rel.n)]
+    if rel.sense == COVERING:
+        return vrep_to_hrep(points, units, budget=budget)
+    rays = [units[j] for j in sorted(free)]
+    return vrep_to_hrep(_packing_core(points), rays, budget=budget)
 
 
 @cache

@@ -194,6 +194,28 @@ class TestGridWalk:
         assert len(hulls) == len(positions)
         assert len({id(hull) for hull in hulls}) == len(hulls)
 
+    def test_one_walk_per_instance_and_scheme(self, monkeypatch):
+        # the closure's tuples, the sampled closure, separation and the
+        # shift check read one memoized walk
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        walks = []
+        monkeypatch.setattr(
+            closure, "_first_positions",
+            lambda inst, sch: walks.append(inst.key()) or _first_positions(inst, sch),
+        )
+        sch = scheme(d=4)
+        for sense in (PACKING, COVERING):
+            inst = Instance(sense, ((2, 3), (3, 1)), (6, 5))
+            walks.clear()
+            art = aggregation_closure(inst, sch)
+            sampled_closure(inst, sch)
+            separate(inst, sch, (1, 1))
+            if inst.sense == COVERING:
+                verify.check_gamma(inst, sch)
+            assert walks == [inst.key()]
+            assert _grid_hulls(inst, sch) is _grid_hulls(inst, sch)
+            assert art.T_sample
+
     def test_walk_holds_less_than_a_coordinate_of_the_grid(self):
         # 135,751 weights: a list per coordinate would take about 5 MB
         inst = Instance(PACKING, ((3,), (5,), (7,), (2,), (9,)), (40, 51, 33, 27, 59))

@@ -10,7 +10,7 @@ from aggclosure.errors import (
     TrivialAggregationError,
     UsageError,
 )
-from aggclosure import knapsack
+from aggclosure import closure, knapsack
 from aggclosure.closure import SampleScheme, _grid_hulls
 from aggclosure.knapsack import (
     COVERING,
@@ -23,7 +23,7 @@ from aggclosure.knapsack import (
     lattice_points,
 )
 from aggclosure.polyhedra import contains, make_inequality, poly_equal, poly_subset
-from oracles import covering_minimal_box
+from oracles import covering_minimal_box, vertex_hull
 
 
 def half(x=1):
@@ -211,6 +211,8 @@ class TestOneVariableGridPath:
     def test_grid_builds_one_relaxation_per_interval(self, sense, grid, k, monkeypatch):
         inst = Instance(sense, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26))
         built = []
+        # the walk is memoized; a cold memo makes it build its relaxations
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
         monkeypatch.setattr(
             knapsack, "KnapsackRelaxation",
             lambda *a, **kw: built.append(1) or KnapsackRelaxation(*a, **kw),
@@ -236,6 +238,57 @@ class TestIntegerHullMulti:
         both = integer_hull(build_relaxation(inst, ((1, 0), (0, 1))))
         alone = integer_hull(build_relaxation(inst, (1, 0)))
         assert poly_equal(both, alone)
+
+
+@st.composite
+def planar_relaxations(draw):
+    # one or two rows over two variables.  Zero coefficients give free
+    # packing columns and empty covering rows, a rhs below a coefficient
+    # gives packing segments and points, a negative rhs an empty packing
+    # set; the large regime scales coefficients and rhs together so that
+    # the box stays small
+    sense = draw(st.sampled_from((PACKING, COVERING)))
+    scale = draw(st.sampled_from((1, 1000)))
+    coef = st.one_of(st.just(0), st.integers(scale, 9 * scale), st.integers(scale, 10**6))
+    rows = draw(st.lists(st.tuples(coef, coef), min_size=1, max_size=2))
+    bound = st.integers(-3 * scale, 60 * scale)
+    rhs = draw(st.lists(bound, min_size=len(rows), max_size=len(rows)))
+    return KnapsackRelaxation(None, None, sense, 2, tuple(rows), tuple(rhs))
+
+
+def _hull_or_error(build, rel):
+    try:
+        return build(rel)
+    except (EmptyRelaxationError, ResourceBudgetError) as exc:
+        return type(exc), str(exc)
+
+
+class TestPlanarHull:
+    # two-variable hulls are written down as polygons; the oracle converts
+    # the same lattice points by double description
+
+    @settings(max_examples=300, deadline=None)
+    @given(planar_relaxations())
+    def test_matches_double_description(self, rel):
+        knapsack._HULL_MEMO.pop(rel.canonical_key(), None)
+        assert _hull_or_error(integer_hull, rel) == _hull_or_error(vertex_hull, rel)
+
+    def test_full_dimensional_polygon_runs_no_double_description(self, monkeypatch):
+        calls = []
+        real = knapsack.vrep_to_hrep
+        monkeypatch.setattr(
+            knapsack, "vrep_to_hrep", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        for sense in (PACKING, COVERING):
+            inst = Instance(sense, ((2, 3), (1, 4)), (4, 4))
+            for cols in [((1, 0),), ((1, 1),), ((1, 0), (0, 1))]:
+                assert integer_hull(build_relaxation(inst, cols)).affine_dim == 2
+        assert calls == []
+        # a segment keeps the kernel's reduced equality
+        segment = integer_hull(KnapsackRelaxation(None, None, PACKING, 2, ((5, 1),), (3,)))
+        assert segment.affine_dim == 1 and len(calls) == 1
+
 
 class TestCgCut:
     def test_rounding(self):

@@ -206,6 +206,15 @@ class TestIntersect:
         a = hrep_to_vrep([mk((1, 0), 0, GE), mk((0, 1), 0, GE), mk((1, 2), 2, LE)], 2)
         assert intersect([a]) is a
 
+    def test_repeated_input_counts_once(self):
+        # L of a covering instance with A > 0 is n copies of the orthant
+        rows = [iq for _ in range(3) for iq in orthant(3).hrep]
+        assert intersect([orthant(3)] * 3) is orthant(3)
+        assert orthant(3) == hrep_to_vrep(rows, 3)
+        a = hrep_to_vrep([mk((1, 0), 0, GE), mk((0, 1), 0, GE), mk((1, 2), 2, LE)], 2)
+        assert intersect([a, a]) is a
+        assert a == hrep_to_vrep(a.hrep + a.hrep, 2)
+
     def test_first_infeasible_input_returned(self):
         a = hrep_to_vrep([mk((1,), 0, GE), mk((1,), 2, LE)], 1)
         gap = hrep_to_vrep([mk((1,), 2, GE), mk((1,), 1, LE)], 1)
