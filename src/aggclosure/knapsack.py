@@ -6,11 +6,14 @@ Aggregating rows with nonnegative weights gives a knapsack relaxation whose
 integer hull is computed exactly: packing feasible sets are finite over the
 bounded coordinates (zero columns become rays), covering feasible sets are
 up-closed so the hull is the convex hull of the domination-minimal points
-plus the nonnegative orthant cone.  A one-variable hull is an interval
-read off the rows, a full-dimensional two-variable hull with no free
-column a polygon read off the lattice points by one monotone chain
-(Andrew 1979), and every other hull is converted from its lattice points
-by the polyhedral kernel.
+plus the nonnegative orthant cone.  A packing set is read as segments:
+each feasible prefix of the first n - 1 coordinates with the top of the
+last.  A one-variable hull is an interval read off the rows, a
+full-dimensional two-variable hull with no free column a polygon read
+off the minimal points or the segment tops by one monotone chain
+(Andrew 1979), and every other hull is converted by the polyhedral
+kernel from the minimal points or from the segment ends no unit step
+raises.
 """
 
 from __future__ import annotations
@@ -296,28 +299,45 @@ def _packing_bounds(rel: KnapsackRelaxation):
     return bounds, free
 
 
-def _packing_points(rel: KnapsackRelaxation, bounds, free) -> list:
+def _packing_points(rel: KnapsackRelaxation, budget) -> tuple[list, set]:
+    """The feasible points of a packing relaxation as segments.
+
+    Walks the first n - 1 coordinates of the `_packing_bounds` box, whose
+    cells are charged to ``budget`` by `_check_budget`, and gives each
+    feasible prefix its top, the largest feasible last coordinate, read
+    off the rows' residuals.  Returns the ``(prefix, top)`` pairs in
+    lexicographic order, with the set of free columns; a pair stands for
+    the points ``prefix + (v,)``, ``0 <= v <= top``, and a free column
+    carries 0.
+    """
+    bounds, free = _packing_bounds(rel)
+    if all(b >= 0 for b in bounds):
+        _check_budget(bounds, budget)
     # vacuous zero rows are fine for packing unless the rhs is negative
     for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
         if not any(row) and r < 0:
-            return []
+            return [], free
     if any(b < 0 for b in bounds):
-        return []
+        return [], free
     n = rel.n
     cols = [[row[j] for row in rel.aggregated_rows] for j in range(n)]
     out: list = []
-    x = [0] * n
+    x = [0] * (n - 1)
+
+    def limit(j: int, residual) -> int:
+        # every residual stays >= 0, so every prefix reached has a segment
+        top = bounds[j]
+        if j not in free:
+            for res, c in zip(residual, cols[j]):
+                if c > 0:
+                    top = min(top, res // c)
+        return top
 
     def descend(j: int, residual) -> None:
-        if j == n:
-            out.append(tuple(x))
+        if j == n - 1:
+            out.append((tuple(x), limit(j, residual)))
             return
-        limit = bounds[j]
-        if j not in free:
-            for t, c in enumerate(cols[j]):
-                if c > 0:
-                    limit = min(limit, residual[t] // c)
-        for v in range(limit + 1):
+        for v in range(limit(j, residual) + 1):
             x[j] = v
             if v:
                 descend(j + 1, tuple(rt - v * ct for rt, ct in zip(residual, cols[j])))
@@ -326,7 +346,7 @@ def _packing_points(rel: KnapsackRelaxation, bounds, free) -> list:
         x[j] = 0
 
     descend(0, tuple(rel.aggregated_rhs))
-    return out
+    return out, free
 
 
 def _covering_minimal(rel: KnapsackRelaxation, bounds) -> list:
@@ -372,7 +392,8 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
     """Feasible integer points of the relaxation.
 
     Packing returns every feasible point over the bounded coordinates (zero
-    columns are reported as free and carry coordinate 0 in the points).
+    columns are reported as free and carry coordinate 0 in the points),
+    expanded from the segments of `_packing_points`.
     Covering returns only the domination-minimal feasible points; together
     with the orthant cone they generate the full up-closed hull.
     """
@@ -390,11 +411,8 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
         # the search walks only the first n - 1 coordinates of the box
         _check_budget(bounds[:-1], budget)
         return _covering_minimal(rel, bounds), set()
-    bounds, free = _packing_bounds(rel)
-    if all(b >= 0 for b in bounds):
-        _check_budget(bounds, budget)
-    points = _packing_points(rel, bounds, free)
-    return points, free
+    segments, free = _packing_points(rel, budget)
+    return [prefix + (v,) for prefix, top in segments for v in range(top + 1)], free
 
 
 _HULL_MEMO: dict = {}
@@ -429,22 +447,23 @@ def _hull_1d(sense: str, row_data) -> Polyhedron:
     return interval(0, c)
 
 
-def _packing_core(points) -> list:
-    # keep p only when no unit increment inside its support stays feasible;
-    # every hull vertex survives (a feasible increment plus down-closure
-    # writes p as a midpoint) and survivors shrink the reduction workload
-    fset = set(points)
+def _packing_core(segments) -> list:
+    # the points, in lexicographic order, that no unit increment inside
+    # their support keeps feasible; every hull vertex survives (a feasible
+    # increment plus down-closure writes p as a midpoint) and survivors
+    # shrink the reduction workload.  Inside a segment the last coordinate
+    # steps up to its top, so only the ends (prefix, 0) and (prefix, top)
+    # can survive, and a prefix coordinate steps up when the raised prefix
+    # has a segment that reaches as high
+    tops = dict(segments)
     out = []
-    for p in points:
-        dominated = False
-        for j, v in enumerate(p):
-            if v > 0:
-                q = tuple(v + int(i == j) for i, v in enumerate(p))
-                if q in fset:
-                    dominated = True
-                    break
-        if not dominated:
-            out.append(p)
+    for prefix, top in segments:
+        for v in ((0, top) if top else (0,)):
+            if not any(
+                c and tops.get(prefix[:j] + (c + 1,) + prefix[j + 1 :], -1) >= v
+                for j, c in enumerate(prefix)
+            ):
+                out.append(prefix + (v,))
     return out
 
 
@@ -471,28 +490,34 @@ def _left_side(p, q) -> LinearInequality:
     return make_inequality(normal, normal[0] * p[0] + normal[1] * p[1], LE)
 
 
-def _polygon_hull(sense: str, points) -> Polyhedron:
-    """Full-dimensional integer hull in two variables with no free column,
-    read off `lattice_points`' output (lexicographic order) by one
-    monotone chain.
+def _covering_polygon(points) -> Polyhedron:
+    """Covering hull in two variables, read off the minimal points of
+    `lattice_points` by one monotone chain.
 
-    Packing: the set is down-closed, so its hull is the polygon of the
-    staircase, the top x2 of each x1 with the two axis points, traversed
-    counterclockwise.  Covering: the minimal points come with x1 rising
-    and x2 falling, and the hull is their lower chain from the leftmost
-    to the lowest, closed by the rays e2 above the first and e1 beyond
-    the last.  Every edge keeps the side on its left.
+    The minimal points come with x1 rising and x2 falling, and the hull
+    is their lower chain from the leftmost to the lowest, closed by the
+    rays e2 above the first and e1 beyond the last.  Every edge keeps the
+    side on its left.
     """
-    if sense == COVERING:
-        chain = _left_chain(points)
-        rows = [
-            LinearInequality((1, 0), chain[0][0], GE),
-            LinearInequality((0, 1), chain[-1][1], GE),
-        ]
-        rows += map(_left_side, chain, chain[1:])
-        return _build(2, [p + (1,) for p in chain] + [(1, 0, 0), (0, 1, 0)], rows, 2)
-    top = dict(points)  # in lexicographic order the last x2 of an x1 is its top
-    stair = sorted({(0, 0), (max(top), 0), *top.items()})
+    chain = _left_chain(points)
+    rows = [
+        LinearInequality((1, 0), chain[0][0], GE),
+        LinearInequality((0, 1), chain[-1][1], GE),
+    ]
+    rows += map(_left_side, chain, chain[1:])
+    return _build(2, [p + (1,) for p in chain] + [(1, 0, 0), (0, 1, 0)], rows, 2)
+
+
+def _packing_polygon(segments) -> Polyhedron:
+    """Full-dimensional packing hull in two variables with no free column,
+    read off the segments of `_packing_points` by one monotone chain.
+
+    The set is down-closed, so its hull is the polygon of the staircase,
+    the top x2 of each x1 with the two axis points, traversed
+    counterclockwise.  Every edge keeps the side on its left.
+    """
+    last = segments[-1][0][0]
+    stair = sorted({(0, 0), (last, 0), *((x1, top) for (x1,), top in segments)})
     ring = _left_chain(stair)[:-1] + _left_chain(reversed(stair))[:-1]
     rows = map(_left_side, ring, ring[1:] + ring[:1])
     return _build(2, [p + (1,) for p in ring], rows, 2)
@@ -506,13 +531,15 @@ def integer_hull(
     The one hull routine.  In one variable the hull is one of a few
     shared intervals, read straight off the rows with no memo entry;
     otherwise it is memoized by `KnapsackRelaxation.canonical_key`, so
-    every caller shares hulls with every other.  In two variables with
-    no free column a full-dimensional hull is written down as the
-    polygon of `_polygon_hull`; every other hull, a packing segment or
-    point among them, is converted from its lattice points by
-    `vrep_to_hrep`, which writes equalities in its own reduced form.
-    Both read the same `lattice_points`, so both charge the same lattice
-    box to ``budget``.
+    every caller shares hulls with every other.  A covering hull comes
+    from the minimal points of `lattice_points`, a packing hull from the
+    segments of `_packing_points`, which charge the same lattice box to
+    ``budget``.  In two variables with no free column a full-dimensional
+    hull is written down as the polygon of `_covering_polygon` or
+    `_packing_polygon`; every other hull, a packing segment or point
+    among them, is converted by `vrep_to_hrep` from the minimal points
+    or the packing core, and the kernel writes equalities in its own
+    reduced form.
     """
     if rel.n == 1:
         return _hull_1d(rel.sense, zip(rel.aggregated_rows, rel.aggregated_rhs))
@@ -520,22 +547,29 @@ def integer_hull(
     hull = _HULL_MEMO.get(key)
     if hull is not None:
         return hull
-    points, free = lattice_points(rel, budget)
-    if not points:
-        hull = empty_polyhedron(rel.n)
-    elif rel.n == 2 and not free and (
-        # a covering hull holds a quadrant; a packing set holds the origin
-        # and is full-dimensional when both coordinates leave 0
-        rel.sense == COVERING or all(map(max, zip(*points)))
-    ):
-        hull = _polygon_hull(rel.sense, points)
-    elif rel.sense == COVERING:
-        rays = [_unit(rel.n, j) for j in range(rel.n)]
-        hull = vrep_to_hrep(points, rays, budget=budget)
+    if rel.sense == COVERING:
+        points, _ = lattice_points(rel, budget)
+        if not points:
+            hull = empty_polyhedron(rel.n)
+        elif rel.n == 2:
+            # a covering hull in two variables holds a quadrant
+            hull = _covering_polygon(points)
+        else:
+            rays = [_unit(rel.n, j) for j in range(rel.n)]
+            hull = vrep_to_hrep(points, rays, budget=budget)
     else:
-        core = _packing_core(points)
-        rays = [_unit(rel.n, j) for j in sorted(free)]
-        hull = vrep_to_hrep(core, rays, budget=budget)
+        segments, free = _packing_points(rel, budget)
+        if not segments:
+            hull = empty_polyhedron(rel.n)
+        elif rel.n == 2 and not free and (
+            # the set holds the origin and is full-dimensional when both
+            # coordinates leave 0
+            segments[-1][0][0] and max(top for _, top in segments)
+        ):
+            hull = _packing_polygon(segments)
+        else:
+            rays = [_unit(rel.n, j) for j in sorted(free)]
+            hull = vrep_to_hrep(_packing_core(segments), rays, budget=budget)
     _HULL_MEMO[key] = hull
     return hull
 

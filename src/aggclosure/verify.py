@@ -47,6 +47,7 @@ from .polyhedra import (
     LE,
     LinearInequality,
     Polyhedron,
+    homogenize,
     intersect,
     make_inequality,
     poly_equal,
@@ -133,9 +134,9 @@ class CheckReport(Record):
         }
 
 
-def _violated_row(poly: Polyhedron, g) -> LinearInequality | None:
-    # first row of ``poly`` the homogeneous generator ``g`` violates
-    for ineq in poly.hrep:
+def _violated_row(rows, g) -> LinearInequality | None:
+    # first of ``rows`` the homogeneous generator ``g`` violates
+    for ineq in rows:
         if not ineq.holds_at(g):
             return ineq
     return None
@@ -151,16 +152,19 @@ def _pushed(base, ray, step):
     return tuple(a + step * den * r for a, r in zip(base[:-1], ray)) + (den,)
 
 
-def _escape_witness(inner: Polyhedron, outer: Polyhedron):
-    """A point of `inner` outside `outer`, with the violated inequality.
+def _escape_witness(inner: Polyhedron, rows):
+    """A point of `inner` outside the set ``rows`` cut out, with the
+    violated row.
 
     Vertices are tried first; a vertex pushed along a recession ray with
     doubling step covers the case where only the recession cones differ.
-    Returns None when the containment actually holds.
+    Only membership and the recession cone of the outer set are read, so
+    any rows that describe it give the same point.  Returns None when the
+    containment actually holds.
     """
     verts = [g for g in inner.generators if g[-1]]
     for g in verts:
-        row = _violated_row(outer, g)
+        row = _violated_row(rows, g)
         if row is not None:
             return _point(g), row
     if not verts:
@@ -169,23 +173,13 @@ def _escape_witness(inner: Polyhedron, outer: Polyhedron):
         step = 1
         for _ in range(64):
             probe = _pushed(verts[0], ray, step)
-            row = _violated_row(outer, probe)
+            row = _violated_row(rows, probe)
             if row is not None:
                 return _point(probe), row
-            if _violated_row(outer, ray) is None:
+            if _violated_row(rows, ray) is None:
                 break
             step *= 2
     return None
-
-
-def _feasible(inst: Instance, point) -> bool:
-    for row, rhs in zip(inst.A, inst.b):
-        lhs = idot(row, point)
-        if inst.sense == PACKING and lhs > rhs:
-            return False
-        if inst.sense == COVERING and lhs < rhs:
-            return False
-    return True
 
 
 def _probe_box(inst: Instance, free_cap: int = 3):
@@ -208,16 +202,68 @@ def _probe_box(inst: Instance, free_cap: int = 3):
     return bounds
 
 
-def _probe_points(inst: Instance):
+def _probe_segments(inst: Instance):
+    """The feasible lattice points of the probe box as segments.
+
+    ``A >= 0``, so for a fixed prefix of the first n - 1 coordinates the
+    feasible last coordinates form one interval ``[lo, hi]``, read off
+    each row's residual by integer division.  Yields ``(prefix, lo, hi)``
+    for every prefix with a feasible point, in product order.  A box of
+    more than `PROBE_CELL_CAP` cells, counted over all n coordinates,
+    raises `ResourceBudgetError` before the walk.
+    """
     bounds = _probe_box(inst)
     cells = 1
     for c in bounds:
         cells *= c + 1
         if cells > PROBE_CELL_CAP:
-            raise ResourceBudgetError("feasibility probe box too large")
-    for p in itertools.product(*(range(c + 1) for c in bounds)):
-        if _feasible(inst, p):
-            yield p
+            raise ResourceBudgetError(
+                f"feasibility probe box of {cells}+ cells exceeds cap {PROBE_CELL_CAP}"
+            )
+    *head, top = bounds
+    packing = inst.sense == PACKING
+    for prefix in itertools.product(*(range(c + 1) for c in head)):
+        lo, hi = 0, top
+        for row, b in zip(inst.A, inst.b):
+            a = row[-1]
+            residual = b - idot(row, prefix)
+            if packing:
+                if a:
+                    hi = min(hi, residual // a)
+                elif residual < 0:
+                    hi = -1
+            elif a:
+                lo = max(lo, -(-residual // a))
+            elif residual > 0:
+                lo = top + 1
+        if lo <= hi:
+            yield prefix, lo, hi
+
+
+def _cut_probe_point(inst: Instance, rows):
+    """The first feasible lattice point of the probe box, in product
+    order, that one of ``rows`` cuts off, as a homogeneous vector; None
+    when every row holds at every such point.
+
+    A linear row holds on a segment of `_probe_segments` exactly when it
+    holds at both end points, and of the two it is tested at the one
+    where it is tighter: ``hi`` when it bounds the last coordinate from
+    above, ``lo`` otherwise.  A segment is walked point by point only
+    when one of its ends is cut.
+    """
+    at_hi, at_lo = [], []
+    for iq in rows:
+        c = iq.normal[-1]
+        (at_hi if c and (c > 0) == (iq.sense == LE) else at_lo).append(iq)
+    for prefix, lo, hi in _probe_segments(inst):
+        low, high = prefix + (lo, 1), prefix + (hi, 1)
+        if all(iq.holds_at(low) for iq in at_lo) and all(iq.holds_at(high) for iq in at_hi):
+            continue
+        for x in range(lo, hi + 1):
+            g = prefix + (x, 1)
+            if _violated_row(rows, g) is not None:
+                return g
+    return None
 
 
 def check_oracle_m1(inst: Instance, scheme: SampleScheme) -> CheckReport:
@@ -234,7 +280,7 @@ def check_oracle_m1(inst: Instance, scheme: SampleScheme) -> CheckReport:
     hull = integer_hull(build_relaxation(inst, unit), scheme.budget)
     if poly_equal(art.closure, hull):
         return CheckReport("oracle_m1", inst.instance_id, PASS)
-    hit = _escape_witness(art.closure, hull) or _escape_witness(hull, art.closure)
+    hit = _escape_witness(art.closure, hull.hrep) or _escape_witness(hull, art.closure.hrep)
     if hit is None:
         raise RuntimeError("representations differ but no escape point found")
     point, row = hit
@@ -256,35 +302,42 @@ def check_sandwich(inst: Instance, scheme: SampleScheme) -> CheckReport:
     must satisfy both.  Whether the outer intersection collapses onto
     the sampled closure is reported as a note, not asserted: sampling
     guarantees it only for special classes.
+
+    Both bodies are decided on their defining rows: K's are the
+    ``source_facet`` of each tuple of ``S``, L's the rows of its distinct
+    ``parts``.  They cut out the same sets as the built bodies, so every
+    point, and every ray against the recession cone, gets the same
+    verdict.  The probe reads the feasible points of the box as the
+    segments of `_probe_segments` and tests them at their ends in
+    `_cut_probe_point`.  ``K`` or ``L`` is intersected only when a point
+    is found outside it, to name the first of its rows that cuts the
+    point.
     """
     art = aggregation_closure(inst, scheme)
     sc = sampled_closure(inst, scheme)
-    K, L = art.K(), art.L()
+    k_rows = [t.source_facet for t in art.S]
+    # a repeated part is one object, as `intersect` counts it
+    l_rows = [iq for part in {id(p): p for p in art.parts}.values() for iq in part.hrep]
+    bodies = ((art.K, k_rows, "the tuple body"), (art.L, l_rows, "the recursion bound"))
     name = "sandwich"
 
-    hit = _escape_witness(sc, K)
-    if hit is not None:
+    for build, rows, body in bodies:
+        hit = _escape_witness(sc, rows)
+        if hit is not None:
+            point = hit[0]
+            return CheckReport(
+                name, inst.instance_id, FAIL, witness_point=point,
+                witness_inequality=_violated_row(build().hrep, homogenize(point)),
+                note=f"sampled closure escapes {body}",
+            )
+    g = _cut_probe_point(inst, k_rows + l_rows)
+    if g is not None:
+        build = art.K if _violated_row(k_rows, g) is not None else art.L
         return CheckReport(
-            name, inst.instance_id, FAIL,
-            witness_point=hit[0], witness_inequality=hit[1],
-            note="sampled closure escapes the tuple body",
+            name, inst.instance_id, FAIL, witness_point=_point(g),
+            witness_inequality=_violated_row(build().hrep, g),
+            note="feasible lattice point cut off",
         )
-    hit = _escape_witness(sc, L)
-    if hit is not None:
-        return CheckReport(
-            name, inst.instance_id, FAIL,
-            witness_point=hit[0], witness_inequality=hit[1],
-            note="sampled closure escapes the recursion bound",
-        )
-    for p in _probe_points(inst):
-        for body in (K, L):
-            row = _violated_row(body, p + (1,))
-            if row is not None:
-                return CheckReport(
-                    name, inst.instance_id, FAIL,
-                    witness_point=as_vector(p), witness_inequality=row,
-                    note="feasible lattice point cut off",
-                )
     return CheckReport(
         name, inst.instance_id, PASS,
         note=f"saturation={'true' if saturated(art) else 'false'}",
@@ -318,7 +371,7 @@ def check_gamma(
                 c + (gamma * v[-1] if i == j else 0) for i, c in enumerate(v)
             )
             for comps, hull in hulls:
-                row = _violated_row(hull, shifted)
+                row = _violated_row(hull.hrep, shifted)
                 if row is not None:
                     return CheckReport(
                         "gamma", inst.instance_id, FAIL,

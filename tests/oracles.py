@@ -9,6 +9,10 @@ hulls built by double description and `closure_1d_rounding` are the
 oracles of `polyhedra.interval` and `closure.closure_1d`, `vertex_hull`,
 a hull converted from its lattice points by double description, is the
 oracle of the two-variable polygons of `knapsack.integer_hull`,
+`packing_core`, read off the set of every feasible point, is the oracle
+of the core `knapsack._packing_core` reads off the packing segments,
+`sandwich_full_box`, which builds `K` and `L` and tests every feasible
+point of the probe box, is the oracle of `verify.check_sandwich`,
 `tuple_to_inequality`, the hyperplane through a tuple's points, is the
 oracle of the sampled facet each `closure.FacetTuple` carries as its row
 of K, `serialize_instance` writes the instance format
@@ -23,15 +27,16 @@ of the rays on it, is the oracle of `polyhedra.hrep_to_vrep`.
 from __future__ import annotations
 
 import argparse
+import itertools
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Optional, Sequence
 
-from aggclosure import cli
+from aggclosure import cli, verify
 from aggclosure.cli import cmd_closure, cmd_hull, cmd_separate, cmd_verify
-from aggclosure.closure import FacetTuple
-from aggclosure.errors import UsageError
-from aggclosure.knapsack import COVERING, PACKING, _packing_core, lattice_points
+from aggclosure.closure import FacetTuple, saturated
+from aggclosure.errors import ResourceBudgetError, UsageError
+from aggclosure.knapsack import COVERING, PACKING, lattice_points
 from aggclosure.polyhedra import (
     DEFAULT_CELL_BUDGET,
     GE,
@@ -242,11 +247,28 @@ def echelon_hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET):
     return _build(dim, gens + lines, ineqs, dim - len(nullbasis))
 
 
+def packing_core(points) -> list:
+    """The points of a packing set, in their order, that no unit
+    increment inside their support keeps feasible, found by looking each
+    increment up in the set of all points."""
+    fset = set(points)
+    out = []
+    for p in points:
+        raised = (
+            tuple(v + int(i == j) for i, v in enumerate(p)) for j in range(len(p)) if p[j]
+        )
+        if all(q not in fset for q in raised):
+            out.append(p)
+    return out
+
+
 def vertex_hull(rel, budget: int = DEFAULT_CELL_BUDGET):
     """The integer hull of a relaxation converted from its lattice points
     by `vrep_to_hrep`: covering minimal points with every unit ray, or
-    the packing core with a unit ray per free column.  The oracle of the
-    polygons `knapsack.integer_hull` writes down in two variables."""
+    the `packing_core` of every feasible point with a unit ray per free
+    column.  The oracle of the polygons `knapsack.integer_hull` writes
+    down in two variables and of the packing core it reads off the
+    segments of `knapsack._packing_points`."""
     points, free = lattice_points(rel, budget)
     if not points:
         return empty_polyhedron(rel.n)
@@ -254,7 +276,7 @@ def vertex_hull(rel, budget: int = DEFAULT_CELL_BUDGET):
     if rel.sense == COVERING:
         return vrep_to_hrep(points, units, budget=budget)
     rays = [units[j] for j in sorted(free)]
-    return vrep_to_hrep(_packing_core(points), rays, budget=budget)
+    return vrep_to_hrep(packing_core(points), rays, budget=budget)
 
 
 @cache
@@ -294,6 +316,82 @@ def tuple_to_inequality(t, sense: str) -> LinearInequality:
     if v[-1] > 0:
         v = tuple(-a for a in v)
     return make_inequality(v[:-1], -v[-1], LE if sense == PACKING else GE)
+
+
+def _first_cut(poly, g):
+    # first row of the built body ``poly`` the homogeneous ``g`` violates
+    return next((iq for iq in poly.hrep if not iq.holds_at(g)), None)
+
+
+def _body_escape(inner, outer):
+    # a vertex of ``inner`` outside the built body ``outer``, or the first
+    # vertex pushed along a ray by doubling steps
+    verts = [g for g in inner.generators if g[-1]]
+    for g in verts:
+        row = _first_cut(outer, g)
+        if row is not None:
+            return verify._point(g), row
+    if not verts:
+        return None
+    for ray in inner.generators[len(verts) :]:
+        step = 1
+        for _ in range(64):
+            probe = verify._pushed(verts[0], ray, step)
+            row = _first_cut(outer, probe)
+            if row is not None:
+                return verify._point(probe), row
+            if _first_cut(outer, ray) is None:
+                break
+            step *= 2
+    return None
+
+
+def _box_points(inst):
+    # every feasible lattice point of the probe box, in product order
+    bounds = verify._probe_box(inst)
+    cells = 1
+    for c in bounds:
+        cells *= c + 1
+        if cells > verify.PROBE_CELL_CAP:
+            raise ResourceBudgetError(
+                f"feasibility probe box of {cells}+ cells exceeds cap {verify.PROBE_CELL_CAP}"
+            )
+    for p in itertools.product(*(range(c + 1) for c in bounds)):
+        lhs = [idot(row, p) for row in inst.A]
+        if inst.sense == PACKING and all(v <= r for v, r in zip(lhs, inst.b)):
+            yield p
+        if inst.sense == COVERING and all(v >= r for v, r in zip(lhs, inst.b)):
+            yield p
+
+
+def sandwich_full_box(inst, art, sc):
+    """`verify.check_sandwich` on the artifacts ``art`` and the sampled
+    closure ``sc``, decided on the built ``K`` and ``L``: the vertices
+    and rays of ``sc`` against each body's rows, then every feasible
+    point of the probe box, in product order, against K's rows and L's."""
+    K, L = art.K(), art.L()
+    name = "sandwich"
+    for body, note in ((K, "the tuple body"), (L, "the recursion bound")):
+        hit = _body_escape(sc, body)
+        if hit is not None:
+            return verify.CheckReport(
+                name, inst.instance_id, verify.FAIL,
+                witness_point=hit[0], witness_inequality=hit[1],
+                note=f"sampled closure escapes {note}",
+            )
+    for p in _box_points(inst):
+        for body in (K, L):
+            row = _first_cut(body, p + (1,))
+            if row is not None:
+                return verify.CheckReport(
+                    name, inst.instance_id, verify.FAIL,
+                    witness_point=as_vector(p), witness_inequality=row,
+                    note="feasible lattice point cut off",
+                )
+    return verify.CheckReport(
+        name, inst.instance_id, verify.PASS,
+        note=f"saturation={'true' if saturated(art) else 'false'}",
+    )
 
 
 def serialize_instance(inst) -> str:

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from aggclosure import closure, knapsack
 from aggclosure.closure import SampleScheme, _grid_hulls
 from aggclosure.knapsack import (
     COVERING,
+    DEFAULT_CELL_BUDGET,
     PACKING,
     Instance,
     KnapsackRelaxation,
@@ -23,7 +26,7 @@ from aggclosure.knapsack import (
     lattice_points,
 )
 from aggclosure.polyhedra import contains, make_inequality, poly_equal, poly_subset
-from oracles import covering_minimal_box, vertex_hull
+from oracles import covering_minimal_box, packing_core, vertex_hull
 
 
 def half(x=1):
@@ -288,6 +291,46 @@ class TestPlanarHull:
         # a segment keeps the kernel's reduced equality
         segment = integer_hull(KnapsackRelaxation(None, None, PACKING, 2, ((5, 1),), (3,)))
         assert segment.affine_dim == 1 and len(calls) == 1
+
+
+@st.composite
+def solid_packing_relaxations(draw):
+    # one or two packing rows over three variables.  Zero coefficients
+    # give free columns, a rhs below every coefficient of a column flattens
+    # the set to a segment or a point, and a negative rhs empties it
+    coef = st.one_of(st.just(0), st.integers(1, 9))
+    rows = draw(st.lists(st.tuples(coef, coef, coef), min_size=1, max_size=2))
+    rhs = draw(st.lists(st.integers(-3, 24), min_size=len(rows), max_size=len(rows)))
+    return KnapsackRelaxation(None, None, PACKING, 3, tuple(rows), tuple(rhs))
+
+
+def box_points(rel) -> list:
+    # every feasible point of a box no feasible point leaves, in
+    # lexicographic order; a column no row bounds carries 0
+    ranges = []
+    for j in range(rel.n):
+        limits = [r // row[j] for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs) if row[j]]
+        ranges.append(range(max(limits) + 1 if limits else 1))
+    return [
+        p for p in itertools.product(*ranges)
+        if all(sum(map(mul, row, p)) <= r for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs))
+    ]
+
+
+class TestPackingSegments:
+    # packing hulls read their segments (prefix, top); the oracles list
+    # every lattice point and convert its core by double description
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(solid_packing_relaxations(), planar_relaxations()))
+    def test_matches_double_description(self, rel):
+        knapsack._HULL_MEMO.pop(rel.canonical_key(), None)
+        assert _hull_or_error(integer_hull, rel) == _hull_or_error(vertex_hull, rel)
+        if rel.sense == PACKING:
+            points, free = lattice_points(rel)
+            assert points == box_points(rel)
+            segments, _ = knapsack._packing_points(rel, DEFAULT_CELL_BUDGET)
+            assert knapsack._packing_core(segments) == packing_core(points)
 
 
 class TestCgCut:

@@ -6,8 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggclosure import verify
-from aggclosure.closure import SampleScheme, sample_lambdas
+from aggclosure import closure, polyhedra, verify
+from aggclosure.closure import (
+    ClosureArtifacts,
+    FacetTuple,
+    SampleScheme,
+    aggregation_closure,
+    sample_lambdas,
+    sampled_closure,
+)
 from aggclosure.errors import ResourceBudgetError, UsageError
 from aggclosure.knapsack import (
     COVERING,
@@ -18,7 +25,15 @@ from aggclosure.knapsack import (
     cg_cut,
     integer_hull,
 )
-from aggclosure.polyhedra import orthant, vrep_to_hrep
+from aggclosure.polyhedra import (
+    GE,
+    LE,
+    hrep_to_vrep,
+    intersect,
+    make_inequality,
+    orthant,
+    vrep_to_hrep,
+)
 from aggclosure.verify import (
     FAIL,
     PASS,
@@ -37,6 +52,7 @@ from aggclosure.verify import (
     suite_json,
     suite_lines,
 )
+from oracles import sandwich_full_box
 
 F = Fraction
 
@@ -45,6 +61,7 @@ COVER23 = Instance(COVERING, ((2, 3),), (4,), instance_id="cover23")
 UNIT3 = Instance(PACKING, ((1, 1),), (3,), instance_id="unit3")
 COVERFIX = Instance(COVERING, ((2, 0), (1, 3)), (3, 4), instance_id="coverfix")
 LP_INTEGRAL = Instance(PACKING, ((2, 3),), (6,), instance_id="lpint")
+PACK2ROWS = Instance(PACKING, ((2, 3), (1, 4)), (4, 4), instance_id="pack2rows")
 
 
 def scheme(d=2):
@@ -76,17 +93,17 @@ class TestEscapeWitness:
     def test_vertex_escape(self):
         box = vrep_to_hrep([(0, 0), (2, 0), (0, 2), (2, 2)])
         tri = vrep_to_hrep([(0, 0), (2, 0), (0, 1)])
-        point, row = _escape_witness(box, tri)
+        point, row = _escape_witness(box, tri.hrep)
         assert not row.admits_point(point)
 
     def test_ray_escape(self):
         box = vrep_to_hrep([(0, 0), (2, 0), (0, 2), (2, 2)])
-        point, row = _escape_witness(orthant(2), box)
+        point, row = _escape_witness(orthant(2), box.hrep)
         assert not row.admits_point(point)
 
     def test_containment_gives_none(self):
         box = vrep_to_hrep([(0, 0), (2, 0), (0, 2), (2, 2)])
-        assert _escape_witness(box, orthant(2)) is None
+        assert _escape_witness(box, orthant(2).hrep) is None
 
 
 class TestOracle:
@@ -123,6 +140,124 @@ class TestSandwich:
     def test_two_row_covering_passes(self):
         rep = check_sandwich(COVERFIX, scheme(d=3))
         assert rep.status == PASS
+
+
+    def test_probe_cap_names_the_box(self):
+        # 401 * 201 probe cells; the check is skipped, not failed
+        inst = Instance(PACKING, ((1, 2),), (400,), instance_id="widebox")
+        note = "feasibility probe box of 80601+ cells exceeds cap 50000"
+        with pytest.raises(ResourceBudgetError) as exc:
+            check_sandwich(inst, scheme())
+        assert str(exc.value) == note
+        (rep,) = [r for r in run_suite([inst], scheme()) if r.check_name == "sandwich"]
+        assert (rep.status, rep.note) == (SKIPPED, note)
+        assert rep.tsv_line() == f"sandwich\twidebox\tskipped\t-\t0\t{note}"
+
+    @pytest.mark.parametrize("inst, d", [(PACK2ROWS, 4), (COVERFIX, 3)])
+    def test_passing_check_builds_neither_body(self, inst, d, monkeypatch):
+        # the closure and the sampled closure are built first; the check
+        # itself then reads the rows of K and L and runs no kernel
+        sch = scheme(d)
+        art = aggregation_closure(inst, sch)
+        sampled_closure(inst, sch)
+        calls = {"build_K": 0, "hrep_to_vrep": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(closure, "build_K", counted("build_K", closure.build_K))
+        kernel = counted("hrep_to_vrep", polyhedra.hrep_to_vrep)
+        monkeypatch.setattr(closure, "hrep_to_vrep", kernel)
+        monkeypatch.setattr(polyhedra, "hrep_to_vrep", kernel)
+        assert check_sandwich(inst, sch).status == PASS
+        assert calls == {"build_K": 0, "hrep_to_vrep": 0}
+        # the bodies are real kernel runs when they are built
+        art.K(), art.L()
+        assert calls["build_K"] == 1 and calls["hrep_to_vrep"] == 2
+
+
+def _perturbed_report(check, inst, d, target, row, shrink):
+    # run ``check`` with ``row`` added to K's tuples or to L's parts, and
+    # with the sampled closure cut by it when ``shrink``: a row that cuts
+    # feasible points then misses the sampled closure, so the probe finds
+    # the cut.  A budget trip is reported as its note
+    sch = scheme(d)
+    art = aggregation_closure(inst, sch)
+    sc = sampled_closure(inst, sch)
+    if row is not None:
+        half = hrep_to_vrep([row], inst.n)
+        S, parts = art.S, art.parts
+        if target == "K":
+            S += (FacetTuple((), source_facet=row),)
+        else:
+            parts += (half,)
+        art = ClosureArtifacts(inst, sch, parts, art.closure, art.gamma, art.T_sample, S)
+        if shrink:
+            sc = intersect([sc, half])
+    try:
+        return check(inst, art, sc)
+    except ResourceBudgetError as exc:
+        return str(exc)
+
+
+def _segment_check(inst, art, sc):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "aggregation_closure", lambda *_: art)
+        mp.setattr(verify, "sampled_closure", lambda *_: sc)
+        return check_sandwich(inst, art.sample)
+
+
+@st.composite
+def sandwich_cases(draw):
+    sense = draw(st.sampled_from((PACKING, COVERING)))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2 if n == 3 else 3))
+    rows = [
+        tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)))
+        for _ in range(m)
+    ]
+    b = tuple(draw(st.integers(1, 8)) for _ in range(m))
+    inst = Instance(sense, tuple(rows), b, instance_id="rand")
+    d = draw(st.integers(1, 3))
+    target = draw(st.sampled_from((None, "K", "L")))
+    row = None
+    if target is not None:
+        normal = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        row = make_inequality(normal, draw(st.integers(-4, 12)), draw(st.sampled_from((LE, GE))))
+    return inst, d, target, row, draw(st.booleans())
+
+
+# one perturbation per way to fail: a row sc escapes, in K and in L, and
+# a row that cuts feasible points off K or L and off sc alike
+FAILING_CASES = [
+    (PACK2ROWS, 4, "K", make_inequality((1, 1), 0, LE), False),
+    (PACK2ROWS, 4, "L", make_inequality((1, 1), 0, LE), False),
+    (PACK2ROWS, 4, "K", make_inequality((1, 0), 0, LE), True),
+    (COVERFIX, 3, "L", make_inequality((0, 1), 1, LE), True),
+]
+
+
+class TestSandwichAgainstFullBox:
+    # the oracle decides on the built K and L and on every feasible point
+    # of the probe box; the check on rows and on segment end points
+
+    @settings(max_examples=200, deadline=None)
+    @given(sandwich_cases())
+    def test_same_report_as_full_box(self, case):
+        expected = _perturbed_report(sandwich_full_box, *case)
+        assert _perturbed_report(_segment_check, *case) == expected
+
+    def test_every_failure_matches_full_box(self):
+        reports = [_perturbed_report(_segment_check, *case) for case in FAILING_CASES]
+        assert reports == [_perturbed_report(sandwich_full_box, *case) for case in FAILING_CASES]
+        assert {rep.note for rep in reports} == {
+            "sampled closure escapes the tuple body",
+            "sampled closure escapes the recursion bound",
+            "feasible lattice point cut off",
+        }
 
 
 class TestGamma:
