@@ -41,6 +41,7 @@ from .knapsack import (
     PACKING,
     _hull_1d,
     build_relaxation,
+    column_bounds,
     hull_keys,
     integer_hull,
     normalize_aggregation,
@@ -177,10 +178,7 @@ def _check_grid_budget(m: int, scheme: SampleScheme) -> None:
 
 def _grid_aggregation(comps, d: int) -> Aggregation:
     # the rational weights v/D of integer compositions v
-    return Aggregation(
-        tuple(tuple(Fraction(v, d) for v in comp) for comp in comps),
-        normalized=True,
-    )
+    return Aggregation(tuple(tuple(Fraction(v, d) for v in comp) for comp in comps))
 
 
 def sample_lambdas(m: int, scheme: SampleScheme) -> list[Aggregation]:
@@ -367,7 +365,7 @@ def closure_1d(inst: Instance) -> Polyhedron:
     """
     if inst.n != 1:
         raise UsageError("closed form only applies to one variable")
-    return _hull_1d(inst.sense, zip(inst.A, inst.b))
+    return _hull_1d(inst.sense, inst.A, inst.b)
 
 
 def build_Qj(inst: Instance, j: int) -> Instance | None:
@@ -384,18 +382,9 @@ def build_Qj(inst: Instance, j: int) -> Instance | None:
         raise UsageError("dropping the only column leaves no variables")
     axis = j - 1
     if inst.sense == PACKING:
-        kept = []
-        for row, rhs in zip(inst.A, inst.b):
-            short = row[:axis] + row[axis + 1 :]
-            if any(short):
-                kept.append((short, rhs))
-        if not kept:
-            return None
-        return Instance(
-            PACKING,
-            tuple(r for r, _ in kept),
-            tuple(r for _, r in kept),
-        )
+        rows = tuple(row[:axis] + row[axis + 1 :] for row in inst.A)
+        # `Instance` strips the rows left all zero
+        return Instance(PACKING, rows, inst.b) if any(map(any, rows)) else None
     keep = [i for i in range(inst.m) if inst.A[i][axis] == 0]
     if not keep:
         return None
@@ -429,7 +418,7 @@ def compute_gamma(inst: Instance) -> int:
     if inst.sense != COVERING:
         raise UsageError("the shift bound is defined for covering instances")
     # the ceiling of the largest ratio is the largest of the ceilings
-    ceilings = [-(-b // a) for row, b in zip(inst.A, inst.b) for a in row if a]
+    ceilings = [c for c in column_bounds(COVERING, inst.A, inst.b) if c is not None]
     if not ceilings:
         raise UsageError("every column is zero")
     return max(ceilings)

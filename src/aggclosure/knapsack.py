@@ -6,11 +6,14 @@ Aggregating rows with nonnegative weights gives a knapsack relaxation whose
 integer hull is computed exactly: packing feasible sets are finite over the
 bounded coordinates (zero columns become rays), covering feasible sets are
 up-closed so the hull is the convex hull of the domination-minimal points
-plus the nonnegative orthant cone.  A packing set is read as segments:
-each feasible prefix of the first n - 1 coordinates with the top of the
-last.  A one-variable hull is an interval read off the rows, a
-full-dimensional two-variable hull with no free column a polygon read
-off the minimal points or the segment tops by one monotone chain
+plus the nonnegative orthant cone.  Both are enumerated in the box of
+`column_bounds`: ``min floor(r / a_j)`` over the packing rows or ``max
+ceil(r / a_j)`` over the covering rows with ``a_j > 0``, and 0 along a
+column no row uses, which is free for packing.  A packing set is read
+as segments: each feasible prefix of the first n - 1 coordinates with
+the top of the last.  A one-variable hull is an interval read off the
+rows, a full-dimensional two-variable hull with no free column a polygon
+read off the minimal points or the segment tops by one monotone chain
 (Andrew 1979), and every other hull is converted by the polyhedral
 kernel from the minimal points or from the segment ends no unit step
 raises.
@@ -61,10 +64,10 @@ COVERING = "covering"
 class Aggregation(Record):
     """Nonnegative aggregation weights: k columns of m row weights each."""
 
-    __slots__ = ("weights", "normalized")
+    __slots__ = ("weights",)
 
-    def __init__(self, weights: tuple, normalized: bool = False) -> None:
-        set_fields(self, weights, normalized)
+    def __init__(self, weights: tuple) -> None:
+        set_fields(self, weights)
 
     @property
     def k(self) -> int:
@@ -89,14 +92,12 @@ def as_aggregation(weights, m: int) -> Aggregation:
     """
     if isinstance(weights, Aggregation):
         cols = [_weight_column(c) for c in weights.weights]
-        flag = weights.normalized
     else:
         seq = list(weights)
         if not seq:
             raise UsageError("empty aggregation")
         raw = seq if isinstance(seq[0], (list, tuple)) else [seq]
         cols = [_weight_column(c) for c in raw]
-        flag = False
     if not cols:
         raise UsageError("empty aggregation")
     for col in cols:
@@ -104,7 +105,7 @@ def as_aggregation(weights, m: int) -> Aggregation:
             raise UsageError("aggregation length does not match row count")
         if any(w < 0 for w in col):
             raise UsageError("aggregation weights must be nonnegative")
-    return Aggregation(tuple(cols), flag)
+    return Aggregation(tuple(cols))
 
 
 def normalize_aggregation(agg: Aggregation) -> Aggregation:
@@ -115,7 +116,7 @@ def normalize_aggregation(agg: Aggregation) -> Aggregation:
         if total == 0:
             raise TrivialAggregationError("trivial aggregation")
         cols.append(tuple(Fraction(w, total) for w in col))
-    return Aggregation(tuple(cols), True)
+    return Aggregation(tuple(cols))
 
 
 class Instance(Record):
@@ -184,13 +185,12 @@ class KnapsackRelaxation(Record):
     that differ by a positive factor per column give the same hull.
     """
 
-    __slots__ = ("parent", "weights", "sense", "n", "aggregated_rows", "aggregated_rhs")
+    __slots__ = ("sense", "n", "aggregated_rows", "aggregated_rhs")
 
     def __init__(
-        self, parent: Instance | None, weights: Aggregation, sense: str, n: int,
-        aggregated_rows: RatMatrix, aggregated_rhs: RatVector,
+        self, sense: str, n: int, aggregated_rows: RatMatrix, aggregated_rhs: RatVector
     ) -> None:
-        set_fields(self, parent, weights, sense, n, aggregated_rows, aggregated_rhs)
+        set_fields(self, sense, n, aggregated_rows, aggregated_rhs)
 
     @property
     def k(self) -> int:
@@ -214,8 +214,7 @@ def build_relaxation(inst: Instance, weights) -> KnapsackRelaxation:
     `integer_row`; the row is divided by ``den`` only when ``den > 1``,
     so integer weights give int rows and every row equals λ·A | λ·b.
     """
-    agg = as_aggregation(weights, inst.m)
-    kept = tuple(col for col in agg.weights if any(col))
+    kept = [col for col in as_aggregation(weights, inst.m).weights if any(col)]
     if not kept:
         raise TrivialAggregationError("trivial aggregation")
     rows = []
@@ -224,8 +223,6 @@ def build_relaxation(inst: Instance, weights) -> KnapsackRelaxation:
         row = integer_row(inst, ints)
         rows.append(row if den == 1 else tuple(Fraction(x, den) for x in row))
     return KnapsackRelaxation(
-        parent=inst,
-        weights=Aggregation(kept, agg.normalized),
         sense=inst.sense,
         n=inst.n,
         aggregated_rows=tuple(row[:-1] for row in rows),
@@ -272,6 +269,18 @@ def _ceil_div(r, a) -> int:
     return -(-r // a)
 
 
+def column_bounds(sense: str, rows, rhs) -> list:
+    """Per column j, the most a packing row allows alone, ``min floor(r /
+    a_j)``, or the least a covering row needs, ``max ceil(r / a_j)``, over
+    the rows with ``a_j > 0``; None for a column no row uses.  Exact on
+    int and Fraction rows."""
+    rounded, pick = (floordiv, min) if sense == PACKING else (_ceil_div, max)
+    return [
+        pick((rounded(r, a) for a, r in zip(col, rhs) if a > 0), default=None)
+        for col in zip(*rows)
+    ]
+
+
 def _check_budget(bounds, budget) -> None:
     cells = 1
     for b in bounds:
@@ -282,27 +291,10 @@ def _check_budget(bounds, budget) -> None:
             )
 
 
-def _packing_bounds(rel: KnapsackRelaxation):
-    free = set()
-    bounds = []
-    for j in range(rel.n):
-        limit = None
-        for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
-            if row[j] > 0:
-                q = r // row[j]
-                limit = q if limit is None else min(limit, q)
-        if limit is None:
-            free.add(j)
-            bounds.append(0)
-        else:
-            bounds.append(limit)
-    return bounds, free
-
-
 def _packing_points(rel: KnapsackRelaxation, budget) -> tuple[list, set]:
     """The feasible points of a packing relaxation as segments.
 
-    Walks the first n - 1 coordinates of the `_packing_bounds` box, whose
+    Walks the first n - 1 coordinates of the `column_bounds` box, whose
     cells are charged to ``budget`` by `_check_budget`, and gives each
     feasible prefix its top, the largest feasible last coordinate, read
     off the rows' residuals.  Returns the ``(prefix, top)`` pairs in
@@ -310,7 +302,9 @@ def _packing_points(rel: KnapsackRelaxation, budget) -> tuple[list, set]:
     the points ``prefix + (v,)``, ``0 <= v <= top``, and a free column
     carries 0.
     """
-    bounds, free = _packing_bounds(rel)
+    bounds = column_bounds(PACKING, rel.aggregated_rows, rel.aggregated_rhs)
+    free = {j for j, c in enumerate(bounds) if c is None}
+    bounds = [0 if c is None else c for c in bounds]
     if all(b >= 0 for b in bounds):
         _check_budget(bounds, budget)
     # vacuous zero rows are fine for packing unless the rhs is negative
@@ -398,16 +392,13 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
     with the orthant cone they generate the full up-closed hull.
     """
     if rel.sense == COVERING:
-        bounds = []
         for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
             if not any(row) and r > 0:
                 raise EmptyRelaxationError("empty relaxation")
-        for j in range(rel.n):
-            c = 0
-            for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
-                if row[j] > 0 and r > 0:
-                    c = max(c, _ceil_div(r, row[j]))
-            bounds.append(c)
+        bounds = [
+            max(c or 0, 0)
+            for c in column_bounds(COVERING, rel.aggregated_rows, rel.aggregated_rhs)
+        ]
         # the search walks only the first n - 1 coordinates of the box
         _check_budget(bounds[:-1], budget)
         return _covering_minimal(rel, bounds), set()
@@ -418,30 +409,23 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
 _HULL_MEMO: dict = {}
 
 
-def _hull_1d(sense: str, row_data) -> Polyhedron:
-    """Integer hull in one variable of the (row, rhs) pairs, all at once.
+def _hull_1d(sense: str, rows, rhs) -> Polyhedron:
+    """Integer hull in one variable of the rows, all at once.
 
-    Each row rounds to ``x <= floor(r / a)`` for packing or ``x >= ceil(r
-    / a)`` for covering, and the hull is the interval the tightest one
-    leaves on ``x >= 0``: one shared `interval` per endpoint.
+    The hull is the interval the `column_bounds` bound leaves on
+    ``x >= 0``: one shared `interval` per endpoint.
     """
-    row_data = list(row_data)
+    (c,) = column_bounds(sense, rows, rhs)
     if sense == COVERING:
-        for row, r in row_data:
-            if not any(row) and r > 0:
+        for (a,), r in zip(rows, rhs):
+            if not a and r > 0:
                 raise EmptyRelaxationError("empty relaxation")
-        c = 0
-        for row, r in row_data:
-            if row[0] > 0 and r > 0:
-                c = max(c, _ceil_div(r, row[0]))
-        return interval(c)
-    for row, r in row_data:
-        if not any(row) and r < 0:
+        return interval(max(c or 0, 0))
+    for (a,), r in zip(rows, rhs):
+        if not a and r < 0:
             return empty_polyhedron(1)
-    limits = [r // row[0] for row, r in row_data if row[0] > 0]
-    if not limits:
+    if c is None:
         return interval(0)
-    c = min(limits)
     if c < 0:
         return empty_polyhedron(1)
     return interval(0, c)
@@ -542,7 +526,7 @@ def integer_hull(
     reduced form.
     """
     if rel.n == 1:
-        return _hull_1d(rel.sense, zip(rel.aggregated_rows, rel.aggregated_rhs))
+        return _hull_1d(rel.sense, rel.aggregated_rows, rel.aggregated_rhs)
     key = rel.canonical_key()
     hull = _HULL_MEMO.get(key)
     if hull is not None:

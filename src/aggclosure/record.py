@@ -22,7 +22,9 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._values = attrgetter(*cls.__slots__)  # the fields as one tuple
+        # the fields as one tuple, also for a record of one field
+        get = attrgetter(*cls.__slots__)
+        cls._values = get if len(cls.__slots__) > 1 else staticmethod(lambda r: (get(r),))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

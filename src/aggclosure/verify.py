@@ -40,6 +40,7 @@ from .knapsack import (
     Instance,
     PACKING,
     build_relaxation,
+    column_bounds,
     hull_keys,
     integer_hull,
 )
@@ -62,6 +63,8 @@ SKIPPED = "skipped"
 
 # feasibility probe boxes larger than this are not enumerated
 PROBE_CELL_CAP = 50_000
+# the probe box's extent along a column no row constrains
+PROBE_FREE_CAP = 3
 
 
 class CheckReport(Record):
@@ -182,24 +185,12 @@ def _escape_witness(inner: Polyhedron, rows):
     return None
 
 
-def _probe_box(inst: Instance, free_cap: int = 3):
+def _probe_box(inst: Instance):
     """Per-coordinate bounds inside which probing lattice feasibility
-    is meaningful; columns no row constrains get a small fixed cap."""
-    bounds = []
-    for j in range(inst.n):
-        best = None
-        for i in range(inst.m):
-            a = inst.A[i][j]
-            if a == 0:
-                continue
-            if inst.sense == PACKING:
-                r = inst.b[i] // a
-                best = r if best is None or r < best else best
-            else:
-                r = -((-inst.b[i]) // a)
-                best = r if best is None or r > best else best
-        bounds.append(free_cap if best is None else best)
-    return bounds
+    is meaningful: the `column_bounds` of the rows, and `PROBE_FREE_CAP`
+    for a column no row constrains."""
+    bounds = column_bounds(inst.sense, inst.A, inst.b)
+    return [PROBE_FREE_CAP if c is None else c for c in bounds]
 
 
 def _probe_segments(inst: Instance):
@@ -276,7 +267,7 @@ def check_oracle_m1(inst: Instance, scheme: SampleScheme) -> CheckReport:
     if inst.m != 1:
         raise UsageError("oracle check requires a single row")
     art = aggregation_closure(inst, scheme)
-    unit = Aggregation(((1,),), normalized=True)
+    unit = Aggregation(((1,),))
     hull = integer_hull(build_relaxation(inst, unit), scheme.budget)
     if poly_equal(art.closure, hull):
         return CheckReport("oracle_m1", inst.instance_id, PASS)

@@ -135,6 +135,27 @@ def affine_rank(points: Sequence[Sequence]) -> int:
     return ech.rank + 1
 
 
+def column_bounds_scan(sense: str, rows, rhs) -> list:
+    """The bound of each column by scanning candidate values: the largest
+    v with ``v·a <= r`` (packing) or the smallest with ``v·a >= r``
+    (covering) on every row with ``a > 0``; None for a column no row
+    uses.  For ``a = p/q >= 1/q``, ``|r / a| <= |r|·q``, so the scan
+    covers every bound."""
+    out = []
+    for col in zip(*rows):
+        used = [(Fraction(a), Fraction(r)) for a, r in zip(col, rhs) if a > 0]
+        if not used:
+            out.append(None)
+            continue
+        span = max((abs(r.numerator) + 1) * a.denominator for a, r in used)
+        values = range(-span, span + 1)
+        if sense == PACKING:
+            out.append(max(v for v in values if all(v * a <= r for a, r in used)))
+        else:
+            out.append(min(v for v in values if all(v * a >= r for a, r in used)))
+    return out
+
+
 def covering_minimal_box(rel, bounds) -> list:
     """Domination-minimal feasible points of a covering relaxation, by
     listing every cell of the box ``0 <= x_j <= bounds[j]``."""

@@ -77,7 +77,7 @@ def _report(capsys, num, ok, label):
 
 def _unit_column(m):
     # m = 1 everywhere this is used
-    return Aggregation(((Fraction(1),),), normalized=True)
+    return Aggregation(((Fraction(1),),))
 
 
 def test_c01_single_row_matches_brute_force_hull(capsys):
@@ -341,8 +341,7 @@ def test_c10_pairwise_aggregation_refines(capsys):
             multi = integer_hull(build_relaxation(inst, pair))
             pair_count += 1
             for col in pair.weights:
-                single = integer_hull(
-                    build_relaxation(inst, Aggregation((col,), normalized=True)))
+                single = integer_hull(build_relaxation(inst, Aggregation((col,))))
                 if not poly_subset(multi, single):
                     holds = False
         if not poly_subset(sampled_closure(inst, two),

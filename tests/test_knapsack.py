@@ -22,11 +22,12 @@ from aggclosure.knapsack import (
     KnapsackRelaxation,
     build_relaxation,
     cg_cut,
+    column_bounds,
     integer_hull,
     lattice_points,
 )
 from aggclosure.polyhedra import contains, make_inequality, poly_equal, poly_subset
-from oracles import covering_minimal_box, packing_core, vertex_hull
+from oracles import column_bounds_scan, covering_minimal_box, packing_core, vertex_hull
 
 
 def half(x=1):
@@ -102,10 +103,42 @@ class TestBuildRelaxation:
         assert a.canonical_key() == b.canonical_key()
 
 
+@st.composite
+def bound_rows(draw):
+    # int or Fraction rows with zero entries and all-zero columns, and
+    # right-hand sides of either sign, as aggregation and the instances
+    # make them
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    fractional = draw(st.booleans())
+    entry = (
+        st.fractions(min_value=0, max_value=5, max_denominator=3)
+        if fractional
+        else st.integers(0, 9)
+    )
+    bound = (
+        st.fractions(min_value=-20, max_value=20, max_denominator=3)
+        if fractional
+        else st.integers(-20, 20)
+    )
+    zero = draw(st.sets(st.integers(0, n - 1)))
+    rows = tuple(
+        tuple(0 if j in zero else draw(entry) for j in range(n)) for _ in range(k)
+    )
+    return rows, tuple(draw(st.lists(bound, min_size=k, max_size=k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((PACKING, COVERING)), bound_rows())
+def test_column_bounds_match_the_scan(sense, data):
+    rows, rhs = data
+    bounds = column_bounds(sense, rows, rhs)
+    assert bounds == column_bounds_scan(sense, rows, rhs)
+    assert all(type(c) is int for c in bounds if c is not None)
+
+
 def single_row(sense, coeffs, rhs):
     return KnapsackRelaxation(
-        parent=None,
-        weights=(),
         sense=sense,
         n=len(coeffs),
         aggregated_rows=(tuple(Fraction(c) for c in coeffs),),
@@ -153,8 +186,6 @@ class TestLatticePoints:
         # a float quotient would make it 33333333333333336
         for sense in (PACKING, COVERING):
             rel = KnapsackRelaxation(
-                parent=None,
-                weights=(),
                 sense=sense,
                 n=2,
                 aggregated_rows=((3, 10**17 + 2),),
@@ -256,7 +287,7 @@ def planar_relaxations(draw):
     rows = draw(st.lists(st.tuples(coef, coef), min_size=1, max_size=2))
     bound = st.integers(-3 * scale, 60 * scale)
     rhs = draw(st.lists(bound, min_size=len(rows), max_size=len(rows)))
-    return KnapsackRelaxation(None, None, sense, 2, tuple(rows), tuple(rhs))
+    return KnapsackRelaxation(sense, 2, tuple(rows), tuple(rhs))
 
 
 def _hull_or_error(build, rel):
@@ -289,7 +320,7 @@ class TestPlanarHull:
                 assert integer_hull(build_relaxation(inst, cols)).affine_dim == 2
         assert calls == []
         # a segment keeps the kernel's reduced equality
-        segment = integer_hull(KnapsackRelaxation(None, None, PACKING, 2, ((5, 1),), (3,)))
+        segment = integer_hull(KnapsackRelaxation(PACKING, 2, ((5, 1),), (3,)))
         assert segment.affine_dim == 1 and len(calls) == 1
 
 
@@ -301,7 +332,7 @@ def solid_packing_relaxations(draw):
     coef = st.one_of(st.just(0), st.integers(1, 9))
     rows = draw(st.lists(st.tuples(coef, coef, coef), min_size=1, max_size=2))
     rhs = draw(st.lists(st.integers(-3, 24), min_size=len(rows), max_size=len(rows)))
-    return KnapsackRelaxation(None, None, PACKING, 3, tuple(rows), tuple(rhs))
+    return KnapsackRelaxation(PACKING, 3, tuple(rows), tuple(rhs))
 
 
 def box_points(rel) -> list:
@@ -525,7 +556,7 @@ def covering_relaxations(draw):
         for _ in range(k)
     )
     return KnapsackRelaxation(
-        parent=None, weights=(), sense=COVERING, n=n,
+        sense=COVERING, n=n,
         aggregated_rows=rows, aggregated_rhs=rhs,
     )
 
