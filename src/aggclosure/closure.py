@@ -55,7 +55,6 @@ from .polyhedra import (
     homogenize,
     hrep_to_vrep,
     intersect,
-    interval,
     orthant,
     poly_equal,
     positive_normal_facets,
@@ -310,38 +309,28 @@ def sampled_closure(inst: Instance, scheme: SampleScheme) -> Polyhedron:
     """Intersection of the integer hulls of all sampled aggregations.
 
     Outer approximation of the closure; exact for m = 1 at any grid and
-    for one variable at any grid that includes the units (all do).
-    In one variable every grid aggregation's hull is an interval whose
-    endpoint is its `hull_keys` key, so the walk reads the keys alone
-    and the closure is the interval of the tightest one: ``[0, min]``
-    for packing, ``[max, inf)`` for covering, with no hull built and no
-    double description run.  In several variables each distinct hull
-    of `_grid_hulls` enters one intersection once.  A grid of more than
-    ``scheme.budget`` aggregations raises `ResourceBudgetError` before
-    the walk.  Memoized per (instance, scheme).
+    for one variable at any grid and any k.  In one variable every
+    aggregated ratio ``v·b / v·a`` is a weighted mediant of the row
+    ratios, so the tightest rounding is reached at a unit weight; every
+    grid holds the unit compositions and every k-tuple walk the tuple
+    ``(e_i, ..., e_i)``, so the sampled closure is `closure_1d` and no
+    weight is walked.  In several variables each distinct hull of
+    `_grid_hulls` enters one intersection once.  Either way a grid of
+    more than ``scheme.budget`` aggregations, ``C(D + m - 1, m - 1)``
+    multichoose k, raises `ResourceBudgetError` before any work.
+    Memoized per (instance, scheme).
     """
     memo_key = (inst.key(), scheme, "sampled")
     cached = _CLOSURE_MEMO.get(memo_key)
     if cached is None:
         if inst.n == 1:
-            cached = _sampled_interval(inst, scheme)
+            _check_grid_budget(inst.m, scheme)
+            cached = closure_1d(inst)
         else:
             hulls = [hull for _, hull in _grid_hulls(inst, scheme)]
             cached = intersect(hulls, scheme.budget)
         _CLOSURE_MEMO[memo_key] = cached
     return cached
-
-
-def _sampled_interval(inst: Instance, scheme: SampleScheme) -> Polyhedron:
-    # a valid one-variable instance has every a_i >= 1 and b_i >= 1, so
-    # each key is a packing endpoint >= 0 or a covering endpoint >= 1,
-    # and the intersection of [0, c_i] is [0, min c_i], of [c_i, inf)
-    # is [max c_i, inf)
-    _check_grid_budget(inst.m, scheme)
-    keys = hull_keys(inst.sense, _grid_rows(inst, scheme.grid_denominator), scheme.k)
-    if inst.sense == PACKING:
-        return interval(0, min(keys))
-    return interval(max(keys))
 
 
 def saturated(art: ClosureArtifacts) -> bool:

@@ -281,14 +281,31 @@ def column_bounds(sense: str, rows, rhs) -> list:
     ]
 
 
-def _check_budget(bounds, budget) -> None:
+def _check_budget(bounds, budget, box="enumeration box", limit="budget") -> None:
+    # the box of 0..b per side, counted one side at a time so a huge box
+    # stops at the first product past ``budget``
     cells = 1
     for b in bounds:
         cells *= b + 1
         if cells > budget:
-            raise ResourceBudgetError(
-                f"enumeration box of {cells}+ cells exceeds budget {budget}"
-            )
+            raise ResourceBudgetError(f"{box} of {cells}+ cells exceeds {limit} {budget}")
+
+
+def _zero_row_empties(sense: str, rows, rhs) -> bool:
+    """Whether an all-zero row leaves nothing feasible.
+
+    A packing row ``0 <= r`` with ``r < 0`` empties the relaxation and
+    gives True; a covering row ``0 >= r`` with ``r > 0`` raises
+    `EmptyRelaxationError`.  Every other zero row is vacuous.
+    """
+    for row, r in zip(rows, rhs):
+        if any(row):
+            continue
+        if sense == COVERING and r > 0:
+            raise EmptyRelaxationError("empty relaxation")
+        if sense == PACKING and r < 0:
+            return True
+    return False
 
 
 def _packing_points(rel: KnapsackRelaxation, budget) -> tuple[list, set]:
@@ -307,10 +324,8 @@ def _packing_points(rel: KnapsackRelaxation, budget) -> tuple[list, set]:
     bounds = [0 if c is None else c for c in bounds]
     if all(b >= 0 for b in bounds):
         _check_budget(bounds, budget)
-    # vacuous zero rows are fine for packing unless the rhs is negative
-    for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
-        if not any(row) and r < 0:
-            return [], free
+    if _zero_row_empties(PACKING, rel.aggregated_rows, rel.aggregated_rhs):
+        return [], free
     if any(b < 0 for b in bounds):
         return [], free
     n = rel.n
@@ -392,9 +407,7 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
     with the orthant cone they generate the full up-closed hull.
     """
     if rel.sense == COVERING:
-        for row, r in zip(rel.aggregated_rows, rel.aggregated_rhs):
-            if not any(row) and r > 0:
-                raise EmptyRelaxationError("empty relaxation")
+        _zero_row_empties(COVERING, rel.aggregated_rows, rel.aggregated_rhs)
         bounds = [
             max(c or 0, 0)
             for c in column_bounds(COVERING, rel.aggregated_rows, rel.aggregated_rhs)
@@ -416,14 +429,10 @@ def _hull_1d(sense: str, rows, rhs) -> Polyhedron:
     ``x >= 0``: one shared `interval` per endpoint.
     """
     (c,) = column_bounds(sense, rows, rhs)
+    if _zero_row_empties(sense, rows, rhs):
+        return empty_polyhedron(1)
     if sense == COVERING:
-        for (a,), r in zip(rows, rhs):
-            if not a and r > 0:
-                raise EmptyRelaxationError("empty relaxation")
         return interval(max(c or 0, 0))
-    for (a,), r in zip(rows, rhs):
-        if not a and r < 0:
-            return empty_polyhedron(1)
     if c is None:
         return interval(0)
     if c < 0:

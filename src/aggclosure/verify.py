@@ -39,6 +39,7 @@ from .knapsack import (
     COVERING,
     Instance,
     PACKING,
+    _check_budget,
     build_relaxation,
     column_bounds,
     hull_keys,
@@ -204,13 +205,7 @@ def _probe_segments(inst: Instance):
     raises `ResourceBudgetError` before the walk.
     """
     bounds = _probe_box(inst)
-    cells = 1
-    for c in bounds:
-        cells *= c + 1
-        if cells > PROBE_CELL_CAP:
-            raise ResourceBudgetError(
-                f"feasibility probe box of {cells}+ cells exceeds cap {PROBE_CELL_CAP}"
-            )
+    _check_budget(bounds, PROBE_CELL_CAP, "feasibility probe box", "cap")
     *head, top = bounds
     packing = inst.sense == PACKING
     for prefix in itertools.product(*(range(c + 1) for c in head)):

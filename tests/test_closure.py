@@ -641,14 +641,21 @@ class TestSchemeBudget:
 
     def test_grid_trip_under_the_default_budget(self, monkeypatch):
         monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
-        # the `fine5` fixture: the trip comes before any row is walked
-        walked = []
-        monkeypatch.setattr(closure, "_grid_rows", lambda *args: walked.append(args))
-        inst = Instance(PACKING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26))
+        # a one-variable sampled closure is the closed form and walks no
+        # weight, yet the `fine5` fixture still trips on the count of its
+        # grid before any work
+        def no_walk(*args):
+            raise AssertionError("a one-variable sampled closure walked the grid")
+
+        monkeypatch.setattr(closure, "_grid_rows", no_walk)
+        A, b = ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26)
         with pytest.raises(ResourceBudgetError) as err:
-            sampled_closure(inst, SampleScheme(16, k=2))
+            sampled_closure(Instance(PACKING, A, b), SampleScheme(16, k=2))
         assert str(err.value) == "grid walk of 11739435 aggregations exceeds budget 10000000"
-        assert walked == []
+        for sense in (PACKING, COVERING):
+            inst = Instance(sense, A, b)
+            for k in (1, 2):
+                assert sampled_closure(inst, SampleScheme(4, k=k)) == closure_1d(inst)
 
     def test_only_build_K_takes_a_budget(self):
         # build_K is called with tuples, not with a scheme

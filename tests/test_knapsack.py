@@ -227,6 +227,22 @@ class TestIntegerHull:
         assert integer_hull(single_row(PACKING, (3,), 7)).render_lines() == ["1 >= 0", "1 <= 2"]
         assert integer_hull(single_row(COVERING, (3,), 7)).render_lines() == ["1 >= 3"]
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_row_rule(self, n):
+        # one rule for the interval, the segments and the minimal points:
+        # a zero packing row with r < 0 empties the set, a zero covering
+        # row with r > 0 raises, and either row is vacuous otherwise
+        zero, live = (0,) * n, (2,) * n
+
+        def rel(sense, r):
+            return KnapsackRelaxation(sense, n, (zero, live), (r, 5))
+
+        assert not integer_hull(rel(PACKING, -1)).feasible
+        assert integer_hull(rel(PACKING, 0)) == integer_hull(single_row(PACKING, live, 5))
+        with pytest.raises(EmptyRelaxationError, match="empty relaxation"):
+            integer_hull(rel(COVERING, 1))
+        assert integer_hull(rel(COVERING, 0)) == integer_hull(single_row(COVERING, live, 5))
+
 
 class TestOneVariableGridPath:
     @pytest.mark.parametrize("sense", [PACKING, COVERING])
