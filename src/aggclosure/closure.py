@@ -44,7 +44,6 @@ from .knapsack import (
     column_bounds,
     hull_keys,
     integer_hull,
-    normalize_aggregation,
 )
 from .polyhedra import (
     LE,
@@ -60,7 +59,7 @@ from .polyhedra import (
     positive_normal_facets,
     whole_space,
 )
-from .rational import Rat, as_vector
+from .rational import Rat, as_vector, reduce_gcd
 from .record import Record, set_fields
 
 
@@ -74,8 +73,8 @@ class SampleScheme(Record):
     formed at once, and ``refinement_rounds`` bounds the local grid
     refinement performed by the separation routine.  ``budget`` caps
     each enumeration the scheme's work makes: the aggregations of one
-    grid walk, the lattice cells of one hull, the ray pairs of one
-    kernel run.
+    grid walk, the 3^m - 1 aggregations of one refinement round, the
+    lattice cells of one hull, the ray pairs of one kernel run.
     """
 
     __slots__ = ("grid_denominator", "k", "refinement_rounds", "budget")
@@ -175,9 +174,12 @@ def _check_grid_budget(m: int, scheme: SampleScheme) -> None:
         )
 
 
-def _grid_aggregation(comps, d: int) -> Aggregation:
-    # the rational weights v/D of integer compositions v
-    return Aggregation(tuple(tuple(Fraction(v, d) for v in comp) for comp in comps))
+def _rational_aggregation(cols) -> Aggregation:
+    # the rational weights v/Σv of integer columns v, which is v/D for a
+    # composition v of D
+    return Aggregation(
+        tuple(tuple(Fraction(v, total) for v in col) for col, total in zip(cols, map(sum, cols)))
+    )
 
 
 def sample_lambdas(m: int, scheme: SampleScheme) -> list[Aggregation]:
@@ -199,7 +201,7 @@ def sample_lambdas(m: int, scheme: SampleScheme) -> list[Aggregation]:
     d = scheme.grid_denominator
     columns = [_composition(bars, d) for bars in _grid_bars(d, m)]
     return [
-        _grid_aggregation(comps, d)
+        _rational_aggregation(comps)
         for comps in itertools.combinations_with_replacement(columns, scheme.k)
     ]
 
@@ -253,36 +255,25 @@ def _grid_rows(inst: Instance, d: int) -> list:
     return [_grid_values(col, d) for col in list(zip(*inst.A)) + [inst.b]]
 
 
-def _first_positions(inst: Instance, scheme: SampleScheme) -> list:
-    # positions in the walk of the first aggregation of each hull key.  A
-    # valid one-variable instance has every a_i >= 1, so v·a >= d > 0 as
-    # `hull_keys` needs
-    d = scheme.grid_denominator
-    keys = hull_keys(inst.sense, _grid_rows(inst, d), scheme.k)
-    first: dict = {}
-    deque(map(first.setdefault, keys, itertools.count()), maxlen=0)
-    return list(first.values())
-
-
 def _grid_hulls(inst: Instance, scheme: SampleScheme) -> tuple:
     """The distinct integer hulls of the grid aggregations.
 
     Walks the aggregations in `sample_lambdas` order as their integer
     compositions v: a hull does not change when its row is scaled, so
-    the aggregated rows v·A | v·b are integer.  A first pass reads the
-    rows off `_grid_rows`, which sums each coordinate over the trailing
-    parts once and adds the leading parts' share a chunk at a time, and
-    keys every aggregation's hull by `hull_keys` without building any
-    hull; a second walks the bar positions of `_grid_bars` to the first
-    aggregation of each key and builds
-    ``integer_hull(build_relaxation(inst, v))`` for it only, with int
-    rows.  With k = 1 the grid is streamed; with k >= 2 one key per
-    composition is held.
+    the aggregated rows v·A | v·b are integer.  One pass reads the rows
+    off `_grid_rows`, which sums each coordinate over the trailing parts
+    once and adds the leading parts' share a chunk at a time, keys every
+    aggregation's hull by `hull_keys` and keeps, in step, the bar
+    positions of `_grid_bars` of the first aggregation of each key.
+    Only those build ``integer_hull(build_relaxation(inst, v))``, with
+    int rows.  With k = 1 the grid is streamed; with k >= 2 one key per
+    composition is held.  A valid one-variable instance has every
+    a_i >= 1, so v·a >= D > 0 as `hull_keys` needs.
     Returns one ``(compositions, hull)`` pair per hull key, with the
     compositions of its first aggregation, in order of first appearance;
     keys and hull objects correspond one to one, so no hull repeats.
-    `_grid_aggregation` gives back the rational weights.  A grid of more
-    than ``scheme.budget`` aggregations raises `ResourceBudgetError`
+    `_rational_aggregation` gives back the rational weights.  A grid of
+    more than ``scheme.budget`` aggregations raises `ResourceBudgetError`
     before the walk.  Memoized per (instance, scheme), so the closure,
     its tuples, separation and the checks share one walk.
     """
@@ -294,11 +285,11 @@ def _grid_hulls(inst: Instance, scheme: SampleScheme) -> tuple:
     d, k = scheme.grid_denominator, scheme.k
     bars = _grid_bars(d, inst.m)
     walk = zip(bars) if k == 1 else itertools.combinations_with_replacement(bars, k)
+    first: dict = {}
+    keys = hull_keys(inst.sense, _grid_rows(inst, d), k)
+    deque(map(first.setdefault, keys, walk), maxlen=0)
     hulls = []
-    previous = -1
-    for position in _first_positions(inst, scheme):
-        picked = next(itertools.islice(walk, position - previous - 1, None))
-        previous = position
+    for picked in first.values():
         comps = tuple(_composition(c, d) for c in picked)
         hulls.append((comps, integer_hull(build_relaxation(inst, comps), scheme.budget)))
     cached = _CLOSURE_MEMO[memo_key] = tuple(hulls)
@@ -435,7 +426,7 @@ def enumerate_tuples(inst: Instance, scheme: SampleScheme) -> list[FacetTuple]:
             if pts not in found:
                 found[pts] = FacetTuple(
                     points=pts,
-                    source_lambda=_grid_aggregation(comps, scheme.grid_denominator),
+                    source_lambda=_rational_aggregation(comps),
                     source_facet=facet,
                 )
     return [found[key] for key in sorted(found)]
@@ -560,9 +551,17 @@ def separate(inst: Instance, scheme: SampleScheme, x_star) -> SeparationResult:
     """Look for a sampled hull facet that cuts off a nonnegative point.
 
     Scans the grid for the facet with the largest violation in lowest
-    integer terms, then refines the grid locally around the best weight
-    vector (step halved each round).  Refinement applies to single-row
-    aggregation only; wider schemes use the plain scan.
+    integer terms, then refines locally around the best weights, the
+    step halved each round.  Every weight stays an integer vector c: a
+    grid weight is its composition of D, and round r tries, for each
+    δ in {-1, 0, 1}^m other than 0, the direction of c/Σc + δ/(D·2^r)
+    around the best c so far, ``c·(D·2^r) + δ·Σc`` in lowest terms,
+    unless an entry is negative.  Only the winner becomes rational, as
+    the witness weights c/Σc.
+    Refinement applies to single-row aggregation only; wider schemes
+    use the plain scan.  Its 3^m - 1 candidates a round are counted
+    before the first round, and more than ``scheme.budget`` raise
+    `ResourceBudgetError`.
     """
     x = as_vector(x_star)
     if len(x) != inst.n:
@@ -572,39 +571,42 @@ def separate(inst: Instance, scheme: SampleScheme, x_star) -> SeparationResult:
     # violations are compared as integers over the one denominator of x
     xg = homogenize(x)
 
-    best: tuple[int, Aggregation, LinearInequality] | None = None
+    best: tuple[int, tuple, LinearInequality] | None = None
 
-    def consider(hull: Polyhedron, weights) -> None:
+    def consider(hull: Polyhedron, comps: tuple) -> None:
         nonlocal best
         if not hull.feasible:
             return
         for ineq in hull.hrep:
             gap = _violation(ineq, xg)
             if gap > 0 and (best is None or gap > best[0]):
-                best = (gap, weights, ineq)
+                best = (gap, comps, ineq)
 
-    # a repeated hull has the same gaps and cannot beat its first weights;
-    # the winning compositions become the rational weights refined below
+    # a repeated hull has the same gaps and cannot beat its first weights
     for comps, hull in _grid_hulls(inst, scheme):
         consider(hull, comps)
-    if best is not None:
-        best = (best[0], _grid_aggregation(best[1], scheme.grid_denominator), best[2])
 
-    if best is not None and scheme.k == 1:
+    if best is not None and scheme.k == 1 and scheme.refinement_rounds:
+        count = 3**inst.m - 1
+        if count > scheme.budget:
+            raise ResourceBudgetError(
+                f"separation refinement of {count} aggregations exceeds budget {scheme.budget}"
+            )
         for round_no in range(1, scheme.refinement_rounds + 1):
-            center = best[1].weights[0]
-            step = Fraction(1, scheme.grid_denominator * 2**round_no)
+            (center,) = best[1]
+            scale, total = scheme.grid_denominator * 2**round_no, sum(center)
             for delta in itertools.product((-1, 0, 1), repeat=inst.m):
                 if not any(delta):
                     continue
-                cand = tuple(w + step * d for w, d in zip(center, delta))
+                cand = tuple(c * scale + d * total for c, d in zip(center, delta))
                 if any(w < 0 for w in cand) or not any(cand):
                     continue
-                agg = normalize_aggregation(Aggregation((cand,)))
-                consider(integer_hull(build_relaxation(inst, agg), scheme.budget), agg)
+                cand = reduce_gcd(cand)
+                consider(integer_hull(build_relaxation(inst, (cand,)), scheme.budget), (cand,))
 
     if best is None:
         return SeparationResult(inside=True)
     return SeparationResult(
-        inside=False, cut=best[2], violation=Fraction(best[0], xg[-1]), witness=best[1]
+        inside=False, cut=best[2], violation=Fraction(best[0], xg[-1]),
+        witness=_rational_aggregation(best[1]),
     )

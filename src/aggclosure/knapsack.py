@@ -108,17 +108,6 @@ def as_aggregation(weights, m: int) -> Aggregation:
     return Aggregation(tuple(cols))
 
 
-def normalize_aggregation(agg: Aggregation) -> Aggregation:
-    """Scale every column to sum 1 (hulls are invariant under the scaling)."""
-    cols = []
-    for col in agg.weights:
-        total = sum(col)
-        if total == 0:
-            raise TrivialAggregationError("trivial aggregation")
-        cols.append(tuple(Fraction(w, total) for w in col))
-    return Aggregation(tuple(cols))
-
-
 class Instance(Record):
     """One packing or covering integer program.
 

@@ -25,10 +25,10 @@ from .closure import (
     SampleScheme,
     _check_grid_budget,
     _composition,
-    _grid_aggregation,
     _grid_bars,
     _grid_hulls,
     _grid_rows,
+    _rational_aggregation,
     aggregation_closure,
     sampled_closure,
     saturated,
@@ -362,9 +362,7 @@ def check_gamma(
                     return CheckReport(
                         "gamma", inst.instance_id, FAIL,
                         witness_point=_point(shifted),
-                        witness_lambda=_grid_aggregation(
-                            comps, scheme.grid_denominator
-                        ),
+                        witness_lambda=_rational_aggregation(comps),
                         witness_inequality=row,
                         note=f"shift {gamma} leaves a sampled hull",
                     )
@@ -410,7 +408,7 @@ def check_cg_dominance(inst: Instance, scheme: SampleScheme) -> CheckReport:
                 return CheckReport(
                     "cg_dominance", inst.instance_id, FAIL,
                     witness_point=_point(probe),
-                    witness_lambda=_grid_aggregation((_composition(bars, d),), d),
+                    witness_lambda=_rational_aggregation((_composition(bars, d),)),
                     witness_inequality=make_inequality(coeffs, rhs, LE),
                 )
     return CheckReport("cg_dominance", inst.instance_id, PASS)

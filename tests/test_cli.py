@@ -601,6 +601,20 @@ class TestSeparateCommand:
         assert code == 0
         assert out == golden
 
+    def test_refinement_budget_exit_code(self, fixture_dir, capsys):
+        # 15 rows give 3^15 - 1 weights a round, counted before the first
+        path = fixture_dir / "rows15.txt"
+        a = "\n".join("23456" * 3)
+        b = " ".join(str(v) for v in range(20, 63, 3))
+        path.write_text(f"sense packing\nn 1\nm 15\nA\n{a}\nb\n{b}\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "separate", str(path), "--point", "9", "--grid", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            "error: separation refinement of 14348906 aggregations exceeds budget 10000000\n"
+        )
+
     def test_inside_golden(self, fixture_dir, capsys):
         code, out, _ = run_cli(
             capsys, "separate", str(fixture_dir / "pack23.txt"), "--point", "0 0"

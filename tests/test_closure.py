@@ -15,7 +15,6 @@ from aggclosure.closure import (
     FacetTuple,
     SampleScheme,
     _composition,
-    _first_positions,
     _grid_bars,
     _grid_hulls,
     _grid_rows,
@@ -40,7 +39,6 @@ from aggclosure.knapsack import (
     build_relaxation,
     integer_hull,
     integer_row,
-    normalize_aggregation,
 )
 from aggclosure.polyhedra import (
     GE,
@@ -185,12 +183,12 @@ class TestGridWalk:
         if k == 2:
             assume(math.comb(d + inst.m - 1, inst.m - 1) <= 40)
         sch = scheme(d=d, k=k)
-        positions = _first_positions(inst, sch)
-        assert positions == _first_occurrences(inst, sch)
-        # one hull per key, and no hull object under two keys
-        hulls = [hull for _, hull in _grid_hulls(inst, sch)]
-        assert len(hulls) == len(positions)
-        assert len({id(hull) for hull in hulls}) == len(hulls)
+        comps = [_composition(c, d) for c in _grid_bars(d, inst.m)]
+        walk = list(itertools.combinations_with_replacement(comps, k))
+        hulls = _grid_hulls(inst, sch)
+        assert [c for c, _ in hulls] == [walk[p] for p in _first_occurrences(inst, sch)]
+        # no hull object under two keys
+        assert len({id(hull) for _, hull in hulls}) == len(hulls)
 
     def test_one_walk_per_instance_and_scheme(self, monkeypatch):
         # the closure's tuples, the sampled closure, separation and the
@@ -198,8 +196,8 @@ class TestGridWalk:
         monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
         walks = []
         monkeypatch.setattr(
-            closure, "_first_positions",
-            lambda inst, sch: walks.append(inst.key()) or _first_positions(inst, sch),
+            closure, "_grid_rows",
+            lambda inst, d, _real=_grid_rows: walks.append(inst.key()) or _real(inst, d),
         )
         sch = scheme(d=4)
         for sense in (PACKING, COVERING):
@@ -214,17 +212,20 @@ class TestGridWalk:
             assert _grid_hulls(inst, sch) is _grid_hulls(inst, sch)
             assert art.T_sample
 
-    def test_walk_holds_less_than_a_coordinate_of_the_grid(self):
+    def test_walk_holds_less_than_a_coordinate_of_the_grid(self, monkeypatch):
         # 135,751 weights: a list per coordinate would take about 5 MB
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
         inst = Instance(PACKING, ((3,), (5,), (7,), (2,), (9,)), (40, 51, 33, 27, 59))
         tracemalloc.start()
         try:
-            positions = _first_positions(inst, scheme(d=40))
+            hulls = _grid_hulls(inst, scheme(d=40))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the positions `_first_occurrences` finds, which takes about 4 s
-        assert positions == [0, 10, 22, 29, 33, 36, 38, 40, 510, 846]
+        positions = [0, 10, 22, 29, 33, 36, 38, 40, 510, 846]
+        walk = list(itertools.islice(_grid_bars(40, inst.m), 847))
+        assert [c for c, _ in hulls] == [(_composition(walk[p], 40),) for p in positions]
         assert peak < 2 * 2**20
 
 
@@ -657,6 +658,19 @@ class TestSchemeBudget:
             for k in (1, 2):
                 assert sampled_closure(inst, SampleScheme(4, k=k)) == closure_1d(inst)
 
+    def test_refinement_trip_counts_a_round(self, monkeypatch):
+        # a round around a cut at k = 1 tries 3^3 - 1 = 26 weights; an
+        # inside point, no rounds and k = 2 refine nothing and never trip
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        inst = Instance(PACKING, ((2,), (3,), (4,)), (9, 10, 11))
+        with pytest.raises(ResourceBudgetError) as err:
+            separate(inst, SampleScheme(1, budget=10), (5,))
+        assert str(err.value) == "separation refinement of 26 aggregations exceeds budget 10"
+        assert not separate(inst, SampleScheme(1, budget=26), (5,)).inside
+        assert separate(inst, SampleScheme(1, budget=10), (1,)).inside
+        for sch in (SampleScheme(1, refinement_rounds=0, budget=10), SampleScheme(1, k=2, budget=10)):
+            assert not separate(inst, sch, (5,)).inside
+
     def test_only_build_K_takes_a_budget(self):
         # build_K is called with tuples, not with a scheme
         takers = {
@@ -956,7 +970,9 @@ def _oracle_separate(inst, sch, x):
                 cand = tuple(w + step * d for w, d in zip(center, delta))
                 if any(w < 0 for w in cand) or not any(cand):
                     continue
-                consider(normalize_aggregation(Aggregation((cand,))))
+                # scaled to sum 1: hulls do not change when a row is scaled
+                total = sum(cand)
+                consider(Aggregation((tuple(w / total for w in cand),)))
     return best
 
 
@@ -972,7 +988,8 @@ def grid_cases(draw):
     # pairs over a 2x3 or 3x3 instance at grid 6 take seconds each
     d = draw(st.integers(1, 6 if k == 1 or inst.n * inst.m <= 4 else 3))
     x = tuple(draw(st.fractions(0, 4, max_denominator=3)) for _ in range(inst.n))
-    return inst, scheme(d=d, k=k), x
+    # with m <= 3 a refinement round tries at most 26 weights
+    return inst, scheme(d=d, k=k, rounds=draw(st.integers(0, 3))), x
 
 
 @settings(max_examples=25, deadline=None)
@@ -983,6 +1000,12 @@ def grid_cases(draw):
 @example((Instance(COVERING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26)), scheme(d=16), (F(11, 2),)))
 @example((Instance(COVERING, ((3,), (5,), (2,)), (17, 23, 9)), scheme(d=4, k=2), (F(9, 2),)))
 @example((Instance(PACKING, ((2, 3, 1),), (7,)), scheme(d=3), (F(1, 2), F(3, 2), 1)))
+# the winner leaves the grid in round 1 and moves again in rounds 2 and 3:
+# 1 0 0, 2/3 0 1/3, 1/3 1/5 7/15, 5/27 13/45 71/135 for packing and
+# 0 3/4 1/4, 1/9 7/9 1/9, 25/153 121/153 7/153, 953/5049 4025/5049 71/5049
+# for covering
+@example((Instance(PACKING, ((3, 3), (1, 0), (3, 0)), (4, 4, 5)), scheme(d=1, rounds=3), (F(11, 2), F(4, 3))))
+@example((Instance(COVERING, ((2, 0), (3, 0), (0, 2)), (2, 6, 1)), scheme(d=4, rounds=3), (0, 5)))
 def test_integer_grid_path_matches_rational_oracle(case):
     inst, sch, x = case
     _cold()
