@@ -302,20 +302,17 @@ def sampled_closure(inst: Instance, scheme: SampleScheme) -> Polyhedron:
     Outer approximation of the closure; exact for m = 1 at any grid and
     for one variable at any grid and any k.  In one variable every
     aggregated ratio ``v·b / v·a`` is a weighted mediant of the row
-    ratios, so the tightest rounding is reached at a unit weight; every
-    grid holds the unit compositions and every k-tuple walk the tuple
-    ``(e_i, ..., e_i)``, so the sampled closure is `closure_1d` and no
-    weight is walked.  In several variables each distinct hull of
-    `_grid_hulls` enters one intersection once.  Either way a grid of
-    more than ``scheme.budget`` aggregations, ``C(D + m - 1, m - 1)``
-    multichoose k, raises `ResourceBudgetError` before any work.
-    Memoized per (instance, scheme).
+    ratios, so the tightest rounding is reached at a unit weight, which
+    every grid and every k-tuple walk holds: the sampled closure is
+    `closure_1d`, with no walk and no grid budget.  In several variables
+    each distinct hull of `_grid_hulls` enters one intersection once,
+    and a grid of more than ``scheme.budget`` aggregations raises
+    `ResourceBudgetError` before the walk.  Memoized per (instance, scheme).
     """
     memo_key = (inst.key(), scheme, "sampled")
     cached = _CLOSURE_MEMO.get(memo_key)
     if cached is None:
         if inst.n == 1:
-            _check_grid_budget(inst.m, scheme)
             cached = closure_1d(inst)
         else:
             hulls = [hull for _, hull in _grid_hulls(inst, scheme)]
@@ -558,10 +555,13 @@ def separate(inst: Instance, scheme: SampleScheme, x_star) -> SeparationResult:
     around the best c so far, ``c·(D·2^r) + δ·Σc`` in lowest terms,
     unless an entry is negative.  Only the winner becomes rational, as
     the witness weights c/Σc.
-    Refinement applies to single-row aggregation only; wider schemes
-    use the plain scan.  Its 3^m - 1 candidates a round are counted
-    before the first round, and more than ``scheme.budget`` raise
-    `ResourceBudgetError`.
+    Refinement runs only at k = 1 in several variables.  In one
+    variable the scan's cut is final: every ratio ``v·b / v·a`` is a
+    weighted mediant of the row ratios, so the tightest endpoint sits
+    at a unit weight, which every grid holds.  The k >= 2 plain scan is
+    reachable only through the API, as the CLI's `separate` has no
+    ``--k``.  The 3^m - 1 candidates a round are counted before the
+    first round, and more than ``scheme.budget`` raise `ResourceBudgetError`.
     """
     x = as_vector(x_star)
     if len(x) != inst.n:
@@ -586,7 +586,7 @@ def separate(inst: Instance, scheme: SampleScheme, x_star) -> SeparationResult:
     for comps, hull in _grid_hulls(inst, scheme):
         consider(hull, comps)
 
-    if best is not None and scheme.k == 1 and scheme.refinement_rounds:
+    if best is not None and inst.n > 1 and scheme.k == 1 and scheme.refinement_rounds:
         count = 3**inst.m - 1
         if count > scheme.budget:
             raise ResourceBudgetError(

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -22,6 +23,7 @@ from oracles import build_parser, serialize_instance
 PACK23_TEXT = "sense packing\nn 2\nm 1\nA\n2 3\nb\n4\n"
 COVER23_TEXT = "sense covering\nn 2\nm 1\nA\n2 3\nb\n4\n"
 COVERFIX_TEXT = "sense covering\nn 2\nm 2\nA\n2 0\n1 3\nb\n3 4\n"
+PACK3X3_TEXT = "sense packing\nn 3\nm 3\nA\n3 2 4\n2 5 1\n4 1 3\nb\n9 10 8\n"
 PACK4X3_TEXT = "sense packing\nn 4\nm 3\nA\n3 2 4 1\n2 5 1 3\n4 1 3 2\nb\n9 10 8\n"
 PACK5X2_TEXT = "sense packing\nn 5\nm 2\nA\n3 2 4 1 2\n2 5 1 3 1\nb\n9 10\n"
 PACK6X2_TEXT = "sense packing\nn 6\nm 2\nA\n3 2 4 1 2 3\n2 5 1 3 1 2\nb\n9 10\n"
@@ -518,13 +520,40 @@ class TestClosureCommand:
     def test_grid_budget_exit_code(self, fixture_dir, capsys):
         # five rows at grid 16 give 4,845 weights, so 11,739,435 pairs
         # at k = 2: over the default budget before any hull is built
-        path = fixture_dir / "fine5.txt"
-        path.write_text("sense packing\nn 1\nm 5\nA\n9\n2\n8\n3\n5\nb\n48 37 34 57 26\n")
+        path = fixture_dir / "fine5x2.txt"
+        path.write_text(
+            "sense packing\nn 2\nm 5\nA\n9 4\n2 7\n8 3\n3 5\n5 6\nb\n48 37 34 57 26\n"
+        )
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "closure", str(path), "--grid", "16", "--k", "2")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err == "error: grid walk of 11739435 aggregations exceeds budget 10000000\n"
+
+    def test_refine_changes_nothing(self, fixture_dir, capsys):
+        # `closure` accepts --refine, but only separation refines
+        path = fixture_dir / "pack3x3.txt"
+        path.write_text(PACK3X3_TEXT)
+        runs = [
+            run_cli(capsys, "closure", str(path), "--grid", "2", "--refine", rounds)
+            for rounds in ("0", "1", "3")
+        ]
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_one_variable_grid_is_not_walked(self, fixture_dir, capsys):
+        # the same grid in one variable is the closed form, read off the
+        # rows with no walk, so the grid's size is never charged
+        path = fixture_dir / "fine5.txt"
+        path.write_text("sense packing\nn 1\nm 5\nA\n9\n2\n8\n3\n5\nb\n48 37 34 57 26\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "closure", str(path), "--grid", "16", "--k", "2")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out == (
+            "closure\n1 >= 0\n1 <= 4\nL\n1 >= 0\n1 <= 4\nK\n"
+            "T_sample 0\nS 0\nsaturation true\n"
+        )
 
     def test_pack4x3_golden_and_fast(self, fixture_dir):
         # a fresh process, so no memo is warm.  With subset enumeration in
@@ -602,18 +631,30 @@ class TestSeparateCommand:
         assert out == golden
 
     def test_refinement_budget_exit_code(self, fixture_dir, capsys):
-        # 15 rows give 3^15 - 1 weights a round, counted before the first
-        path = fixture_dir / "rows15.txt"
-        a = "\n".join("23456" * 3)
+        # 15 rows give 3^15 - 1 weights a round, counted before the first;
+        # in one variable the grid's cut is final and nothing is refined
+        a = [2, 3, 4, 5, 6] * 3
         b = " ".join(str(v) for v in range(20, 63, 3))
-        path.write_text(f"sense packing\nn 1\nm 15\nA\n{a}\nb\n{b}\n")
+        two = fixture_dir / "rows15x2.txt"
+        two.write_text(
+            "sense packing\nn 2\nm 15\nA\n"
+            + "".join(f"{v} {v + 1}\n" for v in a)
+            + f"b\n{b}\n"
+        )
+        one = fixture_dir / "rows15.txt"
+        one.write_text(
+            "sense packing\nn 1\nm 15\nA\n" + "".join(f"{v}\n" for v in a) + f"b\n{b}\n"
+        )
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "separate", str(path), "--point", "9", "--grid", "1")
-        assert time.perf_counter() - start < 1.0
+        code, out, err = run_cli(capsys, "separate", str(two), "--point", "9 0", "--grid", "1")
         assert code == 2 and out == ""
         assert err == (
             "error: separation refinement of 14348906 aggregations exceeds budget 10000000\n"
         )
+        code, out, err = run_cli(capsys, "separate", str(one), "--point", "9", "--grid", "1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out == "1 <= 5  violation 4  lambda 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0\n"
 
     def test_inside_golden(self, fixture_dir, capsys):
         code, out, _ = run_cli(
@@ -781,6 +822,16 @@ def test_command_help_names_every_flag(capsys, command, flag):
     assert positional.upper() in out
     for name in flags:
         assert name in out
+
+
+def test_readme_lists_each_commands_flags():
+    # the README's per-command flag lines follow the `COMMANDS` table
+    readme = (SRC.parent / "README.md").read_text()
+    listed = {
+        command: set(re.findall(r"`(--[a-z-]+)`", flags))
+        for command, flags in re.findall(r"^- `([a-z]+)`: (.*)$", readme, re.MULTILINE)
+    }
+    assert listed == {command: set(spec[3]) for command, spec in cli.COMMANDS.items()}
 
 
 # Differential test of `cli.parse_args` against the argparse parser it

@@ -27,6 +27,7 @@ from aggclosure.closure import (
     enumerate_tuples,
     filter_minimal_tuples,
     sample_lambdas,
+    saturated,
     sampled_closure,
     separate,
 )
@@ -612,6 +613,67 @@ class TestAggregationClosure:
         assert calls == {"build_K": 1, "intersect": 1}
 
 
+@st.composite
+def several_row_instances(draw):
+    # n = 2 or 3, m = 2 or 3, entries 0..6 with zeros but no zero row
+    sense = draw(st.sampled_from((PACKING, COVERING)))
+    n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    row = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any)
+    A = tuple(tuple(draw(row)) for _ in range(m))
+    return Instance(sense, A, tuple(draw(st.integers(4, 14)) for _ in range(m)))
+
+
+def instance_hull(inst):
+    # P_I: at k = m the unit tuple's relaxation is the instance itself
+    units = tuple(tuple(int(i == j) for i in range(inst.m)) for j in range(inst.m))
+    return integer_hull(build_relaxation(inst, units))
+
+
+def feasible(inst, point):
+    lhs = [sum(a * x for a, x in zip(row, point)) for row in inst.A]
+    if inst.sense == PACKING:
+        return all(v <= r for v, r in zip(lhs, inst.b))
+    return all(v >= r for v, r in zip(lhs, inst.b))
+
+
+class TestInstanceHullOracle:
+    # every aggregation cut is valid for P_I, and at k = m the grid holds
+    # the unit tuple, whose hull is P_I itself
+
+    @settings(max_examples=100, deadline=None)
+    @given(several_row_instances(), st.integers(1, 2))
+    def test_instance_hull_bounds_the_closure(self, inst, d):
+        hull = instance_hull(inst)
+        # P_I's own oracle: its vertices are feasible lattice points, and
+        # every feasible point of the column bounds' box satisfies its rows
+        for g in hull.generators:
+            if g[-1]:
+                assert all(c % g[-1] == 0 for c in g[:-1])
+                assert feasible(inst, [c // g[-1] for c in g[:-1]])
+        sides = [1 if c is None else c for c in knapsack.column_bounds(inst.sense, inst.A, inst.b)]
+        for p in itertools.product(*(range(c + 1) for c in sides)):
+            if feasible(inst, p):
+                assert contains(hull, p)
+        assert poly_equal(sampled_closure(inst, SampleScheme(d, k=inst.m)), hull)
+        for k in sorted({1, 2, inst.m}):
+            body = aggregation_closure(inst, SampleScheme(d, k=k)).closure
+            assert all(iq.holds_at(g) for g in hull.generators for iq in body.hrep)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance(PACKING, ((3, 2, 4), (2, 5, 1), (4, 1, 3)), (9, 10, 8)),
+            Instance(COVERING, ((2, 0), (1, 3)), (3, 4)),
+            Instance(PACKING, ((2, 3), (3, 2), (4, 5)), (5, 5, 9)),
+        ],
+    )
+    def test_closure_at_k_equal_m_is_the_instance_hull(self, inst):
+        # saturation is not a theorem, so it is asserted on fixed cases
+        art = aggregation_closure(inst, SampleScheme(2, k=inst.m))
+        assert poly_equal(art.closure, instance_hull(inst))
+        assert saturated(art)
+
+
 class TestSchemeBudget:
     # the work budget is a field of the scheme; the closure and check
     # functions read it from there and take no budget of their own
@@ -642,34 +704,41 @@ class TestSchemeBudget:
 
     def test_grid_trip_under_the_default_budget(self, monkeypatch):
         monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
-        # a one-variable sampled closure is the closed form and walks no
-        # weight, yet the `fine5` fixture still trips on the count of its
-        # grid before any work
+        # the `fine5x2` fixture trips on the count of its grid before any
+        # work; its one-variable twin `fine5` is the closed form, walks no
+        # weight and charges no grid
         def no_walk(*args):
             raise AssertionError("a one-variable sampled closure walked the grid")
 
         monkeypatch.setattr(closure, "_grid_rows", no_walk)
-        A, b = ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26)
+        A, b = ((9, 4), (2, 7), (8, 3), (3, 5), (5, 6)), (48, 37, 34, 57, 26)
         with pytest.raises(ResourceBudgetError) as err:
             sampled_closure(Instance(PACKING, A, b), SampleScheme(16, k=2))
         assert str(err.value) == "grid walk of 11739435 aggregations exceeds budget 10000000"
+        A1 = tuple(row[:1] for row in A)
         for sense in (PACKING, COVERING):
-            inst = Instance(sense, A, b)
-            for k in (1, 2):
-                assert sampled_closure(inst, SampleScheme(4, k=k)) == closure_1d(inst)
+            inst = Instance(sense, A1, b)
+            for sch in (SampleScheme(4), SampleScheme(4, k=2), SampleScheme(16, k=2)):
+                assert sampled_closure(inst, sch) == closure_1d(inst)
 
     def test_refinement_trip_counts_a_round(self, monkeypatch):
         # a round around a cut at k = 1 tries 3^3 - 1 = 26 weights; an
         # inside point, no rounds and k = 2 refine nothing and never trip
         monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
-        inst = Instance(PACKING, ((2,), (3,), (4,)), (9, 10, 11))
+        inst = Instance(PACKING, ((2, 3), (3, 2), (4, 5)), (5, 5, 9))
+        x = (F(5, 2), 0)
         with pytest.raises(ResourceBudgetError) as err:
-            separate(inst, SampleScheme(1, budget=10), (5,))
+            separate(inst, SampleScheme(1, budget=10), x)
         assert str(err.value) == "separation refinement of 26 aggregations exceeds budget 10"
-        assert not separate(inst, SampleScheme(1, budget=26), (5,)).inside
-        assert separate(inst, SampleScheme(1, budget=10), (1,)).inside
+        assert not separate(inst, SampleScheme(1, budget=26), x).inside
+        assert separate(inst, SampleScheme(1, budget=10), (0, 0)).inside
         for sch in (SampleScheme(1, refinement_rounds=0, budget=10), SampleScheme(1, k=2, budget=10)):
-            assert not separate(inst, sch, (5,)).inside
+            assert not separate(inst, sch, x).inside
+        # in one variable the grid's cut is final, so nothing is refined
+        one = Instance(PACKING, ((2,), (3,), (4,)), (9, 10, 11))
+        assert separate(one, SampleScheme(1, budget=10), (5,)) == separate(
+            one, SampleScheme(1, refinement_rounds=0), (5,)
+        )
 
     def test_only_build_K_takes_a_budget(self):
         # build_K is called with tuples, not with a scheme
@@ -729,6 +798,29 @@ class TestSeparate:
         assert not coarse.inside and not fine.inside
         assert fine.violation >= coarse.violation
         assert fine == again
+
+    @pytest.mark.parametrize("sense, x", [(PACKING, (5,)), (COVERING, (F(11, 2),))])
+    def test_one_variable_builds_one_relaxation_per_grid_key(self, monkeypatch, sense, x):
+        # the grid's cut is final in one variable, so three rounds build
+        # only the grid's own relaxations: one per distinct endpoint
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_relaxation(*args)
+
+        monkeypatch.setattr(closure, "build_relaxation", counted)
+        inst = Instance(sense, tuple((a,) for a, _ in FINE5_ROWS), tuple(b for _, b in FINE5_ROWS))
+        sch = scheme(d=16, rounds=3)
+        rounding = math.floor if sense == PACKING else math.ceil
+        keys = set()
+        for agg in sample_lambdas(inst.m, sch):
+            (lam,) = agg.weights
+            va = sum(w * a for w, (a,) in zip(lam, inst.A))
+            keys.add(rounding(sum(w * b for w, b in zip(lam, inst.b)) / va))
+        assert not separate(inst, sch, x).inside
+        assert len(calls) == len(keys)
 
 
 # -- property tests ----------------------------------------------------
