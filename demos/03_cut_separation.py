@@ -28,10 +28,11 @@ def main():
     print(f"point to separate: ({x[0]}, {x[1]})")
     print("both rows admit it fractionally; x <= 2 is the strongest single cut")
 
-    coarse = separate(inst, SampleScheme(grid_denominator=2, refinement_rounds=0), x)
+    scheme = SampleScheme(grid_denominator=2)
+    coarse = separate(inst, scheme, x, rounds=0)
     describe(coarse, "\ncoarse grid, no refinement")
 
-    refined = separate(inst, SampleScheme(grid_denominator=2, refinement_rounds=2), x)
+    refined = separate(inst, scheme, x, rounds=2)
     describe(refined, "\nsame grid plus two refinement rounds")
 
     if not coarse.inside and not refined.inside:
@@ -41,7 +42,7 @@ def main():
         else:
             print("\nthe coarse grid already found the deepest sampled cut")
 
-    inside = separate(inst, SampleScheme(grid_denominator=2), (Fraction(1), Fraction(1)))
+    inside = separate(inst, scheme, (Fraction(1), Fraction(1)))
     print(f"\ninteger-feasible probe (1, 1) reported inside: {inside.inside}")
 
 

@@ -171,7 +171,6 @@ def _scheme(args) -> SampleScheme:
     return SampleScheme(
         grid_denominator=args.grid,
         k=getattr(args, "k", 1),
-        refinement_rounds=getattr(args, "refine", 1),
         budget=args.budget,
     )
 
@@ -224,7 +223,7 @@ def cmd_closure(args) -> int:
 def cmd_separate(args) -> int:
     inst = _read_instance(args.instance)
     point = _parse_weights(args.point)
-    res = separate(inst, _scheme(args), point)
+    res = separate(inst, _scheme(args), point, args.refine)
     if res.inside:
         _emit(["inside"])
     else:
@@ -346,7 +345,6 @@ COMMANDS = {
         {
             "--grid": _GRID,
             "--k": _K,
-            "--refine": _REFINE,
             "--budget": _BUDGET,
             "--threads": _THREADS,
             "--out": _OUT,

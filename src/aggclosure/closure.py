@@ -70,28 +70,24 @@ class SampleScheme(Record):
     nonnegative integer composition of D, so all sampled weights sum
     to one.  Unit vectors are the extreme compositions and therefore
     present for every D.  ``k`` picks how many aggregated rows are
-    formed at once, and ``refinement_rounds`` bounds the local grid
-    refinement performed by the separation routine.  ``budget`` caps
-    each enumeration the scheme's work makes: the aggregations of one
-    grid walk, the 3^m - 1 aggregations of one refinement round, the
-    lattice cells of one hull, the ray pairs of one kernel run.
+    formed at once.  ``budget`` caps each enumeration the scheme's work
+    makes: the aggregations of one grid walk, the 3^m - 1 aggregations
+    of one refinement round of `separate`, the lattice cells of one
+    hull, the ray pairs of one kernel run.
     """
 
-    __slots__ = ("grid_denominator", "k", "refinement_rounds", "budget")
+    __slots__ = ("grid_denominator", "k", "budget")
 
     def __init__(
-        self, grid_denominator: int = 4, k: int = 1, refinement_rounds: int = 1,
-        budget: int = DEFAULT_CELL_BUDGET,
+        self, grid_denominator: int = 4, k: int = 1, budget: int = DEFAULT_CELL_BUDGET,
     ) -> None:
         if not isinstance(grid_denominator, int) or grid_denominator < 1:
             raise UsageError("grid denominator must be a positive integer")
         if not isinstance(k, int) or k < 1:
             raise UsageError("aggregation count k must be a positive integer")
-        if not isinstance(refinement_rounds, int) or refinement_rounds < 0:
-            raise UsageError("refinement rounds must be a nonnegative integer")
         if not isinstance(budget, int) or budget < 1:
             raise UsageError("work budget must be a positive integer")
-        set_fields(self, grid_denominator, k, refinement_rounds, budget)
+        set_fields(self, grid_denominator, k, budget)
 
 
 class FacetTuple(Record):
@@ -544,17 +540,19 @@ def _violation(ineq: LinearInequality, g) -> int:
     return gap if ineq.sense == LE else -gap
 
 
-def separate(inst: Instance, scheme: SampleScheme, x_star) -> SeparationResult:
+def separate(
+    inst: Instance, scheme: SampleScheme, x_star, rounds: int = 1,
+) -> SeparationResult:
     """Look for a sampled hull facet that cuts off a nonnegative point.
 
     Scans the grid for the facet with the largest violation in lowest
-    integer terms, then refines locally around the best weights, the
-    step halved each round.  Every weight stays an integer vector c: a
-    grid weight is its composition of D, and round r tries, for each
-    δ in {-1, 0, 1}^m other than 0, the direction of c/Σc + δ/(D·2^r)
-    around the best c so far, ``c·(D·2^r) + δ·Σc`` in lowest terms,
-    unless an entry is negative.  Only the winner becomes rational, as
-    the witness weights c/Σc.
+    integer terms, then refines ``rounds`` times around the best weights,
+    the step halved each round; the closure does not depend on rounds.
+    Every weight stays an integer vector c: a grid weight is its
+    composition of D, and round r tries, for each δ in {-1, 0, 1}^m
+    other than 0, the direction of c/Σc + δ/(D·2^r) around the best c
+    so far, ``c·(D·2^r) + δ·Σc`` in lowest terms, unless an entry is
+    negative.  Only the winner becomes rational, as the witness c/Σc.
     Refinement runs only at k = 1 in several variables.  In one
     variable the scan's cut is final: every ratio ``v·b / v·a`` is a
     weighted mediant of the row ratios, so the tightest endpoint sits
@@ -563,6 +561,8 @@ def separate(inst: Instance, scheme: SampleScheme, x_star) -> SeparationResult:
     ``--k``.  The 3^m - 1 candidates a round are counted before the
     first round, and more than ``scheme.budget`` raise `ResourceBudgetError`.
     """
+    if not isinstance(rounds, int) or rounds < 0:
+        raise UsageError("refinement rounds must be a nonnegative integer")
     x = as_vector(x_star)
     if len(x) != inst.n:
         raise UsageError("point dimension does not match the instance")
@@ -586,13 +586,13 @@ def separate(inst: Instance, scheme: SampleScheme, x_star) -> SeparationResult:
     for comps, hull in _grid_hulls(inst, scheme):
         consider(hull, comps)
 
-    if best is not None and inst.n > 1 and scheme.k == 1 and scheme.refinement_rounds:
+    if best is not None and inst.n > 1 and scheme.k == 1 and rounds:
         count = 3**inst.m - 1
         if count > scheme.budget:
             raise ResourceBudgetError(
                 f"separation refinement of {count} aggregations exceeds budget {scheme.budget}"
             )
-        for round_no in range(1, scheme.refinement_rounds + 1):
+        for round_no in range(1, rounds + 1):
             (center,) = best[1]
             scale, total = scheme.grid_denominator * 2**round_no, sum(center)
             for delta in itertools.product((-1, 0, 1), repeat=inst.m):

@@ -348,7 +348,9 @@ def check_gamma(
             note="free coordinate splits off; shift bound undefined",
         )
     gamma = art.gamma if gamma_override is None else gamma_override
-    hulls = _grid_hulls(inst, scheme)
+    # a one-variable L is `closure_1d`, which lies in every sampled hull
+    # (see `sampled_closure`), so no shift g >= 0 can leave one
+    hulls = () if inst.n == 1 and gamma >= 0 else _grid_hulls(inst, scheme)
     for v in art.L().generators:
         if not v[-1]:
             break

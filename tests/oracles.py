@@ -447,7 +447,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub, k_flag=True, refine_flag=True, out_flag=False):
+def _add_common(sub, k_flag=True, refine_flag=False, out_flag=False):
     sub.add_argument("--grid", type=int, default=4, help="grid denominator D")
     if k_flag:
         sub.add_argument("--k", type=int, default=1, help="columns per aggregation")
@@ -498,12 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     sep = subs.add_parser("separate", help="find a violated sampled cut")
     sep.add_argument("instance", help="instance file")
     sep.add_argument("--point", required=True, help="coordinates, e.g. '3/2 1/2'")
-    _add_common(sep, k_flag=False)
+    _add_common(sep, k_flag=False, refine_flag=True)
     sep.set_defaults(func=cmd_separate)
 
     ver = subs.add_parser("verify", help="run the check suite over a directory")
     ver.add_argument("instances", help="directory of instance files")
-    _add_common(ver, refine_flag=False, out_flag=True)
+    _add_common(ver, out_flag=True)
     ver.add_argument(
         "--timings",
         action="store_true",

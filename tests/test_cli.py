@@ -530,16 +530,14 @@ class TestClosureCommand:
         assert code == 2 and out == ""
         assert err == "error: grid walk of 11739435 aggregations exceeds budget 10000000\n"
 
-    def test_refine_changes_nothing(self, fixture_dir, capsys):
-        # `closure` accepts --refine, but only separation refines
+    def test_refine_is_rejected(self, fixture_dir, capsys):
+        # only separation refines, so `closure` takes no --refine
         path = fixture_dir / "pack3x3.txt"
         path.write_text(PACK3X3_TEXT)
-        runs = [
-            run_cli(capsys, "closure", str(path), "--grid", "2", "--refine", rounds)
-            for rounds in ("0", "1", "3")
-        ]
-        assert runs[0][0] == 0 and runs[0][1]
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+        for rounds in ("0", "1", "3"):
+            code, out, err = run_cli(capsys, "closure", str(path), "--grid", "2", "--refine", rounds)
+            assert (code, out) == (1, "")
+            assert err == f"error: unrecognized arguments: --refine {rounds}\n"
 
     def test_one_variable_grid_is_not_walked(self, fixture_dir, capsys):
         # the same grid in one variable is the closed form, read off the
@@ -699,6 +697,20 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", str(tmp_path))
         assert code == 0
         assert out == "summary pass=0 fail=0 skipped=0\n"
+
+    def test_one_variable_gamma_walks_no_grid(self, tmp_path, capsys):
+        # at grid 16 and k = 2 the grid walk is over the default budget
+        (tmp_path / "cover5.txt").write_text(
+            "sense covering\nn 1\nm 5\nA\n9\n2\n8\n3\n5\nb\n48 37 34 57 26\n"
+        )
+        code, out, err = run_cli(capsys, "verify", str(tmp_path), "--grid", "16", "--k", "2")
+        assert (code, err) == (0, "")
+        assert out == (
+            "sandwich\tcover5\tpass\t-\t0\tsaturation=true\n"
+            "gamma\tcover5\tpass\t-\t0\tgamma=19\n"
+            "onerow_ratio\tcover5\tpass\t-\t0\tratio=1\n"
+            "summary pass=3 fail=0 skipped=0\n"
+        )
 
     def test_malformed_file_skipped(self, fixture_dir, capsys):
         (fixture_dir / "broken.txt").write_text("sense covering\nn 2\nm 1\nA\n0 0\nb\n4\n")

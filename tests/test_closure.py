@@ -64,8 +64,8 @@ COVER_23 = Instance(COVERING, ((2, 3),), (4,))
 COVER_FIX = Instance(COVERING, ((2, 0), (1, 3)), (3, 4))
 
 
-def scheme(d=2, k=1, rounds=1):
-    return SampleScheme(grid_denominator=d, k=k, refinement_rounds=rounds)
+def scheme(d=2, k=1):
+    return SampleScheme(grid_denominator=d, k=k)
 
 
 def _compositions(total, parts):
@@ -673,6 +673,31 @@ class TestInstanceHullOracle:
         assert poly_equal(art.closure, instance_hull(inst))
         assert saturated(art)
 
+    @pytest.mark.parametrize(
+        "inst, count",
+        [
+            # pack6x3 and pack7x2 of the ROADMAP baseline
+            (Instance(PACKING, ((3, 2, 4, 1, 2, 3), (2, 5, 1, 3, 1, 2), (4, 1, 3, 2, 5, 1)), (9, 10, 8)), 49),
+            (Instance(PACKING, ((3, 2, 4, 1, 2, 3, 5), (2, 5, 1, 3, 1, 2, 4)), (9, 10)), 112),
+            (Instance(COVERING, ((2, 0, 3), (1, 3, 0), (0, 2, 2)), (7, 8, 6)), 59),
+        ],
+        ids=["pack6x3", "pack7x2", "cover3x3b"],
+    )
+    def test_large_closures_keep_every_feasible_point(self, inst, count):
+        # P_I lies in the closure: every feasible lattice point of the
+        # column bounds' box satisfies every closure row.  A covering
+        # point past the box is cut back into it coordinatewise and stays
+        # feasible, so with >= rows of nonnegative normals the box is enough
+        body = aggregation_closure(inst, SampleScheme(4)).closure
+        if inst.sense == COVERING:
+            assert all(iq.sense == GE and min(iq.normal) >= 0 for iq in body.hrep)
+        sides = knapsack.column_bounds(inst.sense, inst.A, inst.b)
+        points = [
+            p for p in itertools.product(*(range(c + 1) for c in sides)) if feasible(inst, p)
+        ]
+        assert len(points) == count
+        assert all(contains(body, p) for p in points)
+
 
 class TestSchemeBudget:
     # the work budget is a field of the scheme; the closure and check
@@ -690,6 +715,30 @@ class TestSchemeBudget:
         b = aggregation_closure(PACK_23, SampleScheme(2, budget=500))
         assert a is not b and a.closure == b.closure
         assert aggregation_closure(PACK_23, SampleScheme(2, budget=500)) is b
+
+    def test_rounds_share_one_closure_and_one_walk(self, monkeypatch):
+        # refinement rounds are `separate`'s own, so a closure and its
+        # grid walk are kept per scheme whatever the rounds
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        inst = Instance(PACKING, ((3, 2, 4), (2, 5, 1), (4, 1, 3)), (9, 10, 8))
+        walks = []
+
+        def counted(*args):
+            walks.append(args[0])
+            return _grid_rows(*args)
+
+        monkeypatch.setattr(closure, "_grid_rows", counted)
+        art = aggregation_closure(inst, SampleScheme(2))
+        x = (F(5, 2), 0, 0)
+        assert not separate(inst, SampleScheme(2), x, rounds=0).inside
+        assert not separate(inst, SampleScheme(2), x, rounds=3).inside
+        assert walks.count(inst) == 1
+        assert aggregation_closure(inst, SampleScheme(2)) is art
+
+    @pytest.mark.parametrize("rounds", [-1, 1.0, "1"])
+    def test_rounds_are_checked_before_the_point(self, rounds):
+        with pytest.raises(UsageError, match="refinement rounds must be a nonnegative integer"):
+            separate(PACK_23, SampleScheme(2), (1,), rounds=rounds)
 
     def test_kernel_trip_names_the_run(self, monkeypatch):
         # the message `closure pack4x3 --grid 4 --budget 1000` prints
@@ -732,12 +781,12 @@ class TestSchemeBudget:
         assert str(err.value) == "separation refinement of 26 aggregations exceeds budget 10"
         assert not separate(inst, SampleScheme(1, budget=26), x).inside
         assert separate(inst, SampleScheme(1, budget=10), (0, 0)).inside
-        for sch in (SampleScheme(1, refinement_rounds=0, budget=10), SampleScheme(1, k=2, budget=10)):
-            assert not separate(inst, sch, x).inside
+        assert not separate(inst, SampleScheme(1, budget=10), x, rounds=0).inside
+        assert not separate(inst, SampleScheme(1, k=2, budget=10), x).inside
         # in one variable the grid's cut is final, so nothing is refined
         one = Instance(PACKING, ((2,), (3,), (4,)), (9, 10, 11))
         assert separate(one, SampleScheme(1, budget=10), (5,)) == separate(
-            one, SampleScheme(1, refinement_rounds=0), (5,)
+            one, SampleScheme(1), (5,), rounds=0
         )
 
     def test_only_build_K_takes_a_budget(self):
@@ -792,9 +841,9 @@ class TestSeparate:
     def test_refinement_never_hurts_and_is_deterministic(self):
         inst = Instance(PACKING, ((3, 4), (2, 1)), (7, 5))
         x = (F(5, 2), F(0))
-        coarse = separate(inst, scheme(d=1, rounds=0), x)
-        fine = separate(inst, scheme(d=1, rounds=2), x)
-        again = separate(inst, scheme(d=1, rounds=2), x)
+        coarse = separate(inst, scheme(d=1), x, rounds=0)
+        fine = separate(inst, scheme(d=1), x, rounds=2)
+        again = separate(inst, scheme(d=1), x, rounds=2)
         assert not coarse.inside and not fine.inside
         assert fine.violation >= coarse.violation
         assert fine == again
@@ -812,14 +861,14 @@ class TestSeparate:
 
         monkeypatch.setattr(closure, "build_relaxation", counted)
         inst = Instance(sense, tuple((a,) for a, _ in FINE5_ROWS), tuple(b for _, b in FINE5_ROWS))
-        sch = scheme(d=16, rounds=3)
+        sch = scheme(d=16)
         rounding = math.floor if sense == PACKING else math.ceil
         keys = set()
         for agg in sample_lambdas(inst.m, sch):
             (lam,) = agg.weights
             va = sum(w * a for w, (a,) in zip(lam, inst.A))
             keys.add(rounding(sum(w * b for w, b in zip(lam, inst.b)) / va))
-        assert not separate(inst, sch, x).inside
+        assert not separate(inst, sch, x, rounds=3).inside
         assert len(calls) == len(keys)
 
 
@@ -1036,7 +1085,7 @@ def _oracle_tuples(inst, sch):
     return [found[key] for key in sorted(found)]
 
 
-def _oracle_separate(inst, sch, x):
+def _oracle_separate(inst, sch, x, rounds):
     best = None
 
     def consider(agg):
@@ -1053,7 +1102,7 @@ def _oracle_separate(inst, sch, x):
     for agg in sample_lambdas(inst.m, sch):
         consider(agg)
     if best is not None and sch.k == 1:
-        for round_no in range(1, sch.refinement_rounds + 1):
+        for round_no in range(1, rounds + 1):
             center = best[1].weights[0]
             step = F(1, sch.grid_denominator * 2**round_no)
             for delta in itertools.product((-1, 0, 1), repeat=inst.m):
@@ -1081,37 +1130,37 @@ def grid_cases(draw):
     d = draw(st.integers(1, 6 if k == 1 or inst.n * inst.m <= 4 else 3))
     x = tuple(draw(st.fractions(0, 4, max_denominator=3)) for _ in range(inst.n))
     # with m <= 3 a refinement round tries at most 26 weights
-    return inst, scheme(d=d, k=k, rounds=draw(st.integers(0, 3))), x
+    return inst, scheme(d=d, k=k), x, draw(st.integers(0, 3))
 
 
 @settings(max_examples=25, deadline=None)
 @given(grid_cases())
-@example((Instance(COVERING, ((2, 0, 1), (1, 0, 3)), (3, 4)), scheme(d=5), (F(1, 2), 0, F(1, 3))))
-@example((Instance(PACKING, ((3, 2), (1, 4), (2, 2)), (5, 6, 4)), scheme(d=3, k=2), (F(4, 3), F(2, 3))))
-@example((Instance(PACKING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26)), scheme(d=16), (F(7, 2),)))
-@example((Instance(COVERING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26)), scheme(d=16), (F(11, 2),)))
-@example((Instance(COVERING, ((3,), (5,), (2,)), (17, 23, 9)), scheme(d=4, k=2), (F(9, 2),)))
-@example((Instance(PACKING, ((2, 3, 1),), (7,)), scheme(d=3), (F(1, 2), F(3, 2), 1)))
+@example((Instance(COVERING, ((2, 0, 1), (1, 0, 3)), (3, 4)), scheme(d=5), (F(1, 2), 0, F(1, 3)), 1))
+@example((Instance(PACKING, ((3, 2), (1, 4), (2, 2)), (5, 6, 4)), scheme(d=3, k=2), (F(4, 3), F(2, 3)), 1))
+@example((Instance(PACKING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26)), scheme(d=16), (F(7, 2),), 1))
+@example((Instance(COVERING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26)), scheme(d=16), (F(11, 2),), 1))
+@example((Instance(COVERING, ((3,), (5,), (2,)), (17, 23, 9)), scheme(d=4, k=2), (F(9, 2),), 1))
+@example((Instance(PACKING, ((2, 3, 1),), (7,)), scheme(d=3), (F(1, 2), F(3, 2), 1), 1))
 # the winner leaves the grid in round 1 and moves again in rounds 2 and 3:
 # 1 0 0, 2/3 0 1/3, 1/3 1/5 7/15, 5/27 13/45 71/135 for packing and
 # 0 3/4 1/4, 1/9 7/9 1/9, 25/153 121/153 7/153, 953/5049 4025/5049 71/5049
 # for covering
-@example((Instance(PACKING, ((3, 3), (1, 0), (3, 0)), (4, 4, 5)), scheme(d=1, rounds=3), (F(11, 2), F(4, 3))))
-@example((Instance(COVERING, ((2, 0), (3, 0), (0, 2)), (2, 6, 1)), scheme(d=4, rounds=3), (0, 5)))
+@example((Instance(PACKING, ((3, 3), (1, 0), (3, 0)), (4, 4, 5)), scheme(d=1), (F(11, 2), F(4, 3)), 3))
+@example((Instance(COVERING, ((2, 0), (3, 0), (0, 2)), (2, 6, 1)), scheme(d=4), (0, 5), 3))
 def test_integer_grid_path_matches_rational_oracle(case):
-    inst, sch, x = case
+    inst, sch, x, rounds = case
     _cold()
     sampled = sampled_closure(inst, sch)
     tuples = [
         (t.points, t.source_lambda, t.source_facet) for t in enumerate_tuples(inst, sch)
     ]
-    res = separate(inst, sch, x)
+    res = separate(inst, sch, x, rounds)
     _cold()
     oracle = intersect(_oracle_hulls(inst, sch)[1])
     assert sampled.hrep == oracle.hrep
     assert sampled.feasible == oracle.feasible
     assert tuples == _oracle_tuples(inst, sch)
-    best = _oracle_separate(inst, sch, x)
+    best = _oracle_separate(inst, sch, x, rounds)
     if best is None:
         assert res.inside
     else:

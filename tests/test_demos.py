@@ -1,6 +1,8 @@
 """The narrated demos run to completion and print the same bytes twice.
 
 Each demo runs in a fresh interpreter, so memos start cold on both runs.
+The first run's stdout must also match the demo's golden file in
+``tests/golden``, so what a demo prints cannot change unnoticed.
 """
 
 import os
@@ -12,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(path):
@@ -36,6 +39,7 @@ def test_all_five_demos_found():
 def test_demo_runs_and_prints_the_same_bytes_twice(path):
     first = _run(path)
     assert first.returncode == 0, first.stderr
+    assert first.stdout == (GOLDEN / f"{path.stem}.txt").read_text()
     second = _run(path)
     assert second.returncode == 0, second.stderr
     assert first.stdout

@@ -20,6 +20,7 @@ from aggclosure.closure import (
 from aggclosure.errors import UsageError
 from aggclosure.knapsack import (
     COVERING,
+    DEFAULT_CELL_BUDGET,
     PACKING,
     Aggregation,
     Instance,
@@ -57,7 +58,7 @@ FIELDS = {
         aggregated_rows=((2, 3),),
         aggregated_rhs=(4,),
     ),
-    SampleScheme: dict(grid_denominator=8, k=2, refinement_rounds=0, budget=500),
+    SampleScheme: dict(grid_denominator=8, k=2, budget=500),
     FacetTuple: dict(points=((0, 1), (2, 0)), source_lambda=AGG, source_facet=IQ),
     ClosureArtifacts: dict(
         instance=INST,
@@ -170,10 +171,14 @@ class TestDefaults:
 
     def test_sample_scheme(self):
         s = SampleScheme()
-        assert (s.grid_denominator, s.k, s.refinement_rounds) == (4, 1, 1)
-        assert SampleScheme(k=2) == SampleScheme(4, 2, 1)
+        assert (s.grid_denominator, s.k, s.budget) == (4, 1, DEFAULT_CELL_BUDGET)
+        assert SampleScheme.__slots__ == ("grid_denominator", "k", "budget")
+        assert SampleScheme(k=2) == SampleScheme(4, 2, DEFAULT_CELL_BUDGET)
         with pytest.raises(UsageError):
             SampleScheme(grid_denominator=0)
+        # refinement rounds are `separate`'s own; the third field is the budget
+        with pytest.raises(UsageError, match="work budget"):
+            SampleScheme(4, 1, 0)
 
     def test_facet_tuple(self):
         t = FacetTuple(((0, 1),))

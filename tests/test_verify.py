@@ -272,6 +272,28 @@ class TestGamma:
         assert not rep.witness_inequality.admits_point(rep.witness_point)
         assert rep.witness_lambda is not None
 
+    def test_one_variable_passes_without_a_walk(self, monkeypatch):
+        # a one-variable L is `closure_1d`, which lies in every sampled
+        # hull, so a shift g >= 0 passes with no walk, even where the walk
+        # (11,739,435 pairs here) is over the budget; a negative shift walks
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        walks = []
+        grid_rows = closure._grid_rows
+
+        def counted(*args):
+            walks.append(args)
+            return grid_rows(*args)
+
+        monkeypatch.setattr(closure, "_grid_rows", counted)
+        inst = Instance(COVERING, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26))
+        rep = check_gamma(inst, SampleScheme(16, k=2))
+        assert (rep.status, rep.note) == (PASS, "gamma=19")
+        assert check_gamma(inst, SampleScheme(16, k=2), gamma_override=0).status == PASS
+        assert walks == []
+        rep = check_gamma(inst, scheme(d=2), gamma_override=-1)
+        assert (rep.status, rep.note) == (FAIL, "shift -1 leaves a sampled hull")
+        assert len(walks) == 1
+
     def test_free_column_skips(self):
         inst = Instance(COVERING, ((2, 0),), (3,))
         assert check_gamma(inst, scheme()).status == SKIPPED
