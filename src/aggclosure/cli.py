@@ -92,6 +92,10 @@ def parse_instance(text: str, default_id: str = "") -> Instance:
         parts = ln.split(maxsplit=1)
         if len(parts) != 2:
             raise UsageError(f"line {no}: expected 'id <name>'")
+        if "\t" in parts[1]:
+            # a report line is tab-separated, so a tab in the id would
+            # shift every column after it
+            raise UsageError(f"line {no}: instance id must not contain a tab")
         instance_id = parts[1]
         no, value = keyword_line("sense", "sense line")
     else:
@@ -298,7 +302,7 @@ _BUDGET = (
     _positive_int,
     DEFAULT_CELL_BUDGET,
     "work budget per enumeration: lattice cells, ray pairs of one kernel "
-    "run, or aggregations of one grid walk",
+    "run, or aggregations of one grid walk or refinement round",
 )
 _THREADS = (
     "threads",

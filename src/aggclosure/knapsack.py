@@ -16,7 +16,8 @@ rows, a full-dimensional two-variable hull with no free column a polygon
 read off the minimal points or the segment tops by one monotone chain
 (Andrew 1979), and every other hull is converted by the polyhedral
 kernel from the minimal points or from the segment ends no unit step
-raises.
+raises.  The instance's own hull is handed out as those generators by
+`instance_generators`, with no conversion.
 """
 
 from __future__ import annotations
@@ -554,6 +555,26 @@ def integer_hull(
             hull = vrep_to_hrep(_packing_core(segments), rays, budget=budget)
     _HULL_MEMO[key] = hull
     return hull
+
+
+def instance_generators(inst: Instance, budget: int = DEFAULT_CELL_BUDGET) -> list:
+    """Homogeneous generators of the instance's own integer hull ``P_I``,
+    with no hull built.
+
+    The m rows are read as one relaxation by the walkers `integer_hull`
+    uses, which charge the lattice box to ``budget``: the `_packing_core`
+    of the segments of `_packing_points` with a unit ray per free column,
+    or the minimal points of `lattice_points` with every unit ray.  The
+    points come first, in lexicographic order, then the rays by column.
+    """
+    rel = KnapsackRelaxation(inst.sense, inst.n, inst.A, inst.b)
+    if inst.sense == COVERING:
+        points, _ = lattice_points(rel, budget)
+        free = range(inst.n)
+    else:
+        segments, free = _packing_points(rel, budget)
+        points = _packing_core(segments)
+    return [p + (1,) for p in points] + [_unit(inst.n, j) + (0,) for j in sorted(free)]
 
 
 def cg_cut(rel: KnapsackRelaxation):

@@ -97,9 +97,8 @@ class LinearInequality(Record):
         return idot(self.normal, g) - self.rhs * g[-1]
 
     def holds_at(self, g: IntVector) -> bool:
-        # `gap` written out: the sandwich probe of `verify._cut_probe_point`
-        # runs this for every row at every segment end, where the extra
-        # call shows
+        # `gap` written out, as a hot path: `verify._escape_witness` runs
+        # this for every row at every generator of the instance's hull
         v = idot(self.normal, g) - self.rhs * g[-1]
         return v <= 0 if self.sense == LE else v >= 0
 

@@ -39,10 +39,9 @@ from .knapsack import (
     COVERING,
     Instance,
     PACKING,
-    _check_budget,
     build_relaxation,
-    column_bounds,
     hull_keys,
+    instance_generators,
     integer_hull,
 )
 from .polyhedra import (
@@ -61,11 +60,6 @@ from .record import Record, set_fields
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
-
-# feasibility probe boxes larger than this are not enumerated
-PROBE_CELL_CAP = 50_000
-# the probe box's extent along a column no row constrains
-PROBE_FREE_CAP = 3
 
 
 class CheckReport(Record):
@@ -156,24 +150,26 @@ def _pushed(base, ray, step):
     return tuple(a + step * den * r for a, r in zip(base[:-1], ray)) + (den,)
 
 
-def _escape_witness(inner: Polyhedron, rows):
-    """A point of `inner` outside the set ``rows`` cut out, with the
-    violated row.
+def _escape_witness(generators, rows):
+    """A point of the set ``generators`` generate outside the set ``rows``
+    cut out, with the violated row.
 
-    Vertices are tried first; a vertex pushed along a recession ray with
-    doubling step covers the case where only the recession cones differ.
-    Only membership and the recession cone of the outer set are read, so
-    any rows that describe it give the same point.  Returns None when the
-    containment actually holds.
+    ``generators`` are homogeneous, the points first, as in
+    `Polyhedron.generators`.  The points are tried first, in their order;
+    the first point pushed along a ray with doubling step covers the case
+    where only the recession cones differ.  Only membership and the
+    recession cone of the outer set are read, so any rows that describe it
+    give the same point.  Returns None when the containment actually
+    holds.
     """
-    verts = [g for g in inner.generators if g[-1]]
+    verts = [g for g in generators if g[-1]]
     for g in verts:
         row = _violated_row(rows, g)
         if row is not None:
             return _point(g), row
     if not verts:
         return None
-    for ray in inner.generators[len(verts) :]:
+    for ray in generators[len(verts) :]:
         step = 1
         for _ in range(64):
             probe = _pushed(verts[0], ray, step)
@@ -183,72 +179,6 @@ def _escape_witness(inner: Polyhedron, rows):
             if _violated_row(rows, ray) is None:
                 break
             step *= 2
-    return None
-
-
-def _probe_box(inst: Instance):
-    """Per-coordinate bounds inside which probing lattice feasibility
-    is meaningful: the `column_bounds` of the rows, and `PROBE_FREE_CAP`
-    for a column no row constrains."""
-    bounds = column_bounds(inst.sense, inst.A, inst.b)
-    return [PROBE_FREE_CAP if c is None else c for c in bounds]
-
-
-def _probe_segments(inst: Instance):
-    """The feasible lattice points of the probe box as segments.
-
-    ``A >= 0``, so for a fixed prefix of the first n - 1 coordinates the
-    feasible last coordinates form one interval ``[lo, hi]``, read off
-    each row's residual by integer division.  Yields ``(prefix, lo, hi)``
-    for every prefix with a feasible point, in product order.  A box of
-    more than `PROBE_CELL_CAP` cells, counted over all n coordinates,
-    raises `ResourceBudgetError` before the walk.
-    """
-    bounds = _probe_box(inst)
-    _check_budget(bounds, PROBE_CELL_CAP, "feasibility probe box", "cap")
-    *head, top = bounds
-    packing = inst.sense == PACKING
-    for prefix in itertools.product(*(range(c + 1) for c in head)):
-        lo, hi = 0, top
-        for row, b in zip(inst.A, inst.b):
-            a = row[-1]
-            residual = b - idot(row, prefix)
-            if packing:
-                if a:
-                    hi = min(hi, residual // a)
-                elif residual < 0:
-                    hi = -1
-            elif a:
-                lo = max(lo, -(-residual // a))
-            elif residual > 0:
-                lo = top + 1
-        if lo <= hi:
-            yield prefix, lo, hi
-
-
-def _cut_probe_point(inst: Instance, rows):
-    """The first feasible lattice point of the probe box, in product
-    order, that one of ``rows`` cuts off, as a homogeneous vector; None
-    when every row holds at every such point.
-
-    A linear row holds on a segment of `_probe_segments` exactly when it
-    holds at both end points, and of the two it is tested at the one
-    where it is tighter: ``hi`` when it bounds the last coordinate from
-    above, ``lo`` otherwise.  A segment is walked point by point only
-    when one of its ends is cut.
-    """
-    at_hi, at_lo = [], []
-    for iq in rows:
-        c = iq.normal[-1]
-        (at_hi if c and (c > 0) == (iq.sense == LE) else at_lo).append(iq)
-    for prefix, lo, hi in _probe_segments(inst):
-        low, high = prefix + (lo, 1), prefix + (hi, 1)
-        if all(iq.holds_at(low) for iq in at_lo) and all(iq.holds_at(high) for iq in at_hi):
-            continue
-        for x in range(lo, hi + 1):
-            g = prefix + (x, 1)
-            if _violated_row(rows, g) is not None:
-                return g
     return None
 
 
@@ -266,7 +196,9 @@ def check_oracle_m1(inst: Instance, scheme: SampleScheme) -> CheckReport:
     hull = integer_hull(build_relaxation(inst, unit), scheme.budget)
     if poly_equal(art.closure, hull):
         return CheckReport("oracle_m1", inst.instance_id, PASS)
-    hit = _escape_witness(art.closure, hull.hrep) or _escape_witness(hull, art.closure.hrep)
+    hit = _escape_witness(art.closure.generators, hull.hrep) or _escape_witness(
+        hull.generators, art.closure.hrep
+    )
     if hit is None:
         raise RuntimeError("representations differ but no escape point found")
     point, row = hit
@@ -284,48 +216,44 @@ def check_sandwich(inst: Instance, scheme: SampleScheme) -> CheckReport:
     """Sampled closure against its two outer bodies.
 
     The sampled closure must sit inside the tuple body and inside the
-    recursion bound, and every feasible lattice point in the probe box
-    must satisfy both.  Whether the outer intersection collapses onto
-    the sampled closure is reported as a note, not asserted: sampling
-    guarantees it only for special classes.
+    recursion bound, and so must the instance's own integer hull ``P_I``:
+    every feasible lattice point must satisfy both.  Whether the outer
+    intersection collapses onto the sampled closure is reported as a
+    note, not asserted: sampling guarantees it only for special classes.
 
     Both bodies are decided on their defining rows: K's are the
     ``source_facet`` of each tuple of ``S``, L's the rows of its distinct
     ``parts``.  They cut out the same sets as the built bodies, so every
     point, and every ray against the recession cone, gets the same
-    verdict.  The probe reads the feasible points of the box as the
-    segments of `_probe_segments` and tests them at their ends in
-    `_cut_probe_point`.  ``K`` or ``L`` is intersected only when a point
-    is found outside it, to name the first of its rows that cuts the
-    point.
+    verdict.  ``P_I`` is read as the generators of `instance_generators`,
+    whose lattice walk is charged to ``scheme.budget``, so it is decided
+    exactly, along a column no row uses too, with no hull built.  ``K``
+    or ``L`` is intersected only when a point is found outside it, to
+    name the first of its rows that cuts the point.
     """
     art = aggregation_closure(inst, scheme)
     sc = sampled_closure(inst, scheme)
     k_rows = [t.source_facet for t in art.S]
     # a repeated part is one object, as `intersect` counts it
     l_rows = [iq for part in {id(p): p for p in art.parts}.values() for iq in part.hrep]
-    bodies = ((art.K, k_rows, "the tuple body"), (art.L, l_rows, "the recursion bound"))
-    name = "sandwich"
 
-    for build, rows, body in bodies:
-        hit = _escape_witness(sc, rows)
-        if hit is not None:
-            point = hit[0]
-            return CheckReport(
-                name, inst.instance_id, FAIL, witness_point=point,
-                witness_inequality=_violated_row(build().hrep, homogenize(point)),
-                note=f"sampled closure escapes {body}",
-            )
-    g = _cut_probe_point(inst, k_rows + l_rows)
-    if g is not None:
-        build = art.K if _violated_row(k_rows, g) is not None else art.L
+    def failed(point, build, note):
         return CheckReport(
-            name, inst.instance_id, FAIL, witness_point=_point(g),
-            witness_inequality=_violated_row(build().hrep, g),
-            note="feasible lattice point cut off",
+            "sandwich", inst.instance_id, FAIL, witness_point=point,
+            witness_inequality=_violated_row(build().hrep, homogenize(point)), note=note,
         )
+
+    bodies = ((art.K, k_rows, "the tuple body"), (art.L, l_rows, "the recursion bound"))
+    for build, rows, body in bodies:
+        hit = _escape_witness(sc.generators, rows)
+        if hit is not None:
+            return failed(hit[0], build, f"sampled closure escapes {body}")
+    hit = _escape_witness(instance_generators(inst, scheme.budget), k_rows + l_rows)
+    if hit is not None:
+        point, row = hit
+        return failed(point, art.K if row in k_rows else art.L, "feasible lattice point cut off")
     return CheckReport(
-        name, inst.instance_id, PASS,
+        "sandwich", inst.instance_id, PASS,
         note=f"saturation={'true' if saturated(art) else 'false'}",
     )
 

@@ -11,8 +11,10 @@ a hull converted from its lattice points by double description, is the
 oracle of the two-variable polygons of `knapsack.integer_hull`,
 `packing_core`, read off the set of every feasible point, is the oracle
 of the core `knapsack._packing_core` reads off the packing segments,
-`sandwich_full_box`, which builds `K` and `L` and tests every feasible
-point of the probe box, is the oracle of `verify.check_sandwich`,
+`sandwich_full_box`, which builds `K` and `L` and tests the generators
+of the instance's integer hull that `hull_generators_box` reads off
+every cell of its own box, is the oracle of `verify.check_sandwich` and
+of the walk `knapsack.instance_generators`,
 `tuple_to_inequality`, the hyperplane through a tuple's points, is the
 oracle of the sampled facet each `closure.FacetTuple` carries as its row
 of K, `serialize_instance` writes the instance format
@@ -35,8 +37,8 @@ from typing import Iterable, Optional, Sequence
 from aggclosure import cli, verify
 from aggclosure.cli import cmd_closure, cmd_hull, cmd_separate, cmd_verify
 from aggclosure.closure import FacetTuple, saturated
-from aggclosure.errors import ResourceBudgetError, UsageError
-from aggclosure.knapsack import COVERING, PACKING, lattice_points
+from aggclosure.errors import UsageError
+from aggclosure.knapsack import COVERING, PACKING, KnapsackRelaxation, lattice_points
 from aggclosure.polyhedra import (
     DEFAULT_CELL_BUDGET,
     GE,
@@ -339,76 +341,83 @@ def tuple_to_inequality(t, sense: str) -> LinearInequality:
     return make_inequality(v[:-1], -v[-1], LE if sense == PACKING else GE)
 
 
-def _first_cut(poly, g):
-    # first row of the built body ``poly`` the homogeneous ``g`` violates
-    return next((iq for iq in poly.hrep if not iq.holds_at(g)), None)
+def _first_cut(bodies, g):
+    # first row of the first built body in ``bodies`` that the homogeneous
+    # ``g`` violates
+    for body in bodies:
+        for iq in body.hrep:
+            if not iq.holds_at(g):
+                return iq
+    return None
 
 
-def _body_escape(inner, outer):
-    # a vertex of ``inner`` outside the built body ``outer``, or the first
-    # vertex pushed along a ray by doubling steps
-    verts = [g for g in inner.generators if g[-1]]
+def _body_escape(generators, bodies):
+    # the first point of ``generators`` outside one of the built
+    # ``bodies``, or the first point pushed along a ray by doubling steps
+    verts = [g for g in generators if g[-1]]
     for g in verts:
-        row = _first_cut(outer, g)
+        row = _first_cut(bodies, g)
         if row is not None:
             return verify._point(g), row
     if not verts:
         return None
-    for ray in inner.generators[len(verts) :]:
+    for ray in (g for g in generators if not g[-1]):
         step = 1
         for _ in range(64):
             probe = verify._pushed(verts[0], ray, step)
-            row = _first_cut(outer, probe)
+            row = _first_cut(bodies, probe)
             if row is not None:
                 return verify._point(probe), row
-            if _first_cut(outer, ray) is None:
+            if _first_cut(bodies, ray) is None:
                 break
             step *= 2
     return None
 
 
-def _box_points(inst):
-    # every feasible lattice point of the probe box, in product order
-    bounds = verify._probe_box(inst)
-    cells = 1
-    for c in bounds:
-        cells *= c + 1
-        if cells > verify.PROBE_CELL_CAP:
-            raise ResourceBudgetError(
-                f"feasibility probe box of {cells}+ cells exceeds cap {verify.PROBE_CELL_CAP}"
-            )
-    for p in itertools.product(*(range(c + 1) for c in bounds)):
-        lhs = [idot(row, p) for row in inst.A]
-        if inst.sense == PACKING and all(v <= r for v, r in zip(lhs, inst.b)):
-            yield p
-        if inst.sense == COVERING and all(v >= r for v, r in zip(lhs, inst.b)):
-            yield p
+def hull_generators_box(inst) -> list:
+    """Homogeneous generators of the instance's integer hull, read off
+    every cell of the box of `column_bounds_scan`, 0 along a zero column:
+    the `packing_core` of the feasible cells with a unit ray per zero
+    column, or the covering minimal points of `covering_minimal_box` with
+    every unit ray.  Points come in lexicographic order, rays by column."""
+    scanned = column_bounds_scan(inst.sense, inst.A, inst.b)
+    bounds = [c or 0 for c in scanned]
+    if inst.sense == PACKING:
+        cells = itertools.product(*(range(c + 1) for c in bounds))
+        feasible = [p for p in cells if all(idot(a, p) <= r for a, r in zip(inst.A, inst.b))]
+        points = packing_core(feasible)
+        free = [j for j, c in enumerate(scanned) if c is None]
+    else:
+        rel = KnapsackRelaxation(COVERING, inst.n, inst.A, inst.b)
+        points = covering_minimal_box(rel, bounds)
+        free = range(inst.n)
+    units = [tuple(int(i == j) for i in range(inst.n)) + (0,) for j in free]
+    return [p + (1,) for p in points] + units
 
 
 def sandwich_full_box(inst, art, sc):
     """`verify.check_sandwich` on the artifacts ``art`` and the sampled
     closure ``sc``, decided on the built ``K`` and ``L``: the vertices
-    and rays of ``sc`` against each body's rows, then every feasible
-    point of the probe box, in product order, against K's rows and L's."""
+    and rays of ``sc`` against each body's rows, then the generators of
+    `hull_generators_box` against K's rows and L's, each ray tested for
+    recession against every row."""
     K, L = art.K(), art.L()
     name = "sandwich"
     for body, note in ((K, "the tuple body"), (L, "the recursion bound")):
-        hit = _body_escape(sc, body)
+        hit = _body_escape(sc.generators, [body])
         if hit is not None:
             return verify.CheckReport(
                 name, inst.instance_id, verify.FAIL,
                 witness_point=hit[0], witness_inequality=hit[1],
                 note=f"sampled closure escapes {note}",
             )
-    for p in _box_points(inst):
-        for body in (K, L):
-            row = _first_cut(body, p + (1,))
-            if row is not None:
-                return verify.CheckReport(
-                    name, inst.instance_id, verify.FAIL,
-                    witness_point=as_vector(p), witness_inequality=row,
-                    note="feasible lattice point cut off",
-                )
+    hit = _body_escape(hull_generators_box(inst), [K, L])
+    if hit is not None:
+        return verify.CheckReport(
+            name, inst.instance_id, verify.FAIL,
+            witness_point=hit[0], witness_inequality=hit[1],
+            note="feasible lattice point cut off",
+        )
     return verify.CheckReport(
         name, inst.instance_id, verify.PASS,
         note=f"saturation={'true' if saturated(art) else 'false'}",
@@ -458,7 +467,7 @@ def _add_common(sub, k_flag=True, refine_flag=False, out_flag=False):
         type=_positive_int,
         default=DEFAULT_CELL_BUDGET,
         help="work budget per enumeration: lattice cells, ray pairs of one "
-        "kernel run, or aggregations of one grid walk",
+        "kernel run, or aggregations of one grid walk or refinement round",
     )
     sub.add_argument(
         "--threads",

@@ -292,6 +292,11 @@ class TestParseInstance:
         inst = cli.parse_instance("id demo-1\n" + PACK23_TEXT)
         assert inst.instance_id == "demo-1"
 
+    def test_tab_in_id_rejected(self):
+        # a tab in the id would shift every column of a report line
+        with pytest.raises(UsageError, match="line 2: instance id must not contain a tab"):
+            cli.parse_instance("\nid my inst\tx\n" + PACK23_TEXT)
+
     def test_default_id_used_when_absent(self):
         inst = cli.parse_instance(PACK23_TEXT, default_id="from-filename")
         assert inst.instance_id == "from-filename"
@@ -718,6 +723,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "parse\tbroken\tskipped" in out
         assert "zero row infeasible for covering" in out
+
+    def test_tab_in_id_skipped_with_its_line(self, tmp_path, capsys):
+        (tmp_path / "tabbed.txt").write_text("id my inst\tx\n" + PACK23_TEXT)
+        code, out, _ = run_cli(capsys, "verify", str(tmp_path), "--grid", "2")
+        assert code == 0
+        assert out == (
+            "parse\ttabbed\tskipped\t-\t0\tline 1: instance id must not contain a tab\n"
+            "summary pass=0 fail=0 skipped=1\n"
+        )
 
     def test_not_a_directory(self, fixture_dir, capsys):
         code, _, err = run_cli(capsys, "verify", str(fixture_dir / "pack23.txt"))

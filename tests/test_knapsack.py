@@ -23,11 +23,24 @@ from aggclosure.knapsack import (
     build_relaxation,
     cg_cut,
     column_bounds,
+    instance_generators,
     integer_hull,
     lattice_points,
 )
-from aggclosure.polyhedra import contains, make_inequality, poly_equal, poly_subset
-from oracles import column_bounds_scan, covering_minimal_box, packing_core, vertex_hull
+from aggclosure.polyhedra import (
+    contains,
+    make_inequality,
+    poly_equal,
+    poly_subset,
+    vrep_to_hrep,
+)
+from oracles import (
+    column_bounds_scan,
+    covering_minimal_box,
+    hull_generators_box,
+    packing_core,
+    vertex_hull,
+)
 
 
 def half(x=1):
@@ -508,6 +521,36 @@ class TestHullProperties:
         for col in cols:
             single = integer_hull(build_relaxation(inst, col))
             assert poly_subset(multi, single)
+
+
+class TestInstanceGenerators:
+    @settings(max_examples=80, deadline=None)
+    @given(small_instances())
+    def test_same_generators_as_box_oracle(self, inst):
+        assert instance_generators(inst) == hull_generators_box(inst)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_instances())
+    def test_generate_the_instance_hull(self, inst):
+        gens = instance_generators(inst)
+        points = [g[:-1] for g in gens if g[-1] == 1]
+        rays = [g[:-1] for g in gens if not g[-1]]
+        rel = KnapsackRelaxation(inst.sense, inst.n, inst.A, inst.b)
+        assert poly_equal(vrep_to_hrep(points, rays), integer_hull(rel))
+
+    def test_zero_column_is_a_ray(self):
+        inst = Instance(PACKING, ((0, 2, 3),), (4,))
+        assert instance_generators(inst) == [
+            (0, 0, 0, 1), (0, 0, 1, 1), (0, 2, 0, 1), (1, 0, 0, 0)
+        ]
+
+    def test_budget_counts_the_lattice_box(self):
+        inst = Instance(COVERING, ((1, 1, 1), (2, 1, 3)), (150, 100))
+        # covering walks the first n - 1 columns of the box, 151 * 151 cells
+        with pytest.raises(ResourceBudgetError, match="22801\\+ cells exceeds budget 22800"):
+            instance_generators(inst, 22800)
+        # the minimal points are those of x1 + x2 + x3 = 150, with 3 rays
+        assert len(instance_generators(inst, 22801)) == 151 * 152 // 2 + 3
 
 
 @st.composite

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggclosure import closure, polyhedra, verify
+from aggclosure import closure, knapsack, polyhedra, verify
 from aggclosure.closure import (
     ClosureArtifacts,
     FacetTuple,
@@ -93,17 +93,17 @@ class TestEscapeWitness:
     def test_vertex_escape(self):
         box = vrep_to_hrep([(0, 0), (2, 0), (0, 2), (2, 2)])
         tri = vrep_to_hrep([(0, 0), (2, 0), (0, 1)])
-        point, row = _escape_witness(box, tri.hrep)
+        point, row = _escape_witness(box.generators, tri.hrep)
         assert not row.admits_point(point)
 
     def test_ray_escape(self):
         box = vrep_to_hrep([(0, 0), (2, 0), (0, 2), (2, 2)])
-        point, row = _escape_witness(orthant(2), box.hrep)
+        point, row = _escape_witness(orthant(2).generators, box.hrep)
         assert not row.admits_point(point)
 
     def test_containment_gives_none(self):
         box = vrep_to_hrep([(0, 0), (2, 0), (0, 2), (2, 2)])
-        assert _escape_witness(box, orthant(2).hrep) is None
+        assert _escape_witness(box.generators, orthant(2).hrep) is None
 
 
 class TestOracle:
@@ -142,25 +142,30 @@ class TestSandwich:
         assert rep.status == PASS
 
 
-    def test_probe_cap_names_the_box(self):
-        # 401 * 201 probe cells; the check is skipped, not failed
+    def test_wide_box_passes_within_budget(self, monkeypatch):
+        # 401 * 201 lattice cells: checked, and charged to the scheme's
+        # budget, which trips only in the lattice walk once the closures
+        # exist
         inst = Instance(PACKING, ((1, 2),), (400,), instance_id="widebox")
-        note = "feasibility probe box of 80601+ cells exceeds cap 50000"
-        with pytest.raises(ResourceBudgetError) as exc:
-            check_sandwich(inst, scheme())
-        assert str(exc.value) == note
         (rep,) = [r for r in run_suite([inst], scheme()) if r.check_name == "sandwich"]
-        assert (rep.status, rep.note) == (SKIPPED, note)
-        assert rep.tsv_line() == f"sandwich\twidebox\tskipped\t-\t0\t{note}"
+        assert rep.tsv_line() == "sandwich\twidebox\tpass\t-\t0\tsaturation=true"
+        art, sc = aggregation_closure(inst, scheme()), sampled_closure(inst, scheme())
+        monkeypatch.setattr(verify, "aggregation_closure", lambda *_: art)
+        monkeypatch.setattr(verify, "sampled_closure", lambda *_: sc)
+        assert check_sandwich(inst, SampleScheme(2, budget=80601)) == rep
+        with pytest.raises(ResourceBudgetError) as exc:
+            check_sandwich(inst, SampleScheme(2, budget=80600))
+        assert str(exc.value) == "enumeration box of 80601+ cells exceeds budget 80600"
 
     @pytest.mark.parametrize("inst, d", [(PACK2ROWS, 4), (COVERFIX, 3)])
     def test_passing_check_builds_neither_body(self, inst, d, monkeypatch):
         # the closure and the sampled closure are built first; the check
-        # itself then reads the rows of K and L and runs no kernel
+        # itself then reads the rows of K and L and the generators of the
+        # instance's hull, and builds no hull and runs no kernel
         sch = scheme(d)
         art = aggregation_closure(inst, sch)
         sampled_closure(inst, sch)
-        calls = {"build_K": 0, "hrep_to_vrep": 0}
+        calls = dict.fromkeys(("build_K", "hrep_to_vrep", "vrep_to_hrep", "integer_hull"), 0)
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -172,18 +177,24 @@ class TestSandwich:
         kernel = counted("hrep_to_vrep", polyhedra.hrep_to_vrep)
         monkeypatch.setattr(closure, "hrep_to_vrep", kernel)
         monkeypatch.setattr(polyhedra, "hrep_to_vrep", kernel)
+        hull_kernel = counted("vrep_to_hrep", polyhedra.vrep_to_hrep)
+        monkeypatch.setattr(knapsack, "vrep_to_hrep", hull_kernel)
+        monkeypatch.setattr(polyhedra, "vrep_to_hrep", hull_kernel)
+        hull = counted("integer_hull", knapsack.integer_hull)
+        for module in (knapsack, closure, verify):
+            monkeypatch.setattr(module, "integer_hull", hull)
         assert check_sandwich(inst, sch).status == PASS
-        assert calls == {"build_K": 0, "hrep_to_vrep": 0}
+        assert calls == dict.fromkeys(calls, 0)
         # the bodies are real kernel runs when they are built
         art.K(), art.L()
-        assert calls["build_K"] == 1 and calls["hrep_to_vrep"] == 2
+        assert calls == {"build_K": 1, "hrep_to_vrep": 2, "vrep_to_hrep": 0, "integer_hull": 0}
 
 
 def _perturbed_report(check, inst, d, target, row, shrink):
     # run ``check`` with ``row`` added to K's tuples or to L's parts, and
     # with the sampled closure cut by it when ``shrink``: a row that cuts
-    # feasible points then misses the sampled closure, so the probe finds
-    # the cut.  A budget trip is reported as its note
+    # feasible points then misses the sampled closure, so only the lattice
+    # part finds the cut.  A budget trip is reported as its note
     sch = scheme(d)
     art = aggregation_closure(inst, sch)
     sc = sampled_closure(inst, sch)
@@ -215,8 +226,16 @@ def sandwich_cases(draw):
     sense = draw(st.sampled_from((PACKING, COVERING)))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 2 if n == 3 else 3))
+    # a zero column is a ray of the instance's hull
+    zero = draw(st.sampled_from((None, *range(n)))) if n > 1 else None
     rows = [
-        tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)))
+        tuple(
+            draw(
+                st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                .map(lambda r: [0 if j == zero else a for j, a in enumerate(r)])
+                .filter(any)
+            )
+        )
         for _ in range(m)
     ]
     b = tuple(draw(st.integers(1, 8)) for _ in range(m))
@@ -230,19 +249,24 @@ def sandwich_cases(draw):
     return inst, d, target, row, draw(st.booleans())
 
 
+ZEROCOL = Instance(PACKING, ((0, 0, 1),), (1,), instance_id="zerocol")
+
 # one perturbation per way to fail: a row sc escapes, in K and in L, and
-# a row that cuts feasible points off K or L and off sc alike
+# a row that cuts feasible points off K or L and off sc alike, at a hull
+# point or along the ray of a zero column
 FAILING_CASES = [
     (PACK2ROWS, 4, "K", make_inequality((1, 1), 0, LE), False),
     (PACK2ROWS, 4, "L", make_inequality((1, 1), 0, LE), False),
     (PACK2ROWS, 4, "K", make_inequality((1, 0), 0, LE), True),
     (COVERFIX, 3, "L", make_inequality((0, 1), 1, LE), True),
+    (ZEROCOL, 2, "K", make_inequality((0, 1, 0), 3, LE), True),
 ]
 
 
 class TestSandwichAgainstFullBox:
-    # the oracle decides on the built K and L and on every feasible point
-    # of the probe box; the check on rows and on segment end points
+    # the oracle decides on the built K and L and on the generators of the
+    # instance's hull read off every cell of its own box; the check on
+    # rows and on the generators of the lattice walk
 
     @settings(max_examples=200, deadline=None)
     @given(sandwich_cases())
@@ -258,6 +282,16 @@ class TestSandwichAgainstFullBox:
             "sampled closure escapes the recursion bound",
             "feasible lattice point cut off",
         }
+
+    @pytest.mark.parametrize("index, witness", [(2, (2, 0)), (4, (0, 4, 0))])
+    def test_witness_is_first_cut_generator(self, index, witness):
+        # the first of the core points (0, 0), (0, 1), (2, 0), in
+        # lexicographic order, that x1 <= 0 cuts; and, along e2, a column
+        # no row uses, the origin pushed in doubling steps 1, 2, 4 past
+        # x2 <= 3
+        rep = _perturbed_report(_segment_check, *FAILING_CASES[index])
+        assert (rep.status, rep.note) == (FAIL, "feasible lattice point cut off")
+        assert rep.witness_point == witness
 
 
 class TestGamma:
