@@ -246,13 +246,18 @@ def cmd_verify(args) -> int:
         raise UsageError(f"not a directory: {args.instances}")
     reports = []
     instances = []
+    # a tab or line break splits a report line; an `id` line holds neither
+    escapes = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
     for path in sorted(p for p in root.iterdir() if p.is_file()):
+        stem = path.stem.translate(escapes)
         try:
-            instances.append(parse_instance(path.read_text(), default_id=path.stem))
+            inst = parse_instance(path.read_text(), default_id=path.stem)
+            if inst.instance_id != inst.instance_id.translate(escapes):
+                what = "a tab" if "\t" in inst.instance_id else "a line break"
+                raise UsageError(f"instance id must not contain {what}")
+            instances.append(inst)
         except (OSError, UsageError) as exc:
-            reports.append(
-                CheckReport("parse", path.stem, SKIPPED, note=str(exc))
-            )
+            reports.append(CheckReport("parse", stem, SKIPPED, note=str(exc)))
     reports += run_suite(instances, _scheme(args), timings=args.timings)
     lines = suite_lines(reports)
     tally = {"pass": 0, "fail": 0, "skipped": 0}

@@ -70,10 +70,6 @@ class Aggregation(Record):
     def __init__(self, weights: tuple) -> None:
         set_fields(self, weights)
 
-    @property
-    def k(self) -> int:
-        return len(self.weights)
-
     def render(self) -> str:
         """Columns as ``p/q`` weights, separated by ``; ``."""
         return "; ".join(" ".join(format_rat(w) for w in col) for col in self.weights)
@@ -271,14 +267,14 @@ def column_bounds(sense: str, rows, rhs) -> list:
     ]
 
 
-def _check_budget(bounds, budget, box="enumeration box", limit="budget") -> None:
+def _check_budget(bounds, budget) -> None:
     # the box of 0..b per side, counted one side at a time so a huge box
     # stops at the first product past ``budget``
     cells = 1
     for b in bounds:
         cells *= b + 1
         if cells > budget:
-            raise ResourceBudgetError(f"{box} of {cells}+ cells exceeds {limit} {budget}")
+            raise ResourceBudgetError(f"enumeration box of {cells}+ cells exceeds budget {budget}")
 
 
 def _zero_row_empties(sense: str, rows, rhs) -> bool:

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .closure import (
     SampleScheme,
-    _check_grid_budget,
     _composition,
     _grid_bars,
     _grid_hulls,
@@ -39,19 +38,15 @@ from .knapsack import (
     COVERING,
     Instance,
     PACKING,
-    build_relaxation,
     hull_keys,
     instance_generators,
-    integer_hull,
 )
 from .polyhedra import (
     LE,
     LinearInequality,
     Polyhedron,
     homogenize,
-    intersect,
     make_inequality,
-    poly_equal,
     render_point,
 )
 from .rational import RatVector, as_vector, format_rat, idot, int_clear
@@ -185,17 +180,18 @@ def _escape_witness(generators, rows):
 def check_oracle_m1(inst: Instance, scheme: SampleScheme) -> CheckReport:
     """Single-row closure against the brute-force hull.
 
-    With one row every aggregation is a positive scaling of it, so the
-    closure must equal the integer hull of the row itself, as canonical
-    inequality systems, exactly.
+    With one row every grid aggregation is a positive multiple of it, so
+    the sampled closure is the integer hull of the row itself, and the
+    closure must equal it, as canonical inequality systems, exactly: the
+    check passes when the closure is `saturated`.  A failure is witnessed
+    against that sampled closure, with the row's unit weight.
     """
     if inst.m != 1:
         raise UsageError("oracle check requires a single row")
     art = aggregation_closure(inst, scheme)
-    unit = Aggregation(((1,),))
-    hull = integer_hull(build_relaxation(inst, unit), scheme.budget)
-    if poly_equal(art.closure, hull):
+    if saturated(art):
         return CheckReport("oracle_m1", inst.instance_id, PASS)
+    hull = sampled_closure(inst, scheme)
     hit = _escape_witness(art.closure.generators, hull.hrep) or _escape_witness(
         hull.generators, art.closure.hrep
     )
@@ -207,7 +203,7 @@ def check_oracle_m1(inst: Instance, scheme: SampleScheme) -> CheckReport:
         inst.instance_id,
         FAIL,
         witness_point=point,
-        witness_lambda=unit,
+        witness_lambda=Aggregation(((1,),)),
         witness_inequality=row,
     )
 
@@ -306,14 +302,17 @@ def check_cg_dominance(inst: Instance, scheme: SampleScheme) -> CheckReport:
     Walks the single-row grid once, in `sample_lambdas` order.  Rounding,
     unlike the hull, changes when a row is scaled, so the cut of v/D is
     ``floor(v·a / D) x <= floor(v·b / D)`` on the integer row v·A | v·b,
-    tested against the hull of the row's `hull_keys` key.  The cut in
-    lowest terms is a positive multiple of that raw row, so the raw row
-    gives the same verdict, and the inequality is built for a witness only.
+    tested against the hull of the row's `hull_keys` key.  The hulls are
+    those of `_grid_hulls` at k = 1, one per key in the order in which
+    this walk first meets the keys, so they are read in step; at k = 1
+    they are the closure's own.  The cut in lowest terms is a positive
+    multiple of that raw row, so the raw row gives the same verdict, and
+    the inequality is built for a witness only.
     """
     if inst.sense != PACKING:
         raise UsageError("rounding dominance check requires a packing instance")
     d = scheme.grid_denominator
-    _check_grid_budget(inst.m, SampleScheme(d, budget=scheme.budget))
+    hulls = iter(_grid_hulls(inst, SampleScheme(d, budget=scheme.budget)))
     # each coordinate is read twice in step: as the row and by its key
     coords = [itertools.tee(c) for c in _grid_rows(inst, d)]
     walk = zip(
@@ -321,16 +320,16 @@ def check_cg_dominance(inst: Instance, scheme: SampleScheme) -> CheckReport:
         zip(*(row for row, _ in coords)),
         hull_keys(PACKING, [key for _, key in coords], 1),
     )
-    hulls: dict = {}
+    hull_of: dict = {}
     for bars, row, key in walk:
+        # a new key takes the next hull, even if its cut is skipped
+        if key not in hull_of:
+            hull_of[key] = next(hulls)[1]
         coeffs = [a // d for a in row[:-1]]
         if not any(coeffs):
             continue
         rhs = row[-1] // d
-        hull = hulls.get(key)
-        if hull is None:
-            comps = (_composition(bars, d),)
-            hull = hulls[key] = integer_hull(build_relaxation(inst, comps), scheme.budget)
+        hull = hull_of[key]
         for g in hull.generators:
             if idot(coeffs, g) > rhs * g[-1]:
                 # a ray shows as the first vertex pushed one step along it
@@ -366,8 +365,12 @@ def _optimum(poly: Polyhedron, objective: RatVector, maximize: bool):
 def check_onerow_ratio(inst: Instance, scheme: SampleScheme, objective=None) -> CheckReport:
     """Ratio between per-row hull intersection and sampled closure optima.
 
-    Informational: the ratio is reported in the note; packing ratios
-    above 2 are flagged for review but do not fail the check.
+    At grid denominator 1 the only weights are the m unit vectors, so the
+    intersection of the rows' own integer hulls is the sampled closure at
+    grid 1, read off the memoized grid walk like any sampled closure; in
+    one variable both are `closure_1d`.  Informational: the ratio is
+    reported in the note; packing ratios above 2 are flagged for review
+    but do not fail the check.
     """
     if objective is None:
         objective = tuple(Fraction(1) for _ in range(inst.n))
@@ -377,13 +380,7 @@ def check_onerow_ratio(inst: Instance, scheme: SampleScheme, objective=None) -> 
     if any(w < 0 for w in c):
         raise UsageError("objective must be nonnegative")
 
-    unit_hulls = []
-    for i in range(inst.m):
-        col = tuple(1 if t == i else 0 for t in range(inst.m))
-        unit_hulls.append(
-            integer_hull(build_relaxation(inst, Aggregation((col,))), scheme.budget)
-        )
-    rowwise = intersect(unit_hulls, scheme.budget)
+    rowwise = sampled_closure(inst, SampleScheme(1, budget=scheme.budget))
     sc = sampled_closure(inst, scheme)
 
     maximize = inst.sense == PACKING

@@ -6,7 +6,10 @@ it applies, with the small helpers their tests use.  The box enumerator
 of covering minimal points is the oracle of `knapsack._covering_minimal`,
 the pairwise fold is the oracle of `polyhedra.intersect`, the interval
 hulls built by double description and `closure_1d_rounding` are the
-oracles of `polyhedra.interval` and `closure.closure_1d`, `vertex_hull`,
+oracles of `polyhedra.interval` and `closure.closure_1d`, `rowwise_hulls`,
+the intersection of the rows' own integer hulls, is the oracle of the
+sampled closure at grid 1, which `verify.check_onerow_ratio` and, with
+one row, `verify.check_oracle_m1` read, `vertex_hull`,
 a hull converted from its lattice points by double description, is the
 oracle of the two-variable polygons of `knapsack.integer_hull`,
 `packing_core`, read off the set of every feasible point, is the oracle
@@ -38,7 +41,14 @@ from aggclosure import cli, verify
 from aggclosure.cli import cmd_closure, cmd_hull, cmd_separate, cmd_verify
 from aggclosure.closure import FacetTuple, saturated
 from aggclosure.errors import UsageError
-from aggclosure.knapsack import COVERING, PACKING, KnapsackRelaxation, lattice_points
+from aggclosure.knapsack import (
+    COVERING,
+    PACKING,
+    KnapsackRelaxation,
+    build_relaxation,
+    integer_hull,
+    lattice_points,
+)
 from aggclosure.polyhedra import (
     DEFAULT_CELL_BUDGET,
     GE,
@@ -53,6 +63,7 @@ from aggclosure.polyhedra import (
     _transpose,
     empty_polyhedron,
     hrep_to_vrep,
+    intersect,
     make_inequality,
     poly_subset,
     vrep_to_hrep,
@@ -319,6 +330,15 @@ def closure_1d_rounding(inst):
     if inst.sense == PACKING:
         return interval_hull(PACKING, min(b // a for b, a in ratios), bounded=True)
     return interval_hull(COVERING, max(-((-b) // a) for b, a in ratios), bounded=False)
+
+
+def rowwise_hulls(inst, budget: int = DEFAULT_CELL_BUDGET):
+    """The intersection of the integer hulls of the instance's rows, each
+    row taken alone as the aggregation by its unit weight."""
+    units = [[int(t == i) for t in range(inst.m)] for i in range(inst.m)]
+    return intersect(
+        [integer_hull(build_relaxation(inst, e), budget) for e in units], budget
+    )
 
 
 def tuple_to_inequality(t, sense: str) -> LinearInequality:

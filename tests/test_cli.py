@@ -733,6 +733,26 @@ class TestVerifyCommand:
             "summary pass=0 fail=0 skipped=1\n"
         )
 
+    def test_tab_or_line_break_in_stem_skipped(self, tmp_path, capsys):
+        # a default id from such a stem would split a report line, and a
+        # `parse` line writes the stem with escapes
+        (tmp_path / "my\tfile.txt").write_text(PACK23_TEXT)
+        (tmp_path / "bad\tstem.txt").write_text("nonsense\n")
+        (tmp_path / "line\nbreak.txt").write_text(PACK23_TEXT)
+        (tmp_path / "with\tid.txt").write_text("id named\n" + PACK23_TEXT)
+        code, out, _ = run_cli(capsys, "verify", str(tmp_path), "--grid", "2")
+        assert code == 0
+        assert out == (
+            "parse\tbad\\tstem\tskipped\t-\t0\tline 1: expected 'sense', got 'nonsense'\n"
+            "parse\tline\\nbreak\tskipped\t-\t0\tinstance id must not contain a line break\n"
+            "parse\tmy\\tfile\tskipped\t-\t0\tinstance id must not contain a tab\n"
+            "oracle_m1\tnamed\tpass\t-\t0\n"
+            "sandwich\tnamed\tpass\t-\t0\tsaturation=true\n"
+            "cg_dominance\tnamed\tpass\t-\t0\n"
+            "onerow_ratio\tnamed\tpass\t-\t0\tratio=1\n"
+            "summary pass=4 fail=0 skipped=3\n"
+        )
+
     def test_not_a_directory(self, fixture_dir, capsys):
         code, _, err = run_cli(capsys, "verify", str(fixture_dir / "pack23.txt"))
         assert code == 1

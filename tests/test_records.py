@@ -318,3 +318,48 @@ def test_every_private_helper_is_used():
                 own[f"{path.name} {node.name}"] = (node.name, _names_read(node)[node.name])
     dead = [where for where, (name, inside) in own.items() if read[name] == inside]
     assert dead == []
+
+
+def test_every_private_default_is_passed():
+    # a defaulted parameter of a private function that no call in the
+    # package passes, by position or by keyword, always takes its default.
+    # Calls are matched by name, a method's by attribute after ``self``;
+    # a starred argument or ``**`` may pass anything
+    paths = sorted((SRC / "aggclosure").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    positions: dict = {}
+    keywords: dict = {}
+    for call in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        count = len(call.args)
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            count = float("inf")
+        positions[name] = max(positions.get(name, 0), count)
+        keywords.setdefault(name, set()).update(kw.arg for kw in call.keywords)
+    unpassed = []
+    for path, tree in zip(paths, trees):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.endswith("__"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args
+            skip = 1 if params and params[0].arg in ("self", "cls") else 0
+            # the position a call fills to pass each defaulted parameter
+            defaulted = [
+                (p, i - skip) for i, p in enumerate(params)
+                if i >= len(params) - len(args.defaults)
+            ]
+            defaulted += [
+                (p, float("inf"))
+                for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            passed = keywords.get(name, set())
+            unpassed += [
+                f"{path.name}:{node.lineno} {name}({p.arg})"
+                for p, index in defaulted
+                if positions.get(name, 0) <= index and not passed & {p.arg, None}
+            ]
+    assert unpassed == []

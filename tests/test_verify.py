@@ -32,6 +32,7 @@ from aggclosure.polyhedra import (
     intersect,
     make_inequality,
     orthant,
+    poly_equal,
     vrep_to_hrep,
 )
 from aggclosure.verify import (
@@ -52,7 +53,7 @@ from aggclosure.verify import (
     suite_json,
     suite_lines,
 )
-from oracles import sandwich_full_box
+from oracles import rowwise_hulls, sandwich_full_box
 
 F = Fraction
 
@@ -162,6 +163,7 @@ class TestSandwich:
         # the closure and the sampled closure are built first; the check
         # itself then reads the rows of K and L and the generators of the
         # instance's hull, and builds no hull and runs no kernel
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
         sch = scheme(d)
         art = aggregation_closure(inst, sch)
         sampled_closure(inst, sch)
@@ -181,7 +183,7 @@ class TestSandwich:
         monkeypatch.setattr(knapsack, "vrep_to_hrep", hull_kernel)
         monkeypatch.setattr(polyhedra, "vrep_to_hrep", hull_kernel)
         hull = counted("integer_hull", knapsack.integer_hull)
-        for module in (knapsack, closure, verify):
+        for module in (knapsack, closure):
             monkeypatch.setattr(module, "integer_hull", hull)
         assert check_sandwich(inst, sch).status == PASS
         assert calls == dict.fromkeys(calls, 0)
@@ -376,7 +378,8 @@ class TestCgDominance:
     @given(packing_cases())
     def test_same_first_failure_as_per_weight_oracle(self, case):
         # hulls dilated by `scale` around the origin make rounding cuts
-        # fail, so the first failing weight and its witness are compared
+        # fail, so the first failing weight and its witness are compared;
+        # the check reads the grid walk's hulls, so the walk starts cold
         inst, d, scale = case
 
         def hull_of(rel, budget=DEFAULT_CELL_BUDGET):
@@ -388,7 +391,8 @@ class TestCgDominance:
 
         expected = _per_weight_cg_dominance(inst, d, hull_of)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "integer_hull", hull_of)
+            mp.setattr(closure, "_CLOSURE_MEMO", {})
+            mp.setattr(closure, "integer_hull", hull_of)
             got = check_cg_dominance(inst, SampleScheme(grid_denominator=d))
         assert got == expected
         if scale == 1:
@@ -404,6 +408,49 @@ class TestCgDominance:
     def test_covering_rejected(self):
         with pytest.raises(UsageError):
             check_cg_dominance(COVER23, scheme())
+
+    def test_skipped_cut_keeps_its_hull(self):
+        # at weights (1, 1) of grid 2 the row is (1, 1 | 5) and rounds to
+        # the zero cut, yet its key is new and takes the next hull; the
+        # cut x2 <= 2 of weights (2, 0) holds on its own hull only
+        inst = Instance(PACKING, ((0, 1), (1, 0)), (2, 3))
+        assert check_cg_dominance(inst, SampleScheme(2)).status == PASS
+
+    @pytest.mark.parametrize(
+        "inst, d",
+        [
+            (PACK2ROWS, 4),
+            (Instance(PACKING, ((3, 2, 4), (2, 5, 1), (4, 1, 3)), (9, 10, 8)), 3),
+            (Instance(PACKING, ((2, 0, 3), (1, 0, 1)), (5, 3)), 2),
+        ],
+    )
+    def test_passing_check_builds_no_hull(self, inst, d, monkeypatch):
+        # at k = 1 the check reads the hulls of the closure's own grid walk
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        aggregation_closure(inst, SampleScheme(d))
+        calls = dict.fromkeys(("integer_hull", "build_relaxation", "vrep_to_hrep"), 0)
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name, modules in (
+            ("integer_hull", (knapsack, closure)),
+            ("build_relaxation", (knapsack, closure)),
+            ("vrep_to_hrep", (knapsack, polyhedra)),
+        ):
+            func = counted(name, getattr(modules[0], name))
+            for module in modules:
+                monkeypatch.setattr(module, name, func)
+        assert check_cg_dominance(inst, SampleScheme(d)).status == PASS
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_verify_builds_no_hull_of_its_own(self):
+        names = ("build_relaxation", "integer_hull", "intersect", "poly_equal",
+                 "_check_grid_budget")
+        assert [name for name in names if hasattr(verify, name)] == []
 
 
 class TestOnerowRatio:
@@ -432,6 +479,79 @@ class TestOnerowRatio:
     def test_objective_dimension_checked(self):
         with pytest.raises(UsageError):
             check_onerow_ratio(PACK23, scheme(), objective=(1,))
+
+    def test_grid_one_walk_charged_to_budget(self):
+        # the rows' own hulls are the m unit weights of the grid-1 walk
+        with pytest.raises(ResourceBudgetError) as exc:
+            check_onerow_ratio(PACK2ROWS, SampleScheme(2, budget=1))
+        assert str(exc.value) == "grid walk of 2 aggregations exceeds budget 1"
+
+
+@st.composite
+def rowwise_cases(draw):
+    sense = draw(st.sampled_from((PACKING, COVERING)))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    zero = draw(st.sampled_from((None, *range(n)))) if n > 1 else None
+    rows = [
+        draw(
+            st.lists(st.integers(0, 7), min_size=n, max_size=n)
+            .map(lambda r: tuple(0 if j == zero else a for j, a in enumerate(r)))
+            .filter(any)
+        )
+        for _ in range(m)
+    ]
+    b = [draw(st.integers(1, 15)) for _ in range(m)]
+    # the last row may repeat the first one, or be a multiple of it
+    copy = draw(st.sampled_from((None, 1, 2, 3))) if m > 1 else None
+    if copy is not None:
+        rows[-1] = tuple(copy * a for a in rows[0])
+        b[-1] = copy * b[0]
+    inst = Instance(sense, tuple(rows), tuple(b), instance_id="rand")
+    # an objective that is zero on the zero column keeps packing bounded
+    objective = [0 if j == zero else draw(st.integers(0, 3)) for j in range(n)]
+    return inst, draw(st.integers(1, 3)), objective, draw(st.booleans())
+
+
+class TestRowwiseHulls:
+    @settings(max_examples=60, deadline=None)
+    @given(rowwise_cases())
+    def test_grid_one_is_rowwise(self, case):
+        # the reports equal those of the formulas the checks used before
+        # they read the grid walk: the rows' own hulls, intersected
+        inst, d, objective, dilate = case
+        sch = SampleScheme(d)
+        assert poly_equal(sampled_closure(inst, SampleScheme(1)), rowwise_hulls(inst))
+
+        for c in (None, objective):
+            got = check_onerow_ratio(inst, sch, c)
+            # the rows' hulls were read first, then the sampled closure
+            old = iter((rowwise_hulls(inst), sampled_closure(inst, sch)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verify, "sampled_closure", lambda *_: next(old))
+                assert check_onerow_ratio(inst, sch, c) == got
+        if inst.m != 1:
+            return
+        # a dilated closure makes the one-row check fail with a witness
+        art = aggregation_closure(inst, sch)
+        if dilate and art.closure.feasible:
+            points = [tuple(2 * x for x in p) for p in art.closure.vrep_points]
+            body = vrep_to_hrep(points, art.closure.vrep_rays)
+            art = ClosureArtifacts(inst, sch, art.parts, body, art.gamma, art.T_sample, art.S)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "aggregation_closure", lambda *_: art)
+            got = check_oracle_m1(inst, sch)
+        hull = rowwise_hulls(inst)
+        expected = CheckReport("oracle_m1", "rand", PASS)
+        if not poly_equal(art.closure, hull):
+            point, row = _escape_witness(art.closure.generators, hull.hrep) or _escape_witness(
+                hull.generators, art.closure.hrep
+            )
+            expected = CheckReport(
+                "oracle_m1", "rand", FAIL, witness_point=point,
+                witness_lambda=knapsack.Aggregation(((1,),)), witness_inequality=row,
+            )
+        assert got == expected
 
 
 class TestRunSuite:
