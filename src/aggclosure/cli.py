@@ -45,7 +45,15 @@ from .knapsack import (
     integer_hull,
 )
 from .rational import format_rat, parse_rat
-from .verify import SKIPPED, CheckReport, failures, run_suite, suite_json, suite_lines
+from .verify import (
+    LINE_ESCAPES,
+    SKIPPED,
+    CheckReport,
+    failures,
+    run_suite,
+    suite_json,
+    suite_lines,
+)
 
 
 def parse_instance(text: str, default_id: str = "") -> Instance:
@@ -155,11 +163,11 @@ def parse_instance(text: str, default_id: str = "") -> Instance:
     return Instance(sense, tuple(A), tuple(b), instance_id=instance_id)
 
 
-def _read_instance(path: str) -> Instance:
+def _read_instance(path: str | Path) -> Instance:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     return parse_instance(text, default_id=p.stem)
 
@@ -246,18 +254,17 @@ def cmd_verify(args) -> int:
         raise UsageError(f"not a directory: {args.instances}")
     reports = []
     instances = []
-    # a tab or line break splits a report line; an `id` line holds neither
-    escapes = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
     for path in sorted(p for p in root.iterdir() if p.is_file()):
-        stem = path.stem.translate(escapes)
         try:
-            inst = parse_instance(path.read_text(), default_id=path.stem)
-            if inst.instance_id != inst.instance_id.translate(escapes):
+            inst = _read_instance(path)
+            # a default id from the stem may hold what splits a report
+            # line; an `id` line holds no line break, and no tab either
+            if inst.instance_id != inst.instance_id.translate(LINE_ESCAPES):
                 what = "a tab" if "\t" in inst.instance_id else "a line break"
                 raise UsageError(f"instance id must not contain {what}")
             instances.append(inst)
-        except (OSError, UsageError) as exc:
-            reports.append(CheckReport("parse", stem, SKIPPED, note=str(exc)))
+        except UsageError as exc:
+            reports.append(CheckReport("parse", path.stem, SKIPPED, note=str(exc)))
     reports += run_suite(instances, _scheme(args), timings=args.timings)
     lines = suite_lines(reports)
     tally = {"pass": 0, "fail": 0, "skipped": 0}

@@ -12,11 +12,13 @@ ceil(r / a_j)`` over the covering rows with ``a_j > 0``, and 0 along a
 column no row uses, which is free for packing.  A packing set is read
 as segments: each feasible prefix of the first n - 1 coordinates with
 the top of the last.  A one-variable hull is an interval read off the
-rows, a full-dimensional two-variable hull with no free column a polygon
-read off the minimal points or the segment tops by one monotone chain
-(Andrew 1979), and every other hull is converted by the polyhedral
-kernel from the minimal points or from the segment ends no unit step
-raises.  The instance's own hull is handed out as those generators by
+rows.  Every other hull reads one generating set, `_generators`: the
+covering minimal points with every unit ray, or the packing segment
+ends no unit step raises with a unit ray per free column.  A
+full-dimensional two-variable hull with no free packing column is the
+polygon of those points by monotone chains (Andrew 1979), and every
+other hull is converted from them by the polyhedral kernel.  The
+instance's own hull is handed out as the same generators by
 `instance_generators`, with no conversion.
 """
 
@@ -487,19 +489,32 @@ def _covering_polygon(points) -> Polyhedron:
     return _build(2, [p + (1,) for p in chain] + [(1, 0, 0), (0, 1, 0)], rows, 2)
 
 
-def _packing_polygon(segments) -> Polyhedron:
-    """Full-dimensional packing hull in two variables with no free column,
-    read off the segments of `_packing_points` by one monotone chain.
+def _packing_polygon(points) -> Polyhedron:
+    """Full-dimensional packing hull in two variables with no free column:
+    the ring of the lower and upper monotone chains (Andrew 1979) over
+    the points of `_generators`, in lexicographic order from the origin.
 
-    The set is down-closed, so its hull is the polygon of the staircase,
-    the top x2 of each x1 with the two axis points, traversed
-    counterclockwise.  Every edge keeps the side on its left.
+    The core drops a segment end only when a raised prefix reaches as
+    high, so that end is no vertex.  Every edge keeps the side on its left.
     """
-    last = segments[-1][0][0]
-    stair = sorted({(0, 0), (last, 0), *((x1, top) for (x1,), top in segments)})
-    ring = _left_chain(stair)[:-1] + _left_chain(reversed(stair))[:-1]
+    ring = _left_chain(points)[:-1] + _left_chain(reversed(points))[:-1]
     rows = map(_left_side, ring, ring[1:] + ring[:1])
     return _build(2, [p + (1,) for p in ring], rows, 2)
+
+
+def _generators(rel: KnapsackRelaxation, budget) -> tuple[list, list]:
+    """The points and ray columns that generate the relaxation's hull.
+
+    Covering: the minimal points of `lattice_points` and every column.
+    Packing: the `_packing_core` of the segments of `_packing_points`
+    and the sorted free columns.  Both walkers charge the lattice box to
+    ``budget``, and the points come in lexicographic order.
+    """
+    if rel.sense == COVERING:
+        points, _ = lattice_points(rel, budget)
+        return points, list(range(rel.n))
+    segments, free = _packing_points(rel, budget)
+    return _packing_core(segments), sorted(free)
 
 
 def integer_hull(
@@ -510,15 +525,13 @@ def integer_hull(
     The one hull routine.  In one variable the hull is one of a few
     shared intervals, read straight off the rows with no memo entry;
     otherwise it is memoized by `KnapsackRelaxation.canonical_key`, so
-    every caller shares hulls with every other.  A covering hull comes
-    from the minimal points of `lattice_points`, a packing hull from the
-    segments of `_packing_points`, which charge the same lattice box to
-    ``budget``.  In two variables with no free column a full-dimensional
-    hull is written down as the polygon of `_covering_polygon` or
+    every caller shares hulls with every other, and read off the points
+    and ray columns of `_generators`.  In two variables a covering hull
+    is the polygon of `_covering_polygon`, and a packing hull with no
+    ray whose points leave 0 in both coordinates the polygon of
     `_packing_polygon`; every other hull, a packing segment or point
-    among them, is converted by `vrep_to_hrep` from the minimal points
-    or the packing core, and the kernel writes equalities in its own
-    reduced form.
+    among them, is converted by `vrep_to_hrep`, and the kernel writes
+    equalities in its own reduced form.
     """
     if rel.n == 1:
         return _hull_1d(rel.sense, rel.aggregated_rows, rel.aggregated_rhs)
@@ -526,29 +539,18 @@ def integer_hull(
     hull = _HULL_MEMO.get(key)
     if hull is not None:
         return hull
-    if rel.sense == COVERING:
-        points, _ = lattice_points(rel, budget)
-        if not points:
-            hull = empty_polyhedron(rel.n)
-        elif rel.n == 2:
-            # a covering hull in two variables holds a quadrant
-            hull = _covering_polygon(points)
-        else:
-            rays = [_unit(rel.n, j) for j in range(rel.n)]
-            hull = vrep_to_hrep(points, rays, budget=budget)
+    points, rays = _generators(rel, budget)
+    if not points:
+        hull = empty_polyhedron(rel.n)
+    elif rel.n == 2 and rel.sense == COVERING:
+        # a covering hull in two variables holds a quadrant
+        hull = _covering_polygon(points)
+    elif rel.n == 2 and not rays and all(map(any, zip(*points))):
+        # the set holds the origin and is full-dimensional when both
+        # coordinates leave 0
+        hull = _packing_polygon(points)
     else:
-        segments, free = _packing_points(rel, budget)
-        if not segments:
-            hull = empty_polyhedron(rel.n)
-        elif rel.n == 2 and not free and (
-            # the set holds the origin and is full-dimensional when both
-            # coordinates leave 0
-            segments[-1][0][0] and max(top for _, top in segments)
-        ):
-            hull = _packing_polygon(segments)
-        else:
-            rays = [_unit(rel.n, j) for j in sorted(free)]
-            hull = vrep_to_hrep(_packing_core(segments), rays, budget=budget)
+        hull = vrep_to_hrep(points, [_unit(rel.n, j) for j in rays], budget=budget)
     _HULL_MEMO[key] = hull
     return hull
 
@@ -557,20 +559,14 @@ def instance_generators(inst: Instance, budget: int = DEFAULT_CELL_BUDGET) -> li
     """Homogeneous generators of the instance's own integer hull ``P_I``,
     with no hull built.
 
-    The m rows are read as one relaxation by the walkers `integer_hull`
-    uses, which charge the lattice box to ``budget``: the `_packing_core`
-    of the segments of `_packing_points` with a unit ray per free column,
-    or the minimal points of `lattice_points` with every unit ray.  The
-    points come first, in lexicographic order, then the rays by column.
+    The m rows are read as one relaxation by `_generators`, as
+    `integer_hull` reads an aggregated one, charging the lattice box to
+    ``budget``: the points come first, in lexicographic order, then the
+    unit rays by column.
     """
     rel = KnapsackRelaxation(inst.sense, inst.n, inst.A, inst.b)
-    if inst.sense == COVERING:
-        points, _ = lattice_points(rel, budget)
-        free = range(inst.n)
-    else:
-        segments, free = _packing_points(rel, budget)
-        points = _packing_core(segments)
-    return [p + (1,) for p in points] + [_unit(inst.n, j) + (0,) for j in sorted(free)]
+    points, rays = _generators(rel, budget)
+    return [p + (1,) for p in points] + [_unit(inst.n, j) + (0,) for j in rays]
 
 
 def cg_cut(rel: KnapsackRelaxation):

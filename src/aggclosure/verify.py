@@ -56,6 +56,15 @@ PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
+# the tab and every line boundary of `str.splitlines`, each to its
+# `unicode_escape` spelling: any of them would split a report line
+LINE_ESCAPES = str.maketrans(
+    {
+        c: c.encode("unicode_escape").decode()
+        for c in "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    }
+)
+
 
 class CheckReport(Record):
     """The outcome of one check on one instance."""
@@ -92,6 +101,9 @@ class CheckReport(Record):
         return " | ".join(parts)
 
     def tsv_line(self) -> str:
+        """The report as one tab-separated line, every field written with
+        `LINE_ESCAPES`, so a tab or line break in a note or id cannot
+        split it."""
         fields = [
             self.check_name,
             self.instance_id or "-",
@@ -101,7 +113,7 @@ class CheckReport(Record):
         ]
         if self.note:
             fields.append(self.note)
-        return "\t".join(fields)
+        return "\t".join(f.translate(LINE_ESCAPES) for f in fields)
 
     def record(self) -> dict:
         return {

@@ -300,9 +300,10 @@ def vertex_hull(rel, budget: int = DEFAULT_CELL_BUDGET):
     """The integer hull of a relaxation converted from its lattice points
     by `vrep_to_hrep`: covering minimal points with every unit ray, or
     the `packing_core` of every feasible point with a unit ray per free
-    column.  The oracle of the polygons `knapsack.integer_hull` writes
-    down in two variables and of the packing core it reads off the
-    segments of `knapsack._packing_points`."""
+    column.  The oracle of `knapsack.integer_hull`, whose generating
+    set `knapsack._generators` reads the packing core off the segments
+    of `knapsack._packing_points` and whose two-variable polygons take
+    no double description."""
     points, free = lattice_points(rel, budget)
     if not points:
         return empty_polyhedron(rel.n)

@@ -27,6 +27,8 @@ PACK3X3_TEXT = "sense packing\nn 3\nm 3\nA\n3 2 4\n2 5 1\n4 1 3\nb\n9 10 8\n"
 PACK4X3_TEXT = "sense packing\nn 4\nm 3\nA\n3 2 4 1\n2 5 1 3\n4 1 3 2\nb\n9 10 8\n"
 PACK5X2_TEXT = "sense packing\nn 5\nm 2\nA\n3 2 4 1 2\n2 5 1 3 1\nb\n9 10\n"
 PACK6X2_TEXT = "sense packing\nn 6\nm 2\nA\n3 2 4 1 2 3\n2 5 1 3 1 2\nb\n9 10\n"
+# bytes that are not UTF-8
+BINARY = b"\xff\xfe\x00"
 SRC = Path(__file__).resolve().parent.parent / "src"
 RUN_CLI = "import sys; from aggclosure.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -385,6 +387,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["hull", "--lam", "1"], ["closure"], ["separate", "--point", "0 0"]],
+    ids=["hull", "closure", "separate"],
+)
+def test_binary_file_is_usage_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(BINARY)
+    code, out, err = run_cli(capsys, argv[0], str(bad), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+
+
 class TestHullCommand:
     def test_packing_golden(self, fixture_dir, capsys):
         code, out, _ = run_cli(
@@ -740,18 +755,56 @@ class TestVerifyCommand:
         (tmp_path / "bad\tstem.txt").write_text("nonsense\n")
         (tmp_path / "line\nbreak.txt").write_text(PACK23_TEXT)
         (tmp_path / "with\tid.txt").write_text("id named\n" + PACK23_TEXT)
+        # a form feed is a line boundary of `str.splitlines`, and a note
+        # echoes its line with the tab inside
+        (tmp_path / "p\x0cq.txt").write_text(PACK23_TEXT)
+        (tmp_path / "tabnote.txt").write_text(PACK23_TEXT.replace("A\n", "A\tx\n"))
         code, out, _ = run_cli(capsys, "verify", str(tmp_path), "--grid", "2")
         assert code == 0
         assert out == (
             "parse\tbad\\tstem\tskipped\t-\t0\tline 1: expected 'sense', got 'nonsense'\n"
             "parse\tline\\nbreak\tskipped\t-\t0\tinstance id must not contain a line break\n"
             "parse\tmy\\tfile\tskipped\t-\t0\tinstance id must not contain a tab\n"
+            "parse\tp\\x0cq\tskipped\t-\t0\tinstance id must not contain a line break\n"
+            "parse\ttabnote\tskipped\t-\t0\tline 4: expected 'A', got 'A\\tx'\n"
             "oracle_m1\tnamed\tpass\t-\t0\n"
             "sandwich\tnamed\tpass\t-\t0\tsaturation=true\n"
             "cg_dominance\tnamed\tpass\t-\t0\n"
             "onerow_ratio\tnamed\tpass\t-\t0\tratio=1\n"
-            "summary pass=4 fail=0 skipped=3\n"
+            "summary pass=4 fail=0 skipped=5\n"
         )
+        assert len(out.splitlines()) == 10
+
+    def test_binary_file_skipped(self, tmp_path, capsys):
+        # a stray binary file, such as a Finder `.DS_Store`, is not UTF-8
+        bad = tmp_path / ".DS_Store"
+        bad.write_bytes(BINARY)
+        (tmp_path / "pack23.txt").write_text(PACK23_TEXT)
+        code, out, err = run_cli(capsys, "verify", str(tmp_path), "--grid", "2")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"parse\t.DS_Store\tskipped\t-\t0\tcannot read {bad}: 'utf-8' codec"
+            " can't decode byte 0xff in position 0: invalid start byte\n"
+            "oracle_m1\tpack23\tpass\t-\t0\n"
+            "sandwich\tpack23\tpass\t-\t0\tsaturation=true\n"
+            "cg_dominance\tpack23\tpass\t-\t0\n"
+            "onerow_ratio\tpack23\tpass\t-\t0\tratio=1\n"
+            "summary pass=4 fail=0 skipped=1\n"
+        )
+
+    def test_unreadable_file_skipped(self, fixture_dir, capsys, monkeypatch):
+        # every file is readable to root, so the refusal is patched in
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code, out, _ = run_cli(capsys, "verify", str(fixture_dir))
+        assert code == 0
+        assert out == "".join(
+            f"parse\t{stem}\tskipped\t-\t0\tcannot read {fixture_dir / stem}.txt:"
+            f" [Errno 13] Permission denied: '{fixture_dir / stem}.txt'\n"
+            for stem in ("cover23", "coverfix", "pack23")
+        ) + "summary pass=0 fail=0 skipped=3\n"
 
     def test_not_a_directory(self, fixture_dir, capsys):
         code, _, err = run_cli(capsys, "verify", str(fixture_dir / "pack23.txt"))

@@ -554,6 +554,55 @@ class TestInstanceGenerators:
 
 
 @st.composite
+def generator_relaxations(draw):
+    # k = 1 or 2 rational rows over 2 to 4 variables with zero columns;
+    # a packing rhs may be negative, a covering row is never zero
+    sense = draw(SENSES)
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 2))
+    zero = set(draw(st.lists(st.integers(0, n - 1), max_size=n - 1)))
+    entry = st.fractions(min_value=0, max_value=4, max_denominator=2)
+    rows = tuple(
+        tuple(
+            draw(
+                st.lists(entry, min_size=n, max_size=n)
+                .map(lambda r: tuple(0 if j in zero else a for j, a in enumerate(r)))
+                .filter(lambda r: sense == PACKING or any(r))
+            )
+        )
+        for _ in range(k)
+    )
+    low = -1 if sense == PACKING else Fraction(1, 3)
+    rhs = tuple(
+        draw(st.fractions(min_value=low, max_value=5, max_denominator=3))
+        for _ in range(k)
+    )
+    return KnapsackRelaxation(sense, n, rows, rhs)
+
+
+class TestGenerators:
+    # every hull in two or more variables, and the instance's own
+    # generators, read the points and ray columns of `_generators`
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_relaxations())
+    def test_hull_vertices_and_rays_are_generators(self, rel):
+        points, rays = knapsack._generators(rel, DEFAULT_CELL_BUDGET)
+        hull = integer_hull(rel)
+        assert set(hull.vrep_points) <= set(points)
+        units = {tuple(int(i == j) for i in range(rel.n)) for j in rays}
+        assert set(hull.vrep_rays) <= units
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_instances())
+    def test_instance_generators_homogenize_them(self, inst):
+        rel = KnapsackRelaxation(inst.sense, inst.n, inst.A, inst.b)
+        points, rays = knapsack._generators(rel, DEFAULT_CELL_BUDGET)
+        units = [tuple(int(i == j) for i in range(inst.n)) + (0,) for j in rays]
+        assert instance_generators(inst) == [p + (1,) for p in points] + units
+
+
+@st.composite
 def integer_weighted_instances(draw):
     inst = draw(small_instances())
     k = draw(st.integers(1, 2))

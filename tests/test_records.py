@@ -363,3 +363,26 @@ def test_every_private_default_is_passed():
                 if positions.get(name, 0) <= index and not passed & {p.arg, None}
             ]
     assert unpassed == []
+
+
+def test_walkers_and_file_reads_have_their_one_caller():
+    # one generating set per relaxation: the lattice walkers are read
+    # through `knapsack._generators`, and every instance file through
+    # `cli._read_instance`.  A call counts for the top-level function
+    # that holds it
+    allowed = {
+        "lattice_points": {"knapsack._generators"},
+        "_packing_points": {"knapsack._generators", "knapsack.lattice_points"},
+        "read_text": {"cli._read_instance"},
+    }
+    calls = []
+    for path in sorted((SRC / "aggclosure").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in allowed:
+                        calls.append((name, where))
+    assert {name for name, _ in calls} == set(allowed)
+    assert [(name, where) for name, where in calls if where not in allowed[name]] == []
