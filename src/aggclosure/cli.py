@@ -172,6 +172,20 @@ def _read_instance(path: str | Path) -> Instance:
     return parse_instance(text, default_id=p.stem)
 
 
+def _write_reports(out: str, files: dict) -> None:
+    """Write each ``{name: text}`` report file into the directory
+    ``out``, made with its parents if missing; a failed write is a
+    `UsageError` naming the path, as a failed read is."""
+    folder = target = Path(out)
+    try:
+        folder.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            target = folder / name
+            target.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {target}: {exc}") from None
+
+
 def _parse_weights(value: str) -> tuple:
     try:
         return tuple(parse_rat(tok) for tok in value.split())
@@ -215,9 +229,6 @@ def cmd_closure(args) -> int:
 
     if args.out:
         import json
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "closure.txt").write_text("\n".join(lines) + "\n")
         record = {
             "instance": inst.instance_id,
             "closure": art.closure.render_lines(),
@@ -228,7 +239,13 @@ def cmd_closure(args) -> int:
             "gamma": art.gamma,
             "saturation": is_saturated,
         }
-        (out / "closure.json").write_text(json.dumps(record, indent=2) + "\n")
+        _write_reports(
+            args.out,
+            {
+                "closure.txt": "\n".join(lines) + "\n",
+                "closure.json": json.dumps(record, indent=2) + "\n",
+            },
+        )
     return 0
 
 
@@ -277,10 +294,13 @@ def cmd_verify(args) -> int:
     _emit(lines + [summary])
 
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "suite.tsv").write_text("\n".join(lines) + "\n" if lines else "")
-        (out / "suite.json").write_text(suite_json(reports) + "\n")
+        _write_reports(
+            args.out,
+            {
+                "suite.tsv": "\n".join(lines) + "\n" if lines else "",
+                "suite.json": suite_json(reports) + "\n",
+            },
+        )
 
     failed = failures(reports)
     return 0 if failed == 0 else min(2 + failed, 125)

@@ -271,7 +271,7 @@ def _grid_hulls(inst: Instance, scheme: SampleScheme) -> tuple:
     `_rational_aggregation` gives back the rational weights.  A grid of
     more than ``scheme.budget`` aggregations raises `ResourceBudgetError`
     before the walk.  Memoized per (instance, scheme), so the closure,
-    its tuples, separation and the checks share one walk.
+    its tuples, separation and the `gamma` check share one walk.
     """
     memo_key = (inst.key(), scheme, "grid")
     cached = _CLOSURE_MEMO.get(memo_key)

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import ceil, floor
-from operator import floordiv, neg
+from operator import floordiv
 
 from .errors import (
     EmptyRelaxationError,
@@ -62,6 +61,18 @@ from .record import Record, set_fields
 
 PACKING = "packing"
 COVERING = "covering"
+
+
+def _ceil_div(r, a) -> int:
+    # exact for int and Fraction operands, where ceil(r / a) would round
+    # a float quotient of two large ints
+    return -(-r // a)
+
+
+# sense -> (rounding of r / a, pick over rows): a packing row allows at
+# most floor(r / a) and the rows together their least, a covering row
+# needs at least ceil(r / a) and the rows together their most
+_ROUNDING = {PACKING: (floordiv, min), COVERING: (_ceil_div, max)}
 
 
 class Aggregation(Record):
@@ -231,19 +242,18 @@ def hull_keys(sense: str, coords, k: int):
     the same `integer_hull`, and the keys come in the order
     of ``combinations_with_replacement(rows, k)``, which holds the row
     keys in a list when k >= 2.  In one variable every coefficient must
-    be positive; a row's key is then the endpoint of its interval hull,
-    ``floor(r / a)`` for packing or ``ceil(r / a)`` for covering, and a
-    k-aggregation's the min or max of its rows' keys, as in `_hull_1d`.
-    In several variables a row's key is the row in lowest terms and a
-    k-aggregation's the set of its rows' keys, as in
-    `KnapsackRelaxation.canonical_key`.
+    be positive; a row's key is then the endpoint of its interval hull
+    and a k-aggregation's the pick of its rows' keys, both by the sense's
+    rule of `_ROUNDING`: ``floor(r / a)`` and the min for packing,
+    ``ceil(r / a)`` and the max for covering, the endpoint `_hull_1d`
+    reads off `column_bounds`.  In several variables a row's key is the
+    row in lowest terms and a k-aggregation's the set of its rows' keys,
+    as in `KnapsackRelaxation.canonical_key`.
     """
     if len(coords) == 2:
         coef, rhs = coords
-        if sense == PACKING:
-            keys, combine = map(floordiv, rhs, coef), min
-        else:
-            keys, combine = map(neg, map(floordiv, map(neg, rhs), coef)), max
+        rounded, combine = _ROUNDING[sense]
+        keys = map(rounded, rhs, coef)
     else:
         keys, combine = map(reduce_gcd, zip(*coords)), frozenset
     if k == 1:
@@ -251,18 +261,12 @@ def hull_keys(sense: str, coords, k: int):
     return map(combine, combinations_with_replacement(list(keys), k))
 
 
-def _ceil_div(r, a) -> int:
-    # exact for int and Fraction operands, where ceil(r / a) would round
-    # a float quotient of two large ints
-    return -(-r // a)
-
-
 def column_bounds(sense: str, rows, rhs) -> list:
     """Per column j, the most a packing row allows alone, ``min floor(r /
     a_j)``, or the least a covering row needs, ``max ceil(r / a_j)``, over
     the rows with ``a_j > 0``; None for a column no row uses.  Exact on
     int and Fraction rows."""
-    rounded, pick = (floordiv, min) if sense == PACKING else (_ceil_div, max)
+    rounded, pick = _ROUNDING[sense]
     return [
         pick((rounded(r, a) for a, r in zip(col, rhs) if a > 0), default=None)
         for col in zip(*rows)
@@ -569,19 +573,24 @@ def instance_generators(inst: Instance, budget: int = DEFAULT_CELL_BUDGET) -> li
     return [p + (1,) for p in points] + [_unit(inst.n, j) + (0,) for j in rays]
 
 
+def _round_row(sense: str, row, den: int):
+    """The integer row (coefficients, then rhs) over ``den``, each entry
+    rounded by the sense's rule: ``floor(a / den)`` for packing,
+    ``ceil(a / den)`` for covering.  Returns the raw ints, not in lowest
+    terms, or None when the coefficients round to the zero normal."""
+    rounded = _ROUNDING[sense][0]
+    out = tuple(rounded(a, den) for a in row)
+    return out if any(out[:-1]) else None
+
+
 def cg_cut(rel: KnapsackRelaxation):
     """Chvatal-Gomory rounding of a single aggregated row; None if it
-    degenerates to the zero normal."""
+    degenerates to the zero normal.  The row is cleared to integers
+    over one denominator and rounded by `_round_row`."""
     if rel.k != 1:
         raise UsageError("CG cut needs a single aggregated row")
-    row = rel.aggregated_rows[0]
-    r = rel.aggregated_rhs[0]
-    if rel.sense == PACKING:
-        coeffs = [floor(a) for a in row]
-        bound, sense = floor(r), LE
-    else:
-        coeffs = [ceil(a) for a in row]
-        bound, sense = ceil(r), GE
-    if not any(coeffs):
+    ints, den = int_clear(rel.aggregated_rows[0] + (rel.aggregated_rhs[0],))
+    cut = _round_row(rel.sense, ints, den)
+    if cut is None:
         return None
-    return make_inequality(coeffs, bound, sense)
+    return make_inequality(cut[:-1], cut[-1], LE if rel.sense == PACKING else GE)

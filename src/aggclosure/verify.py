@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .closure import (
     SampleScheme,
+    _check_grid_budget,
     _composition,
     _grid_bars,
     _grid_hulls,
@@ -37,9 +38,12 @@ from .knapsack import (
     Aggregation,
     COVERING,
     Instance,
+    KnapsackRelaxation,
     PACKING,
+    _round_row,
     hull_keys,
     instance_generators,
+    integer_hull,
 )
 from .polyhedra import (
     LE,
@@ -311,20 +315,23 @@ def check_cg_dominance(inst: Instance, scheme: SampleScheme) -> CheckReport:
     """Rounding cuts of sampled weights are valid for the sampled hulls,
     i.e. aggregation cuts are at least as strong.
 
-    Walks the single-row grid once, in `sample_lambdas` order.  Rounding,
-    unlike the hull, changes when a row is scaled, so the cut of v/D is
-    ``floor(v·a / D) x <= floor(v·b / D)`` on the integer row v·A | v·b,
-    tested against the hull of the row's `hull_keys` key.  The hulls are
-    those of `_grid_hulls` at k = 1, one per key in the order in which
-    this walk first meets the keys, so they are read in step; at k = 1
-    they are the closure's own.  The cut in lowest terms is a positive
-    multiple of that raw row, so the raw row gives the same verdict, and
-    the inequality is built for a witness only.
+    Walks the single-row grid once, in `sample_lambdas` order, after
+    charging its size to ``scheme.budget`` as the closure's walk does.
+    Rounding, unlike the hull, changes when a row is scaled, so the cut
+    of v/D is ``floor(v·a / D) x <= floor(v·b / D)``, `_round_row` of
+    the integer row v·A | v·b over D.  A zero cut is skipped before any
+    hull is read.  A nonzero cut is tested against the hull of the row's
+    `hull_keys` key, taken from `integer_hull` the first time the key
+    has a nonzero cut and kept per key: at k = 1 the closure's walk has
+    already built it, and a one-variable hull has no memo entry.  The
+    cut in lowest terms is a positive multiple of the raw row, so the
+    raw row gives the same verdict, and the inequality is built for a
+    witness only.
     """
     if inst.sense != PACKING:
         raise UsageError("rounding dominance check requires a packing instance")
     d = scheme.grid_denominator
-    hulls = iter(_grid_hulls(inst, SampleScheme(d, budget=scheme.budget)))
+    _check_grid_budget(inst.m, SampleScheme(d, budget=scheme.budget))
     # each coordinate is read twice in step: as the row and by its key
     coords = [itertools.tee(c) for c in _grid_rows(inst, d)]
     walk = zip(
@@ -334,14 +341,14 @@ def check_cg_dominance(inst: Instance, scheme: SampleScheme) -> CheckReport:
     )
     hull_of: dict = {}
     for bars, row, key in walk:
-        # a new key takes the next hull, even if its cut is skipped
-        if key not in hull_of:
-            hull_of[key] = next(hulls)[1]
-        coeffs = [a // d for a in row[:-1]]
-        if not any(coeffs):
+        cut = _round_row(PACKING, row, d)
+        if cut is None:
             continue
-        rhs = row[-1] // d
-        hull = hull_of[key]
+        *coeffs, rhs = cut
+        hull = hull_of.get(key)
+        if hull is None:
+            rel = KnapsackRelaxation(PACKING, inst.n, (row[:-1],), (row[-1],))
+            hull = hull_of[key] = integer_hull(rel, scheme.budget)
         for g in hull.generators:
             if idot(coeffs, g) > rhs * g[-1]:
                 # a ray shows as the first vertex pushed one step along it

@@ -6,7 +6,9 @@ it applies, with the small helpers their tests use.  The box enumerator
 of covering minimal points is the oracle of `knapsack._covering_minimal`,
 the pairwise fold is the oracle of `polyhedra.intersect`, the interval
 hulls built by double description and `closure_1d_rounding` are the
-oracles of `polyhedra.interval` and `closure.closure_1d`, `rowwise_hulls`,
+oracles of `polyhedra.interval` and `closure.closure_1d`,
+`cg_cut_floor_ceil`, which rounds each entry of a Fraction row by
+`math.floor` or `math.ceil`, is the oracle of `knapsack.cg_cut`, `rowwise_hulls`,
 the intersection of the rows' own integer hulls, is the oracle of the
 sampled closure at grid 1, which `verify.check_onerow_ratio` and, with
 one row, `verify.check_oracle_m1` read, `vertex_hull`,
@@ -35,6 +37,7 @@ import argparse
 import itertools
 from fractions import Fraction
 from functools import cache
+from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
 from aggclosure import cli, verify
@@ -331,6 +334,20 @@ def closure_1d_rounding(inst):
     if inst.sense == PACKING:
         return interval_hull(PACKING, min(b // a for b, a in ratios), bounded=True)
     return interval_hull(COVERING, max(-((-b) // a) for b, a in ratios), bounded=False)
+
+
+def cg_cut_floor_ceil(rel):
+    """The Chvatal-Gomory rounding of a single aggregated row, entry by
+    entry: ``floor`` of each coefficient and of the rhs for packing,
+    ``ceil`` for covering; None when the normal rounds to zero."""
+    row, r = rel.aggregated_rows[0], rel.aggregated_rhs[0]
+    if rel.sense == PACKING:
+        coeffs, bound, sense = [floor(a) for a in row], floor(r), LE
+    else:
+        coeffs, bound, sense = [ceil(a) for a in row], ceil(r), GE
+    if not any(coeffs):
+        return None
+    return make_inequality(coeffs, bound, sense)
 
 
 def rowwise_hulls(inst, budget: int = DEFAULT_CELL_BUDGET):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aggclosure import cli, verify
+from aggclosure import cli, closure, knapsack, verify
 from aggclosure.errors import UsageError
 from aggclosure.knapsack import COVERING, Instance, PACKING
 from aggclosure.verify import FAIL, CheckReport
@@ -503,6 +503,15 @@ class TestClosureCommand:
             "T_sample 1\nS 1\nsaturation true\n"
         )
 
+    def test_out_on_an_existing_file_is_usage_error(self, fixture_dir, capsys):
+        out = fixture_dir / "cover23.txt"
+        code, stdout, err = run_cli(
+            capsys, "closure", str(fixture_dir / "pack23.txt"), "--grid", "2", "--out", str(out)
+        )
+        assert code == 1
+        assert stdout.startswith("closure\n")
+        assert err == f"error: cannot write {out}: [Errno 17] File exists: '{out}'\n"
+
     def test_covering_fixture_prints_gamma(self, fixture_dir, capsys):
         code, out, _ = run_cli(
             capsys, "closure", str(fixture_dir / "coverfix.txt"), "--grid", "3"
@@ -731,6 +740,53 @@ class TestVerifyCommand:
             "onerow_ratio\tcover5\tpass\t-\t0\tratio=1\n"
             "summary pass=3 fail=0 skipped=0\n"
         )
+
+    @pytest.mark.parametrize("k, cells", [("1", "48016001"), ("2", "36015001")])
+    def test_zero_cut_hull_over_budget_is_not_built(
+        self, tmp_path, capsys, monkeypatch, k, cells
+    ):
+        # at grid 4 the weights (1, 3), (2, 2) and (3, 1) round to zero
+        # cuts, whose hulls have lattice boxes over the default budget;
+        # the rounding check builds only the hulls of nonzero cuts
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        (tmp_path / "big.txt").write_text("sense packing\nn 2\nm 2\nA\n0 1\n1 0\nb\n3000 3000\n")
+        code, out, err = run_cli(capsys, "verify", str(tmp_path), "--k", k)
+        assert (code, err) == (0, "")
+        skip = f"skipped\t-\t0\tenumeration box of {cells}+ cells exceeds budget 10000000"
+        assert out == (
+            f"sandwich\tbig\t{skip}\n"
+            "cg_dominance\tbig\tpass\t-\t0\n"
+            f"onerow_ratio\tbig\t{skip}\n"
+            "summary pass=1 fail=0 skipped=2\n"
+        )
+
+    def test_packbox_rounding_check_passes_under_a_small_budget(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the zero cut of weights (1, 3) has a box of 48 cells
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        (tmp_path / "packbox.txt").write_text("sense packing\nn 2\nm 2\nA\n1 0\n0 1\nb\n2 3\n")
+        code, out, err = run_cli(capsys, "verify", str(tmp_path), "--budget", "40")
+        assert (code, err) == (0, "")
+        skip = "skipped\t-\t0\tenumeration box of 48+ cells exceeds budget 40"
+        assert out == (
+            f"sandwich\tpackbox\t{skip}\n"
+            "cg_dominance\tpackbox\tpass\t-\t0\n"
+            f"onerow_ratio\tpackbox\t{skip}\n"
+            "summary pass=1 fail=0 skipped=2\n"
+        )
+
+    def test_unwritable_out_is_usage_error(self, fixture_dir, capsys):
+        # a file where the report directory's parent should be
+        out = fixture_dir / "pack23.txt" / "sub"
+        code, stdout, err = run_cli(
+            capsys, "verify", str(fixture_dir), "--grid", "2", "--out", str(out)
+        )
+        assert code == 1
+        assert stdout.endswith("summary pass=11 fail=0 skipped=0\n")
+        assert err == f"error: cannot write {out}: [Errno 20] Not a directory: '{out}'\n"
 
     def test_malformed_file_skipped(self, fixture_dir, capsys):
         (fixture_dir / "broken.txt").write_text("sense covering\nn 2\nm 1\nA\n0 0\nb\n4\n")

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -23,6 +24,7 @@ from aggclosure.knapsack import (
     build_relaxation,
     cg_cut,
     column_bounds,
+    hull_keys,
     instance_generators,
     integer_hull,
     lattice_points,
@@ -35,6 +37,7 @@ from aggclosure.polyhedra import (
     vrep_to_hrep,
 )
 from oracles import (
+    cg_cut_floor_ceil,
     column_bounds_scan,
     covering_minimal_box,
     hull_generators_box,
@@ -415,6 +418,50 @@ class TestCgCut:
         assert cg_cut(halves) == make_inequality((1, 3), 4, "<=")
         assert cg_cut(doubled) == make_inequality((3, 7), 8, "<=")
         assert integer_hull(halves) is integer_hull(doubled)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([PACKING, COVERING]),
+        st.lists(
+            st.fractions(min_value=0, max_value=10**20, max_denominator=60), min_size=1, max_size=4
+        ),
+        st.fractions(min_value=-(10**20), max_value=10**20, max_denominator=60),
+        st.booleans(),
+    )
+    def test_matches_entrywise_floor_and_ceil(self, sense, row, rhs, ints):
+        # integer entries stay ints, as `build_relaxation` leaves them for
+        # integer weights
+        if ints:
+            row, rhs = [int(a) for a in row], int(rhs)
+        rel = KnapsackRelaxation(sense, len(row), (tuple(row),), (rhs,))
+        assert cg_cut(rel) == cg_cut_floor_ceil(rel)
+
+
+class TestHullKeys:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([PACKING, COVERING]),
+        st.lists(
+            st.tuples(st.integers(1, 10**30), st.integers(1, 10**40)), min_size=1, max_size=5
+        ),
+        st.integers(1, 2),
+    )
+    def test_one_variable_key_is_the_interval_endpoint(self, sense, rows, k):
+        # the ratios reach 10**40, where a float quotient would round; the
+        # endpoint is also rounded from the exact Fraction ratios
+        coef, rhs = zip(*rows)
+        keys = list(hull_keys(sense, [iter(coef), iter(rhs)], k))
+        picks = list(itertools.combinations_with_replacement(rows, k))
+        assert len(keys) == len(picks)
+        for key, pick in zip(keys, picks):
+            coef, rhs = zip(*pick)
+            hull = knapsack._hull_1d(sense, tuple((a,) for a in coef), rhs)
+            ends = [g[0] // g[1] for g in hull.generators if g[1]]
+            ratios = [Fraction(r, a) for a, r in pick]
+            if sense == PACKING:
+                assert key == max(ends) == math.floor(min(ratios))
+            else:
+                assert key == min(ends) == math.ceil(max(ratios))
 
 
 SENSES = st.sampled_from([PACKING, COVERING])

@@ -367,13 +367,16 @@ def test_every_private_default_is_passed():
 
 def test_walkers_and_file_reads_have_their_one_caller():
     # one generating set per relaxation: the lattice walkers are read
-    # through `knapsack._generators`, and every instance file through
-    # `cli._read_instance`.  A call counts for the top-level function
+    # through `knapsack._generators`, every instance file through
+    # `cli._read_instance`, and every report file through
+    # `cli._write_reports`.  A call counts for the top-level function
     # that holds it
     allowed = {
         "lattice_points": {"knapsack._generators"},
         "_packing_points": {"knapsack._generators", "knapsack.lattice_points"},
         "read_text": {"cli._read_instance"},
+        "write_text": {"cli._write_reports"},
+        "mkdir": {"cli._write_reports"},
     }
     calls = []
     for path in sorted((SRC / "aggclosure").glob("*.py")):

@@ -379,7 +379,7 @@ class TestCgDominance:
     def test_same_first_failure_as_per_weight_oracle(self, case):
         # hulls dilated by `scale` around the origin make rounding cuts
         # fail, so the first failing weight and its witness are compared;
-        # the check reads the grid walk's hulls, so the walk starts cold
+        # the check takes each key's hull from `integer_hull` once
         inst, d, scale = case
 
         def hull_of(rel, budget=DEFAULT_CELL_BUDGET):
@@ -391,8 +391,7 @@ class TestCgDominance:
 
         expected = _per_weight_cg_dominance(inst, d, hull_of)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(closure, "_CLOSURE_MEMO", {})
-            mp.setattr(closure, "integer_hull", hull_of)
+            mp.setattr(verify, "integer_hull", hull_of)
             got = check_cg_dominance(inst, SampleScheme(grid_denominator=d))
         assert got == expected
         if scale == 1:
@@ -409,12 +408,23 @@ class TestCgDominance:
         with pytest.raises(UsageError):
             check_cg_dominance(COVER23, scheme())
 
-    def test_skipped_cut_keeps_its_hull(self):
+    def test_zero_cut_builds_no_hull(self, monkeypatch):
         # at weights (1, 1) of grid 2 the row is (1, 1 | 5) and rounds to
-        # the zero cut, yet its key is new and takes the next hull; the
-        # cut x2 <= 2 of weights (2, 0) holds on its own hull only
+        # the zero cut, so its key's hull is never built; the cuts x1 <= 3
+        # of weights (0, 2) and x2 <= 2 of (2, 0) are tested on their own
+        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        generators = knapsack._generators
+        keys = []
+
+        def counted(rel, budget):
+            keys.append(rel.canonical_key()[2])
+            return generators(rel, budget)
+
+        monkeypatch.setattr(knapsack, "_generators", counted)
         inst = Instance(PACKING, ((0, 1), (1, 0)), (2, 3))
         assert check_cg_dominance(inst, SampleScheme(2)).status == PASS
+        assert keys == [((1, 0, 3),), ((0, 1, 2),)]
 
     @pytest.mark.parametrize(
         "inst, d",
@@ -425,10 +435,11 @@ class TestCgDominance:
         ],
     )
     def test_passing_check_builds_no_hull(self, inst, d, monkeypatch):
-        # at k = 1 the check reads the hulls of the closure's own grid walk
+        # at k = 1 the closure's own grid walk has built every hull the
+        # check reads, so each comes from the hull memo
         monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
         aggregation_closure(inst, SampleScheme(d))
-        calls = dict.fromkeys(("integer_hull", "build_relaxation", "vrep_to_hrep"), 0)
+        calls = dict.fromkeys(("_generators", "vrep_to_hrep"), 0)
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -436,20 +447,17 @@ class TestCgDominance:
                 return func(*args, **kwargs)
             return wrapper
 
-        for name, modules in (
-            ("integer_hull", (knapsack, closure)),
-            ("build_relaxation", (knapsack, closure)),
-            ("vrep_to_hrep", (knapsack, polyhedra)),
-        ):
-            func = counted(name, getattr(modules[0], name))
+        modules = (knapsack, closure, polyhedra, verify)
+        for name in calls:
+            func = counted(name, getattr(knapsack, name))
             for module in modules:
-                monkeypatch.setattr(module, name, func)
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, func)
         assert check_cg_dominance(inst, SampleScheme(d)).status == PASS
         assert calls == dict.fromkeys(calls, 0)
 
     def test_verify_builds_no_hull_of_its_own(self):
-        names = ("build_relaxation", "integer_hull", "intersect", "poly_equal",
-                 "_check_grid_budget")
+        names = ("build_relaxation", "intersect", "poly_equal")
         assert [name for name in names if hasattr(verify, name)] == []
 
 
