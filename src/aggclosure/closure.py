@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from math import comb
 from operator import add
 
@@ -140,12 +141,6 @@ class SeparationResult(Record):
         set_fields(self, inside, cut, violation, witness)
 
 
-# closure artifacts keyed by (instance key, scheme), sampled closures and
-# grid hulls by the same key tagged "sampled" and "grid"; sub-instances of
-# different parents share entries, which is what makes the recursion cheap
-_CLOSURE_MEMO: dict = {}
-
-
 def _grid_bars(d: int, m: int):
     # stars and bars: the bar positions of every composition of d into m
     # parts, in the lexicographic order of the compositions
@@ -251,6 +246,7 @@ def _grid_rows(inst: Instance, d: int) -> list:
     return [_grid_values(col, d) for col in list(zip(*inst.A)) + [inst.b]]
 
 
+@cache
 def _grid_hulls(inst: Instance, scheme: SampleScheme) -> tuple:
     """The distinct integer hulls of the grid aggregations.
 
@@ -270,13 +266,9 @@ def _grid_hulls(inst: Instance, scheme: SampleScheme) -> tuple:
     keys and hull objects correspond one to one, so no hull repeats.
     `_rational_aggregation` gives back the rational weights.  A grid of
     more than ``scheme.budget`` aggregations raises `ResourceBudgetError`
-    before the walk.  Memoized per (instance, scheme), so the closure,
-    its tuples, separation and the `gamma` check share one walk.
+    before the walk.  Cached per ``(inst, scheme)``, so the closure, its
+    tuples, separation and the `gamma` check share one walk.
     """
-    memo_key = (inst.key(), scheme, "grid")
-    cached = _CLOSURE_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
     _check_grid_budget(inst.m, scheme)
     d, k = scheme.grid_denominator, scheme.k
     bars = _grid_bars(d, inst.m)
@@ -288,10 +280,10 @@ def _grid_hulls(inst: Instance, scheme: SampleScheme) -> tuple:
     for picked in first.values():
         comps = tuple(_composition(c, d) for c in picked)
         hulls.append((comps, integer_hull(build_relaxation(inst, comps), scheme.budget)))
-    cached = _CLOSURE_MEMO[memo_key] = tuple(hulls)
-    return cached
+    return tuple(hulls)
 
 
+@cache
 def sampled_closure(inst: Instance, scheme: SampleScheme) -> Polyhedron:
     """Intersection of the integer hulls of all sampled aggregations.
 
@@ -303,18 +295,11 @@ def sampled_closure(inst: Instance, scheme: SampleScheme) -> Polyhedron:
     `closure_1d`, with no walk and no grid budget.  In several variables
     each distinct hull of `_grid_hulls` enters one intersection once,
     and a grid of more than ``scheme.budget`` aggregations raises
-    `ResourceBudgetError` before the walk.  Memoized per (instance, scheme).
+    `ResourceBudgetError` before the walk.  Cached per ``(inst, scheme)``.
     """
-    memo_key = (inst.key(), scheme, "sampled")
-    cached = _CLOSURE_MEMO.get(memo_key)
-    if cached is None:
-        if inst.n == 1:
-            cached = closure_1d(inst)
-        else:
-            hulls = [hull for _, hull in _grid_hulls(inst, scheme)]
-            cached = intersect(hulls, scheme.budget)
-        _CLOSURE_MEMO[memo_key] = cached
-    return cached
+    if inst.n == 1:
+        return closure_1d(inst)
+    return intersect([hull for _, hull in _grid_hulls(inst, scheme)], scheme.budget)
 
 
 def saturated(art: ClosureArtifacts) -> bool:
@@ -479,6 +464,7 @@ def build_K(tuples, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedron:
     return hrep_to_vrep([t.source_facet for t in tuples], dim, budget)
 
 
+@cache
 def aggregation_closure(inst: Instance, scheme: SampleScheme) -> ClosureArtifacts:
     """Closure of an instance under all sampled aggregations.
 
@@ -487,14 +473,10 @@ def aggregation_closure(inst: Instance, scheme: SampleScheme) -> ClosureArtifact
     factor and recurses on the rest.  Otherwise the closure is the
     intersection of the recursive bound L, the tuple body K, and the
     nonnegative orthant, in one kernel run over their rows.  The shift
-    bound gamma is attached for covering instances; results are memoized
-    per (instance, scheme).
+    bound gamma is attached for covering instances.  Cached per
+    ``(inst, scheme)``, the instance id included; the sub-instances of
+    `build_Qj` carry no id, so parents share them.
     """
-    memo_key = (inst.key(), scheme)
-    cached = _CLOSURE_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
-
     n = inst.n
     T = S = ()
     free = None
@@ -506,12 +488,7 @@ def aggregation_closure(inst: Instance, scheme: SampleScheme) -> ClosureArtifact
     elif free is not None:
         # the free coordinate factors out of every aggregated hull, so
         # the closure is a cylinder over the reduced closure
-        sub = Instance(
-            COVERING,
-            tuple(row[:free] + row[free + 1 :] for row in inst.A),
-            inst.b,
-        )
-        inner = aggregation_closure(sub, scheme)
+        inner = aggregation_closure(build_Qj(inst, free + 1), scheme)
         body = embed_with_free_axis(inner.closure, free)
         parts = (body,)
     else:
@@ -522,7 +499,7 @@ def aggregation_closure(inst: Instance, scheme: SampleScheme) -> ClosureArtifact
         rows += [iq for part in (orthant(n), *parts) for iq in part.hrep]
         body = hrep_to_vrep(rows, n, scheme.budget)
     gamma = compute_gamma(inst) if inst.sense == COVERING and free is None else None
-    art = _CLOSURE_MEMO[memo_key] = ClosureArtifacts(
+    return ClosureArtifacts(
         instance=inst,
         sample=scheme,
         parts=parts,
@@ -531,7 +508,6 @@ def aggregation_closure(inst: Instance, scheme: SampleScheme) -> ClosureArtifact
         T_sample=T,
         S=S,
     )
-    return art
 
 
 def _violation(ineq: LinearInequality, g) -> int:

@@ -25,6 +25,7 @@ instance's own hull is handed out as the same generators by
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from operator import floordiv
 
@@ -170,9 +171,6 @@ class Instance(Record):
     @property
     def n(self) -> int:
         return len(self.A[0])
-
-    def key(self):
-        return (self.sense, self.A, self.b)
 
 
 class KnapsackRelaxation(Record):
@@ -411,9 +409,6 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
     return [prefix + (v,) for prefix, top in segments for v in range(top + 1)], free
 
 
-_HULL_MEMO: dict = {}
-
-
 def _hull_1d(sense: str, rows, rhs) -> Polyhedron:
     """Integer hull in one variable of the rows, all at once.
 
@@ -527,36 +522,42 @@ def integer_hull(
     """Exact integer hull of the relaxation as a canonical polyhedron.
 
     The one hull routine.  In one variable the hull is one of a few
-    shared intervals, read straight off the rows with no memo entry;
-    otherwise it is memoized by `KnapsackRelaxation.canonical_key`, so
-    every caller shares hulls with every other, and read off the points
-    and ray columns of `_generators`.  In two variables a covering hull
-    is the polygon of `_covering_polygon`, and a packing hull with no
-    ray whose points leave 0 in both coordinates the polygon of
-    `_packing_polygon`; every other hull, a packing segment or point
-    among them, is converted by `vrep_to_hrep`, and the kernel writes
-    equalities in its own reduced form.
+    shared intervals, read straight off the rows with no cache entry;
+    otherwise it is `_key_hull` of ``(rel.canonical_key(), budget)``,
+    so every caller at one budget shares hulls with every other.
     """
     if rel.n == 1:
         return _hull_1d(rel.sense, rel.aggregated_rows, rel.aggregated_rhs)
-    key = rel.canonical_key()
-    hull = _HULL_MEMO.get(key)
-    if hull is not None:
-        return hull
+    return _key_hull(rel.canonical_key(), budget)
+
+
+@cache
+def _key_hull(key, budget) -> Polyhedron:
+    """The integer hull of a `KnapsackRelaxation.canonical_key`, cached
+    per key and budget.
+
+    A hull does not change when a row is scaled, so it is read off the
+    key's rows in lowest terms, from the points and ray columns of
+    `_generators`.  In two variables a covering hull is the polygon of
+    `_covering_polygon`, and a packing hull with no ray whose points
+    leave 0 in both coordinates the polygon of `_packing_polygon`; every
+    other hull, a packing segment or point among them, is converted by
+    `vrep_to_hrep`, and the kernel writes equalities in its own reduced
+    form.
+    """
+    sense, n, rows = key
+    rel = KnapsackRelaxation(sense, n, tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows))
     points, rays = _generators(rel, budget)
     if not points:
-        hull = empty_polyhedron(rel.n)
-    elif rel.n == 2 and rel.sense == COVERING:
+        return empty_polyhedron(n)
+    if n == 2 and sense == COVERING:
         # a covering hull in two variables holds a quadrant
-        hull = _covering_polygon(points)
-    elif rel.n == 2 and not rays and all(map(any, zip(*points))):
+        return _covering_polygon(points)
+    if n == 2 and not rays and all(map(any, zip(*points))):
         # the set holds the origin and is full-dimensional when both
         # coordinates leave 0
-        hull = _packing_polygon(points)
-    else:
-        hull = vrep_to_hrep(points, [_unit(rel.n, j) for j in rays], budget=budget)
-    _HULL_MEMO[key] = hull
-    return hull
+        return _packing_polygon(points)
+    return vrep_to_hrep(points, [_unit(n, j) for j in rays], budget=budget)
 
 
 def instance_generators(inst: Instance, budget: int = DEFAULT_CELL_BUDGET) -> list:

@@ -323,7 +323,7 @@ def check_cg_dominance(inst: Instance, scheme: SampleScheme) -> CheckReport:
     hull is read.  A nonzero cut is tested against the hull of the row's
     `hull_keys` key, taken from `integer_hull` the first time the key
     has a nonzero cut and kept per key: at k = 1 the closure's walk has
-    already built it, and a one-variable hull has no memo entry.  The
+    already built it, and a one-variable hull has no cache entry.  The
     cut in lowest terms is a positive multiple of the raw row, so the
     raw row gives the same verdict, and the inequality is built for a
     witness only.
@@ -349,13 +349,14 @@ def check_cg_dominance(inst: Instance, scheme: SampleScheme) -> CheckReport:
         if hull is None:
             rel = KnapsackRelaxation(PACKING, inst.n, (row[:-1],), (row[-1],))
             hull = hull_of[key] = integer_hull(rel, scheme.budget)
+        # a packing hull's rays are the unit vectors of the columns its
+        # row leaves at 0, where the cut's coefficient floor(0 / D) is 0,
+        # so only a vertex can violate the cut
         for g in hull.generators:
-            if idot(coeffs, g) > rhs * g[-1]:
-                # a ray shows as the first vertex pushed one step along it
-                probe = g if g[-1] else _pushed(hull.generators[0], g, 1)
+            if g[-1] and idot(coeffs, g) > rhs * g[-1]:
                 return CheckReport(
                     "cg_dominance", inst.instance_id, FAIL,
-                    witness_point=_point(probe),
+                    witness_point=_point(g),
                     witness_lambda=_rational_aggregation((_composition(bars, d),)),
                     witness_inequality=make_inequality(coeffs, rhs, LE),
                 )
@@ -386,7 +387,7 @@ def check_onerow_ratio(inst: Instance, scheme: SampleScheme, objective=None) -> 
 
     At grid denominator 1 the only weights are the m unit vectors, so the
     intersection of the rows' own integer hulls is the sampled closure at
-    grid 1, read off the memoized grid walk like any sampled closure; in
+    grid 1, read off the cached grid walk like any sampled closure; in
     one variable both are `closure_1d`.  Informational: the ratio is
     reported in the note; packing ratios above 2 are flagged for review
     but do not fail the check.

@@ -1,8 +1,8 @@
 """The byte gate: `closure` stdout on the named baseline instances.
 
-Each run goes through `cli.main` in process, with the closure and hull
-memos cold, and its stdout must equal the golden file in
-``tests/golden`` byte for byte.  The instances are the ROADMAP's:
+Each run goes through `cli.main` in process, with every cache cleared,
+and its stdout must equal the golden file in ``tests/golden`` byte for
+byte.  The instances are the ROADMAP's:
 pack5x3 and pack6x3 take the first 5 and 6 columns of
 ``(3 2 4 1 2 3 / 2 5 1 3 1 2 / 4 1 3 2 5 1)``, ``b = (9 10 8)``;
 pack6x2 and pack7x2 the first 6 and 7 of
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from aggclosure import cli, closure, knapsack
+from aggclosure import cli
+from conftest import clear_caches
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ROWS3 = ((3, 2, 4, 1, 2, 3), (2, 5, 1, 3, 1, 2), (4, 1, 3, 2, 5, 1))
@@ -51,9 +52,8 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_closure_stdout_matches_golden(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
-    monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+def test_closure_stdout_matches_golden(name, tmp_path, capsys):
+    clear_caches()
     text, flags = CASES[name]
     path = tmp_path / f"{name}.txt"
     path.write_text(text)

@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from aggclosure import cli, closure, knapsack, verify
+from aggclosure import cli, verify
 from aggclosure.errors import UsageError
 from aggclosure.knapsack import COVERING, Instance, PACKING
 from aggclosure.verify import FAIL, CheckReport
 from aggclosure.polyhedra import make_inequality, LE
+from conftest import clear_caches
 from oracles import build_parser, serialize_instance
 
 PACK23_TEXT = "sense packing\nn 2\nm 1\nA\n2 3\nb\n4\n"
@@ -26,7 +27,6 @@ COVERFIX_TEXT = "sense covering\nn 2\nm 2\nA\n2 0\n1 3\nb\n3 4\n"
 PACK3X3_TEXT = "sense packing\nn 3\nm 3\nA\n3 2 4\n2 5 1\n4 1 3\nb\n9 10 8\n"
 PACK4X3_TEXT = "sense packing\nn 4\nm 3\nA\n3 2 4 1\n2 5 1 3\n4 1 3 2\nb\n9 10 8\n"
 PACK5X2_TEXT = "sense packing\nn 5\nm 2\nA\n3 2 4 1 2\n2 5 1 3 1\nb\n9 10\n"
-PACK6X2_TEXT = "sense packing\nn 6\nm 2\nA\n3 2 4 1 2 3\n2 5 1 3 1 2\nb\n9 10\n"
 # bytes that are not UTF-8
 BINARY = b"\xff\xfe\x00"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -193,95 +193,6 @@ PACK5X2_G8_CLOSURE = (
     "saturation true\n"
 )
 
-PACK6X2_G4_CLOSURE = (
-    "closure\n"
-    "1 0 0 0 0 0 >= 0\n"
-    "0 1 0 0 0 0 >= 0\n"
-    "0 0 1 0 0 0 >= 0\n"
-    "0 0 0 1 0 0 >= 0\n"
-    "0 0 0 0 1 0 >= 0\n"
-    "0 0 0 0 0 1 >= 0\n"
-    "1 1 1 1 0 1 <= 4\n"
-    "1 1 2 0 1 1 <= 4\n"
-    "1 1 3 1 1 1 <= 7\n"
-    "1 3 0 2 0 1 <= 6\n"
-    "1 3 1 2 1 1 <= 7\n"
-    "2 1 3 0 1 2 <= 6\n"
-    "2 2 2 1 1 2 <= 6\n"
-    "2 5 1 3 1 2 <= 10\n"
-    "2 5 2 3 1 2 <= 11\n"
-    "3 2 4 1 2 3 <= 9\n"
-    "3 6 2 3 0 3 <= 12\n"
-    "4 4 8 3 4 4 <= 20\n"
-    "6 6 7 3 4 6 <= 20\n"
-    "L\n"
-    "1 0 0 0 0 0 >= 0\n"
-    "0 1 0 0 0 0 >= 0\n"
-    "0 0 1 0 0 0 >= 0\n"
-    "0 0 0 1 0 0 >= 0\n"
-    "0 0 0 0 1 0 >= 0\n"
-    "0 0 0 0 0 1 >= 0\n"
-    "0 1 3 1 1 1 <= 7\n"
-    "0 2 2 1 1 2 <= 6\n"
-    "0 2 4 1 2 3 <= 9\n"
-    "0 3 1 2 1 1 <= 7\n"
-    "0 4 8 3 4 4 <= 20\n"
-    "0 5 1 3 1 2 <= 10\n"
-    "0 5 2 3 1 2 <= 11\n"
-    "0 6 7 3 4 6 <= 20\n"
-    "1 0 1 2 1 1 <= 7\n"
-    "1 0 3 1 1 1 <= 7\n"
-    "1 1 1 1 0 1 <= 4\n"
-    "1 1 2 0 1 1 <= 4\n"
-    "1 1 3 1 0 1 <= 7\n"
-    "1 1 3 1 1 0 <= 7\n"
-    "1 3 0 2 0 1 <= 6\n"
-    "1 3 0 2 1 1 <= 7\n"
-    "1 3 1 2 1 0 <= 7\n"
-    "2 0 1 3 1 2 <= 10\n"
-    "2 0 2 1 1 2 <= 6\n"
-    "2 1 3 0 1 2 <= 6\n"
-    "2 2 0 1 1 2 <= 6\n"
-    "2 2 2 0 1 2 <= 6\n"
-    "2 2 2 1 0 2 <= 6\n"
-    "2 2 2 1 1 0 <= 6\n"
-    "2 5 0 3 1 2 <= 10\n"
-    "2 5 1 0 1 2 <= 10\n"
-    "2 5 1 3 0 2 <= 10\n"
-    "2 5 1 3 1 0 <= 10\n"
-    "2 5 2 3 0 2 <= 11\n"
-    "2 5 2 3 1 0 <= 11\n"
-    "3 0 4 1 2 3 <= 9\n"
-    "3 2 0 1 2 3 <= 9\n"
-    "3 2 4 0 2 3 <= 9\n"
-    "3 2 4 1 0 3 <= 9\n"
-    "3 2 4 1 2 0 <= 9\n"
-    "3 6 2 3 0 3 <= 12\n"
-    "4 0 8 3 4 4 <= 20\n"
-    "4 4 8 3 4 0 <= 20\n"
-    "6 6 0 3 4 6 <= 20\n"
-    "6 6 7 3 4 0 <= 20\n"
-    "K\n"
-    "1 1 3 1 1 1 <= 7\n"
-    "1 3 1 1 1 1 <= 7\n"
-    "1 3 1 2 1 1 <= 7\n"
-    "2 2 2 1 1 2 <= 6\n"
-    "2 4 2 2 1 2 <= 10\n"
-    "2 5 1 3 1 2 <= 10\n"
-    "2 5 2 3 1 2 <= 11\n"
-    "3 2 4 1 2 3 <= 9\n"
-    "3 4 3 2 2 3 <= 12\n"
-    "4 4 8 3 4 4 <= 20\n"
-    "4 5 4 2 2 4 <= 14\n"
-    "4 7 2 4 2 4 <= 16\n"
-    "6 6 7 3 4 6 <= 20\n"
-    "6 11 4 6 2 6 <= 24\n"
-    "7 14 6 8 4 7 <= 32\n"
-    "T_sample 20\n"
-    "S 20\n"
-    "saturation true\n"
-)
-
 
 class TestParseInstance:
     def test_golden(self):
@@ -361,7 +272,7 @@ def test_serialize_parse_round_trip(inst):
 
 
 def run_fresh_closure(path, grid):
-    # `closure PATH --grid GRID` in a new interpreter, so no memo is warm
+    # `closure PATH --grid GRID` in a new interpreter, so no cache is warm
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -469,8 +380,8 @@ class TestHullCommand:
         assert "malformed rational" in err
 
     def test_budget_exit_code(self, fixture_dir, capsys):
-        # hull results are memoized per instance, so exercise the budget
-        # guard on coefficients nothing else in the suite uses
+        # hulls are cached per budget, so the budget guard trips here
+        # whatever the suite built before
         path = fixture_dir / "wide.txt"
         path.write_text("sense packing\nn 2\nm 1\nA\n7 11\nb\n937\n")
         code, _, err = run_cli(
@@ -583,7 +494,7 @@ class TestClosureCommand:
         )
 
     def test_pack4x3_golden_and_fast(self, fixture_dir):
-        # a fresh process, so no memo is warm.  With subset enumeration in
+        # a fresh process, so no cache is warm.  With subset enumeration in
         # the kernel this took 4.5 to 5.4 s on a 2-CPU host, and about
         # 0.6 s with double description
         path = fixture_dir / "pack4x3.txt"
@@ -602,15 +513,6 @@ class TestClosureCommand:
         done = run_fresh_closure(path, "8")
         assert done.returncode == 0 and done.stderr == ""
         assert done.stdout == PACK5X2_G8_CLOSURE
-
-    def test_pack6x2_golden(self, fixture_dir):
-        # the L recursion at n = 6, where the closure of each sub-instance
-        # is one kernel run over its parts, in a fresh process
-        path = fixture_dir / "pack6x2.txt"
-        path.write_text(PACK6X2_TEXT)
-        done = run_fresh_closure(path, "4")
-        assert done.returncode == 0 and done.stderr == ""
-        assert done.stdout == PACK6X2_G4_CLOSURE
 
     def test_identical_bytes_across_runs_and_threads(self, fixture_dir, capsys):
         argv = ["closure", str(fixture_dir / "coverfix.txt"), "--grid", "3"]
@@ -743,13 +645,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("k, cells", [("1", "48016001"), ("2", "36015001")])
     def test_zero_cut_hull_over_budget_is_not_built(
-        self, tmp_path, capsys, monkeypatch, k, cells
+        self, tmp_path, capsys, k, cells
     ):
         # at grid 4 the weights (1, 3), (2, 2) and (3, 1) round to zero
         # cuts, whose hulls have lattice boxes over the default budget;
         # the rounding check builds only the hulls of nonzero cuts
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
-        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        clear_caches()
         (tmp_path / "big.txt").write_text("sense packing\nn 2\nm 2\nA\n0 1\n1 0\nb\n3000 3000\n")
         code, out, err = run_cli(capsys, "verify", str(tmp_path), "--k", k)
         assert (code, err) == (0, "")
@@ -762,11 +663,10 @@ class TestVerifyCommand:
         )
 
     def test_packbox_rounding_check_passes_under_a_small_budget(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys
     ):
         # the zero cut of weights (1, 3) has a box of 48 cells
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
-        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        clear_caches()
         (tmp_path / "packbox.txt").write_text("sense packing\nn 2\nm 2\nA\n1 0\n0 1\nb\n2 3\n")
         code, out, err = run_cli(capsys, "verify", str(tmp_path), "--budget", "40")
         assert (code, err) == (0, "")

@@ -55,6 +55,7 @@ from aggclosure.polyhedra import (
     positive_normal_facets,
     whole_space,
 )
+from conftest import clear_caches
 from oracles import affine_rank, closure_1d_rounding, solve_linear, tuple_to_inequality
 
 F = Fraction
@@ -193,12 +194,12 @@ class TestGridWalk:
 
     def test_one_walk_per_instance_and_scheme(self, monkeypatch):
         # the closure's tuples, the sampled closure, separation and the
-        # shift check read one memoized walk
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        # shift check read one cached walk
+        clear_caches()
         walks = []
         monkeypatch.setattr(
             closure, "_grid_rows",
-            lambda inst, d, _real=_grid_rows: walks.append(inst.key()) or _real(inst, d),
+            lambda inst, d, _real=_grid_rows: walks.append(inst) or _real(inst, d),
         )
         sch = scheme(d=4)
         for sense in (PACKING, COVERING):
@@ -209,13 +210,13 @@ class TestGridWalk:
             separate(inst, sch, (1, 1))
             if inst.sense == COVERING:
                 verify.check_gamma(inst, sch)
-            assert walks == [inst.key()]
+            assert walks == [inst]
             assert _grid_hulls(inst, sch) is _grid_hulls(inst, sch)
             assert art.T_sample
 
-    def test_walk_holds_less_than_a_coordinate_of_the_grid(self, monkeypatch):
+    def test_walk_holds_less_than_a_coordinate_of_the_grid(self):
         # 135,751 weights: a list per coordinate would take about 5 MB
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        clear_caches()
         inst = Instance(PACKING, ((3,), (5,), (7,), (2,), (9,)), (40, 51, 33, 27, 59))
         tracemalloc.start()
         try:
@@ -275,7 +276,7 @@ class TestSampledClosure:
 
     def test_exact_rounding_of_large_ratios(self):
         # (10**17 + 2) / 3 as a float rounds to 33333333333333336; the
-        # sampled closure goes first so that its integer rows fill the memo
+        # sampled closure goes first so that its integer rows fill the cache
         for sense, line in ((PACKING, "1 <= 33333333333333334"), (COVERING, "1 >= 33333333333333334")):
             inst = Instance(sense, ((3,),), (10**17 + 2,))
             assert line in sampled_closure(inst, scheme(d=16)).render_lines()
@@ -351,7 +352,7 @@ class TestClosure1d:
             return kernel(*args)
 
         monkeypatch.setattr(polyhedra, "_double_description", counted)
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        clear_caches()
         inst = Instance(PACKING, ((2,), (3,), (5,), (7,), (4,)), (97, 131, 311, 401, 113))
         aggregation_closure(inst, scheme(d=16))
         sampled_closure(inst, scheme(d=16))
@@ -604,7 +605,7 @@ class TestAggregationClosure:
                 return _real(*args)
 
             monkeypatch.setattr(closure, name, counted)
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        clear_caches()
         inst = Instance(PACKING, ((3, 2, 4), (2, 5, 1), (4, 1, 3)), (9, 10, 8))
         art = aggregation_closure(inst, scheme(d=4))
         assert calls == {"build_K": 0, "intersect": 0}
@@ -708,18 +709,26 @@ class TestSchemeBudget:
         with pytest.raises(UsageError, match="work budget"):
             SampleScheme(budget=budget)
 
-    def test_closures_are_kept_per_budget(self, monkeypatch):
-        # the scheme, budget included, is the memo key
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+    def test_closures_are_kept_per_budget(self):
+        # the scheme, budget included, is part of the cache key
+        clear_caches()
         a = aggregation_closure(PACK_23, scheme())
         b = aggregation_closure(PACK_23, SampleScheme(2, budget=500))
         assert a is not b and a.closure == b.closure
         assert aggregation_closure(PACK_23, SampleScheme(2, budget=500)) is b
 
+    def test_closures_are_kept_per_instance_id(self):
+        # the instance, id included, is the cache key, so each id gets
+        # artifacts that name it even when the rows are shared
+        clear_caches()
+        for name in ("a", "b"):
+            inst = Instance(PACKING, ((3, 2), (2, 5)), (9, 10), instance_id=name)
+            assert aggregation_closure(inst, scheme()).instance == inst
+
     def test_rounds_share_one_closure_and_one_walk(self, monkeypatch):
         # refinement rounds are `separate`'s own, so a closure and its
         # grid walk are kept per scheme whatever the rounds
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        clear_caches()
         inst = Instance(PACKING, ((3, 2, 4), (2, 5, 1), (4, 1, 3)), (9, 10, 8))
         walks = []
 
@@ -740,10 +749,9 @@ class TestSchemeBudget:
         with pytest.raises(UsageError, match="refinement rounds must be a nonnegative integer"):
             separate(PACK_23, SampleScheme(2), (1,), rounds=rounds)
 
-    def test_kernel_trip_names_the_run(self, monkeypatch):
+    def test_kernel_trip_names_the_run(self):
         # the message `closure pack4x3 --grid 4 --budget 1000` prints
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
-        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        clear_caches()
         inst = Instance(PACKING, ((3, 2, 4, 1), (2, 5, 1, 3), (4, 1, 3, 2)), (9, 10, 8))
         with pytest.raises(ResourceBudgetError) as err:
             aggregation_closure(inst, SampleScheme(4, budget=1000))
@@ -752,7 +760,7 @@ class TestSchemeBudget:
         )
 
     def test_grid_trip_under_the_default_budget(self, monkeypatch):
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        clear_caches()
         # the `fine5x2` fixture trips on the count of its grid before any
         # work; its one-variable twin `fine5` is the closed form, walks no
         # weight and charges no grid
@@ -770,10 +778,10 @@ class TestSchemeBudget:
             for sch in (SampleScheme(4), SampleScheme(4, k=2), SampleScheme(16, k=2)):
                 assert sampled_closure(inst, sch) == closure_1d(inst)
 
-    def test_refinement_trip_counts_a_round(self, monkeypatch):
+    def test_refinement_trip_counts_a_round(self):
         # a round around a cut at k = 1 tries 3^3 - 1 = 26 weights; an
         # inside point, no rounds and k = 2 refine nothing and never trip
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        clear_caches()
         inst = Instance(PACKING, ((2, 3), (3, 2), (4, 5)), (5, 5, 9))
         x = (F(5, 2), 0)
         with pytest.raises(ResourceBudgetError) as err:
@@ -852,7 +860,7 @@ class TestSeparate:
     def test_one_variable_builds_one_relaxation_per_grid_key(self, monkeypatch, sense, x):
         # the grid's cut is final in one variable, so three rounds build
         # only the grid's own relaxations: one per distinct endpoint
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        clear_caches()
         calls = []
 
         def counted(*args):
@@ -1059,14 +1067,6 @@ def test_pairwise_aggregation_refines_single(inst):
 # grid weights as integer compositions.
 
 
-def _cold():
-    knapsack._HULL_MEMO.clear()
-    polyhedra.interval.cache_clear()
-    polyhedra.orthant.cache_clear()
-    polyhedra.whole_space.cache_clear()
-    closure._CLOSURE_MEMO.clear()
-
-
 def _oracle_hulls(inst, sch):
     aggs = sample_lambdas(inst.m, sch)
     return aggs, [integer_hull(build_relaxation(inst, agg)) for agg in aggs]
@@ -1149,13 +1149,13 @@ def grid_cases(draw):
 @example((Instance(COVERING, ((2, 0), (3, 0), (0, 2)), (2, 6, 1)), scheme(d=4), (0, 5), 3))
 def test_integer_grid_path_matches_rational_oracle(case):
     inst, sch, x, rounds = case
-    _cold()
+    clear_caches()
     sampled = sampled_closure(inst, sch)
     tuples = [
         (t.points, t.source_lambda, t.source_facet) for t in enumerate_tuples(inst, sch)
     ]
     res = separate(inst, sch, x, rounds)
-    _cold()
+    clear_caches()
     oracle = intersect(_oracle_hulls(inst, sch)[1])
     assert sampled.hrep == oracle.hrep
     assert sampled.feasible == oracle.feasible

@@ -1,6 +1,6 @@
 """The narrated demos run to completion and print the same bytes twice.
 
-Each demo runs in a fresh interpreter, so memos start cold on both runs.
+Each demo runs in a fresh interpreter, so caches start cold on both runs.
 The first run's stdout must also match the demo's golden file in
 ``tests/golden``, so what a demo prints cannot change unnoticed.
 """

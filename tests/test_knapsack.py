@@ -13,7 +13,7 @@ from aggclosure.errors import (
     TrivialAggregationError,
     UsageError,
 )
-from aggclosure import closure, knapsack
+from aggclosure import knapsack
 from aggclosure.closure import SampleScheme, _grid_hulls
 from aggclosure.knapsack import (
     COVERING,
@@ -36,6 +36,7 @@ from aggclosure.polyhedra import (
     poly_subset,
     vrep_to_hrep,
 )
+from conftest import clear_caches
 from oracles import (
     cg_cut_floor_ceil,
     column_bounds_scan,
@@ -262,12 +263,12 @@ class TestIntegerHull:
 
 class TestOneVariableGridPath:
     @pytest.mark.parametrize("sense", [PACKING, COVERING])
-    def test_interval_without_memo_entry(self, sense, monkeypatch):
+    def test_interval_without_memo_entry(self, sense):
         inst = Instance(sense, ((3,), (5,), (2,)), (17, 23, 9))
-        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        clear_caches()
         for cols in [((1, 0, 0),), ((1, 2, 1),), ((0, 3, 1), (2, 0, 2))]:
             hull = integer_hull(build_relaxation(inst, cols))
-            assert not knapsack._HULL_MEMO
+            assert knapsack._key_hull.cache_info().currsize == 0
             # the same shared interval object for rational weights
             weights = [tuple(Fraction(v, sum(c)) for v in c) for c in cols]
             assert integer_hull(build_relaxation(inst, weights)) is hull
@@ -277,8 +278,8 @@ class TestOneVariableGridPath:
     def test_grid_builds_one_relaxation_per_interval(self, sense, grid, k, monkeypatch):
         inst = Instance(sense, ((9,), (2,), (8,), (3,), (5,)), (48, 37, 34, 57, 26))
         built = []
-        # the walk is memoized; a cold memo makes it build its relaxations
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        # the walk is cached; clearing the caches makes it build its relaxations
+        clear_caches()
         monkeypatch.setattr(
             knapsack, "KnapsackRelaxation",
             lambda *a, **kw: built.append(1) or KnapsackRelaxation(*a, **kw),
@@ -304,6 +305,18 @@ class TestIntegerHullMulti:
         both = integer_hull(build_relaxation(inst, ((1, 0), (0, 1))))
         alone = integer_hull(build_relaxation(inst, (1, 0)))
         assert poly_equal(both, alone)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_budget_trips_whatever_was_built_before(self, warm):
+        # hulls are cached per budget, so a hull built at the default
+        # budget is not handed to a request under a smaller one
+        rel = KnapsackRelaxation(PACKING, 2, ((3, 4),), (40,))
+        clear_caches()
+        if warm:
+            integer_hull(rel)
+        with pytest.raises(ResourceBudgetError) as err:
+            integer_hull(rel, budget=5)
+        assert str(err.value) == "enumeration box of 14+ cells exceeds budget 5"
 
 
 @st.composite
@@ -336,7 +349,7 @@ class TestPlanarHull:
     @settings(max_examples=300, deadline=None)
     @given(planar_relaxations())
     def test_matches_double_description(self, rel):
-        knapsack._HULL_MEMO.pop(rel.canonical_key(), None)
+        clear_caches()
         assert _hull_or_error(integer_hull, rel) == _hull_or_error(vertex_hull, rel)
 
     def test_full_dimensional_polygon_runs_no_double_description(self, monkeypatch):
@@ -345,7 +358,7 @@ class TestPlanarHull:
         monkeypatch.setattr(
             knapsack, "vrep_to_hrep", lambda *a, **kw: calls.append(a) or real(*a, **kw)
         )
-        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        clear_caches()
         for sense in (PACKING, COVERING):
             inst = Instance(sense, ((2, 3), (1, 4)), (4, 4))
             for cols in [((1, 0),), ((1, 1),), ((1, 0), (0, 1))]:
@@ -387,7 +400,7 @@ class TestPackingSegments:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(solid_packing_relaxations(), planar_relaxations()))
     def test_matches_double_description(self, rel):
-        knapsack._HULL_MEMO.pop(rel.canonical_key(), None)
+        clear_caches()
         assert _hull_or_error(integer_hull, rel) == _hull_or_error(vertex_hull, rel)
         if rel.sense == PACKING:
             points, free = lattice_points(rel)
@@ -663,7 +676,7 @@ def integer_weighted_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(integer_weighted_instances())
 def test_integer_rows_key_equals_canonical_key(case):
-    # integer weights v and rational weights v/D share one hull-memo key
+    # integer weights v and rational weights v/D share one hull cache key
     inst, columns, d = case
     rel = build_relaxation(inst, columns)
     scaled = build_relaxation(inst, [[Fraction(w, d) for w in v] for v in columns])

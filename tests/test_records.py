@@ -389,3 +389,34 @@ def test_walkers_and_file_reads_have_their_one_caller():
                         calls.append((name, where))
     assert {name for name, _ in calls} == set(allowed)
     assert [(name, where) for name, where in calls if where not in allowed[name]] == []
+
+
+def _is_empty_container(value) -> bool:
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", None) in ("dict", "set")
+        and not value.args
+        and not value.keywords
+    )
+
+
+def test_no_module_level_empty_container():
+    # a module-level name bound to an empty dict, list or set is a
+    # hand-rolled memo; a result is cached by `functools.cache` on the
+    # function that builds it, keyed by that function's arguments
+    found = []
+    for path in sorted((SRC / "aggclosure").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if _is_empty_container(node.value):
+                found += [f"{path.name}:{node.lineno} {ast.unparse(t)}" for t in targets]
+    assert found == []

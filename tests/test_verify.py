@@ -53,6 +53,7 @@ from aggclosure.verify import (
     suite_json,
     suite_lines,
 )
+from conftest import clear_caches
 from oracles import rowwise_hulls, sandwich_full_box
 
 F = Fraction
@@ -163,7 +164,7 @@ class TestSandwich:
         # the closure and the sampled closure are built first; the check
         # itself then reads the rows of K and L and the generators of the
         # instance's hull, and builds no hull and runs no kernel
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        clear_caches()
         sch = scheme(d)
         art = aggregation_closure(inst, sch)
         sampled_closure(inst, sch)
@@ -312,7 +313,7 @@ class TestGamma:
         # a one-variable L is `closure_1d`, which lies in every sampled
         # hull, so a shift g >= 0 passes with no walk, even where the walk
         # (11,739,435 pairs here) is over the budget; a negative shift walks
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        clear_caches()
         walks = []
         grid_rows = closure._grid_rows
 
@@ -396,6 +397,9 @@ class TestCgDominance:
         assert got == expected
         if scale == 1:
             assert got.status == PASS
+        if got.status == FAIL:
+            # the witness point violates the witness inequality
+            assert not got.witness_inequality.admits_point(got.witness_point)
 
     def test_two_row_example(self):
         inst = Instance(PACKING, ((2, 3), (1, 0)), (4, 1))
@@ -412,8 +416,7 @@ class TestCgDominance:
         # at weights (1, 1) of grid 2 the row is (1, 1 | 5) and rounds to
         # the zero cut, so its key's hull is never built; the cuts x1 <= 3
         # of weights (0, 2) and x2 <= 2 of (2, 0) are tested on their own
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
-        monkeypatch.setattr(knapsack, "_HULL_MEMO", {})
+        clear_caches()
         generators = knapsack._generators
         keys = []
 
@@ -436,8 +439,8 @@ class TestCgDominance:
     )
     def test_passing_check_builds_no_hull(self, inst, d, monkeypatch):
         # at k = 1 the closure's own grid walk has built every hull the
-        # check reads, so each comes from the hull memo
-        monkeypatch.setattr(closure, "_CLOSURE_MEMO", {})
+        # check reads, so each comes from the hull cache
+        clear_caches()
         aggregation_closure(inst, SampleScheme(d))
         calls = dict.fromkeys(("_generators", "vrep_to_hrep"), 0)
 
@@ -585,8 +588,8 @@ class TestRunSuite:
         assert all(r.status == PASS for r in reports)
 
     def test_budget_errors_become_skips(self):
-        # hull results are memoized, so a starved budget only bites on
-        # an instance no other test has touched
+        # hulls and closures are cached per budget, so a starved budget
+        # bites whatever the suite built before
         fresh = Instance(PACKING, ((3, 5),), (941,), instance_id="fresh")
         reports = run_suite([fresh], SampleScheme(grid_denominator=2, budget=1))
         assert reports and all(r.status == SKIPPED for r in reports)
