@@ -9,17 +9,19 @@ up-closed so the hull is the convex hull of the domination-minimal points
 plus the nonnegative orthant cone.  Both are enumerated in the box of
 `column_bounds`: ``min floor(r / a_j)`` over the packing rows or ``max
 ceil(r / a_j)`` over the covering rows with ``a_j > 0``, and 0 along a
-column no row uses, which is free for packing.  A packing set is read
-as segments: each feasible prefix of the first n - 1 coordinates with
-the top of the last.  A one-variable hull is an interval read off the
-rows.  Every other hull reads one generating set, `_generators`: the
-covering minimal points with every unit ray, or the packing segment
-ends no unit step raises with a unit ray per free column.  A
-full-dimensional two-variable hull with no free packing column is the
-polygon of those points by monotone chains (Andrew 1979), and every
-other hull is converted from them by the polyhedral kernel.  The
-instance's own hull is handed out as the same generators by
-`instance_generators`, with no conversion.
+column no row uses, which is free for packing.  Both senses are read
+as segments by one walk, `_segments`, over the first n - 1 coordinates
+of the box: each prefix gets one end for the last coordinate, the top
+every packing row allows or the low every covering row needs.  A
+one-variable hull is an interval read off the rows.  Every other hull
+reads one generating set, `_generators`: the segment ends that no unit
+step inside their support keeps feasible, the `_core` (up for packing,
+down for covering), with a unit ray per free packing column or every
+unit ray for covering.  A full-dimensional two-variable hull with no
+free packing column is the polygon of those points by monotone chains
+(Andrew 1979), and every other hull is converted from them by the
+polyhedral kernel.  The instance's own hull is handed out as the same
+generators by `instance_generators`, with no conversion.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
-from operator import floordiv
+from math import inf
+from operator import floordiv, ge, le
 
 from .errors import (
     EmptyRelaxationError,
@@ -298,92 +301,106 @@ def _zero_row_empties(sense: str, rows, rhs) -> bool:
     return False
 
 
-def _packing_points(rel: KnapsackRelaxation, budget) -> tuple[list, set]:
-    """The feasible points of a packing relaxation as segments.
+def _most(residual, col) -> int:
+    # the largest step every packing row allows, res - v * c >= 0; a
+    # column no row uses is free and carries 0.  A plain loop: a
+    # generator under `min` costs a quarter of the walk
+    top = None
+    for res, c in zip(residual, col):
+        if c > 0 and (top is None or res // c < top):
+            top = res // c
+    return 0 if top is None else top
 
-    Walks the first n - 1 coordinates of the `column_bounds` box, whose
-    cells are charged to ``budget`` by `_check_budget`, and gives each
-    feasible prefix its top, the largest feasible last coordinate, read
-    off the rows' residuals.  Returns the ``(prefix, top)`` pairs in
-    lexicographic order, with the set of free columns; a pair stands for
-    the points ``prefix + (v,)``, ``0 <= v <= top``, and a free column
-    carries 0.
+
+def _least(residual, col):
+    # the least step every covering row needs, res - v * c <= 0, or None
+    # when a row still short has 0 in the column
+    v = 0
+    for res, c in zip(residual, col):
+        if res > 0:
+            if not c:
+                return None
+            v = max(v, _ceil_div(res, c))
+    return v
+
+
+def _segments(rel: KnapsackRelaxation, budget) -> tuple[list, set]:
+    """The feasible points of the relaxation as segments along the last
+    coordinate.
+
+    Walks the first n - 1 coordinates of the `column_bounds` box depth
+    first, in lexicographic order, and gives each prefix one end for the
+    last coordinate, read off the rows' residuals: packing its top, the
+    most every row allows, and covering its low, the least every row
+    needs.  A covering prefix coordinate stops at the least value that
+    meets every row, since a larger one can step down, and a covering
+    prefix gets no segment when a row still short has 0 in the last
+    column.  Packing charges the whole box to ``budget`` and covering
+    the first n - 1 sides, by `_check_budget`.  Returns the ``(prefix,
+    end)`` pairs in lexicographic order, with the set of free packing
+    columns, which carry 0; a pair stands for the points ``prefix +
+    (v,)`` with ``0 <= v <= end`` for packing, ``v >= end`` for covering.
     """
-    bounds = column_bounds(PACKING, rel.aggregated_rows, rel.aggregated_rhs)
-    free = {j for j, c in enumerate(bounds) if c is None}
-    bounds = [0 if c is None else c for c in bounds]
-    if all(b >= 0 for b in bounds):
-        _check_budget(bounds, budget)
-    if _zero_row_empties(PACKING, rel.aggregated_rows, rel.aggregated_rhs):
-        return [], free
-    if any(b < 0 for b in bounds):
-        return [], free
-    n = rel.n
-    cols = [[row[j] for row in rel.aggregated_rows] for j in range(n)]
-    out: list = []
-    x = [0] * (n - 1)
-
-    def limit(j: int, residual) -> int:
-        # every residual stays >= 0, so every prefix reached has a segment
-        top = bounds[j]
-        if j not in free:
-            for res, c in zip(residual, cols[j]):
-                if c > 0:
-                    top = min(top, res // c)
-        return top
+    sense, rows, rhs = rel.sense, rel.aggregated_rows, rel.aggregated_rhs
+    bounds = column_bounds(sense, rows, rhs)
+    if sense == COVERING:
+        _zero_row_empties(COVERING, rows, rhs)
+        free: set = set()
+        bounds = [max(c or 0, 0) for c in bounds]
+        _check_budget(bounds[:-1], budget)
+        end = _least
+    else:
+        free = {j for j, c in enumerate(bounds) if c is None}
+        bounds = [0 if c is None else c for c in bounds]
+        if all(b >= 0 for b in bounds):
+            _check_budget(bounds, budget)
+        if _zero_row_empties(PACKING, rows, rhs) or any(b < 0 for b in bounds):
+            return [], free
+        end = _most
+    *cols, last = zip(*rows)
+    pairs: list = []
+    x = [0] * len(cols)
 
     def descend(j: int, residual) -> None:
-        if j == n - 1:
-            out.append((tuple(x), limit(j, residual)))
+        if j == len(cols):
+            v = end(residual, last)
+            if v is not None:
+                pairs.append((tuple(x), v))
             return
-        for v in range(limit(j, residual) + 1):
+        col = cols[j]
+        hi = end(residual, col)
+        for v in range((bounds[j] if hi is None else min(hi, bounds[j])) + 1):
             x[j] = v
-            if v:
-                descend(j + 1, tuple(rt - v * ct for rt, ct in zip(residual, cols[j])))
-            else:
-                descend(j + 1, residual)
-        x[j] = 0
+            descend(j + 1, tuple(r - v * c for r, c in zip(residual, col)) if v else residual)
 
-    descend(0, tuple(rel.aggregated_rhs))
-    return out, free
+    descend(0, tuple(rhs))
+    return pairs, free
 
 
-def _covering_minimal(rel: KnapsackRelaxation, bounds) -> list:
-    # depth-first over the first n - 1 coordinates of the box; the last
-    # takes its smallest feasible value, so each prefix gives at most one
-    # candidate and the candidates come in lex order.  A candidate is
-    # minimal when no unit step down along the prefix stays feasible
-    n = rel.n
-    cols = [[row[j] for row in rel.aggregated_rows] for j in range(n)]
-    *prefix_cols, last = cols
-    out: list = []
-    x = [0] * n
+def _core(sense: str, pairs) -> list:
+    """The points of the segments, in lexicographic order, that no unit
+    step inside their support keeps feasible: up for packing, where
+    every hull vertex survives (a feasible step plus down-closure writes
+    the point as a midpoint) and the survivors shrink the reduction
+    workload, and down for covering, which leaves the minimal points.
 
-    def descend(j: int, residual) -> None:
-        if j == n - 1:
-            v = 0
-            for res, a in zip(residual, last):
-                if res > 0:
-                    if not a:
-                        return
-                    v = max(v, _ceil_div(res, a))
-            slack = [v * a - res for res, a in zip(residual, last)]
-            for xi, col in zip(x, prefix_cols):
-                if xi and all(s >= a for s, a in zip(slack, col)):
-                    return
-            x[j] = v
-            out.append(tuple(x))
-            return
-        for v in range(bounds[j] + 1):
-            x[j] = v
-            if v:
-                residual = tuple(r - a for r, a in zip(residual, cols[j]))
-            descend(j + 1, residual)
-            # once every row holds, a larger x_j can step down
-            if all(r <= 0 for r in residual):
-                break
-
-    descend(0, tuple(rel.aggregated_rhs))
+    Along the last coordinate only the ends of a segment can survive:
+    ``(prefix, 0)`` and ``(prefix, top)`` for packing, ``(prefix, low)``
+    for covering.  A nonzero prefix coordinate steps to the prefix raised
+    (packing) or lowered (covering) by one, and the point stays feasible
+    when that prefix has a segment holding it.  The walk visits a lowered
+    prefix before the point, so its segment is in ``pairs``.
+    """
+    ends = dict(pairs)
+    step, missing, holds = (1, -1, ge) if sense == PACKING else (-1, inf, le)
+    out = []
+    for prefix, end in pairs:
+        for v in ((0, end) if end and sense == PACKING else (end,)):
+            if not any(
+                c and holds(ends.get(prefix[:j] + (c + step,) + prefix[j + 1 :], missing), v)
+                for j, c in enumerate(prefix)
+            ):
+                out.append(prefix + (v,))
     return out
 
 
@@ -392,21 +409,15 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
 
     Packing returns every feasible point over the bounded coordinates (zero
     columns are reported as free and carry coordinate 0 in the points),
-    expanded from the segments of `_packing_points`.
-    Covering returns only the domination-minimal feasible points; together
-    with the orthant cone they generate the full up-closed hull.
+    expanded from the segments of `_segments`.
+    Covering returns only the domination-minimal feasible points, the
+    `_core` of the segments; together with the orthant cone they
+    generate the full up-closed hull.
     """
+    pairs, free = _segments(rel, budget)
     if rel.sense == COVERING:
-        _zero_row_empties(COVERING, rel.aggregated_rows, rel.aggregated_rhs)
-        bounds = [
-            max(c or 0, 0)
-            for c in column_bounds(COVERING, rel.aggregated_rows, rel.aggregated_rhs)
-        ]
-        # the search walks only the first n - 1 coordinates of the box
-        _check_budget(bounds[:-1], budget)
-        return _covering_minimal(rel, bounds), set()
-    segments, free = _packing_points(rel, budget)
-    return [prefix + (v,) for prefix, top in segments for v in range(top + 1)], free
+        return _core(COVERING, pairs), free
+    return [prefix + (v,) for prefix, top in pairs for v in range(top + 1)], free
 
 
 def _hull_1d(sense: str, rows, rhs) -> Polyhedron:
@@ -425,26 +436,6 @@ def _hull_1d(sense: str, rows, rhs) -> Polyhedron:
     if c < 0:
         return empty_polyhedron(1)
     return interval(0, c)
-
-
-def _packing_core(segments) -> list:
-    # the points, in lexicographic order, that no unit increment inside
-    # their support keeps feasible; every hull vertex survives (a feasible
-    # increment plus down-closure writes p as a midpoint) and survivors
-    # shrink the reduction workload.  Inside a segment the last coordinate
-    # steps up to its top, so only the ends (prefix, 0) and (prefix, top)
-    # can survive, and a prefix coordinate steps up when the raised prefix
-    # has a segment that reaches as high
-    tops = dict(segments)
-    out = []
-    for prefix, top in segments:
-        for v in ((0, top) if top else (0,)):
-            if not any(
-                c and tops.get(prefix[:j] + (c + 1,) + prefix[j + 1 :], -1) >= v
-                for j, c in enumerate(prefix)
-            ):
-                out.append(prefix + (v,))
-    return out
 
 
 def _cross(o, a, b) -> int:
@@ -505,15 +496,15 @@ def _generators(rel: KnapsackRelaxation, budget) -> tuple[list, list]:
     """The points and ray columns that generate the relaxation's hull.
 
     Covering: the minimal points of `lattice_points` and every column.
-    Packing: the `_packing_core` of the segments of `_packing_points`
-    and the sorted free columns.  Both walkers charge the lattice box to
+    Packing: the `_core` of the segments of `_segments` and the sorted
+    free columns.  Both read one walk, which charges the lattice box to
     ``budget``, and the points come in lexicographic order.
     """
     if rel.sense == COVERING:
         points, _ = lattice_points(rel, budget)
         return points, list(range(rel.n))
-    segments, free = _packing_points(rel, budget)
-    return _packing_core(segments), sorted(free)
+    pairs, free = _segments(rel, budget)
+    return _core(PACKING, pairs), sorted(free)
 
 
 def integer_hull(

@@ -167,11 +167,12 @@ def _escape_witness(generators, rows):
 
     ``generators`` are homogeneous, the points first, as in
     `Polyhedron.generators`.  The points are tried first, in their order;
-    the first point pushed along a ray with doubling step covers the case
-    where only the recession cones differ.  Only membership and the
-    recession cone of the outer set are read, so any rows that describe it
-    give the same point.  Returns None when the containment actually
-    holds.
+    the case where only the recession cones differ takes the first ray
+    that breaks a row, and pushes the first point along it with doubling
+    step until a row is violated, which ends because the broken row's gap
+    grows with the step.  Only membership and the recession cone of the
+    outer set are read, so any rows that describe it give the same point.
+    Returns None when the containment actually holds.
     """
     verts = [g for g in generators if g[-1]]
     for g in verts:
@@ -181,14 +182,14 @@ def _escape_witness(generators, rows):
     if not verts:
         return None
     for ray in generators[len(verts) :]:
+        if _violated_row(rows, ray) is None:
+            continue
         step = 1
-        for _ in range(64):
+        while True:
             probe = _pushed(verts[0], ray, step)
             row = _violated_row(rows, probe)
             if row is not None:
                 return _point(probe), row
-            if _violated_row(rows, ray) is None:
-                break
             step *= 2
     return None
 

@@ -3,7 +3,7 @@
 They are oracles for the integer kernels of `aggclosure.rational`: a
 square solver, an affine rank and a rank, on ``Fraction`` input where
 it applies, with the small helpers their tests use.  The box enumerator
-of covering minimal points is the oracle of `knapsack._covering_minimal`,
+of covering minimal points is the oracle of the covering `knapsack._core`,
 the pairwise fold is the oracle of `polyhedra.intersect`, the interval
 hulls built by double description and `closure_1d_rounding` are the
 oracles of `polyhedra.interval` and `closure.closure_1d`,
@@ -15,7 +15,7 @@ one row, `verify.check_oracle_m1` read, `vertex_hull`,
 a hull converted from its lattice points by double description, is the
 oracle of the two-variable polygons of `knapsack.integer_hull`,
 `packing_core`, read off the set of every feasible point, is the oracle
-of the core `knapsack._packing_core` reads off the packing segments,
+of the core `knapsack._core` reads off the packing segments,
 `sandwich_full_box`, which builds `K` and `L` and tests the generators
 of the instance's integer hull that `hull_generators_box` reads off
 every cell of its own box, is the oracle of `verify.check_sandwich` and
@@ -305,7 +305,7 @@ def vertex_hull(rel, budget: int = DEFAULT_CELL_BUDGET):
     the `packing_core` of every feasible point with a unit ray per free
     column.  The oracle of `knapsack.integer_hull`, whose generating
     set `knapsack._generators` reads the packing core off the segments
-    of `knapsack._packing_points` and whose two-variable polygons take
+    of `knapsack._segments` and whose two-variable polygons take
     no double description."""
     points, free = lattice_points(rel, budget)
     if not points:

@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from aggclosure import closure, knapsack, polyhedra, verify
 from aggclosure.closure import (
-    ClosureArtifacts,
     FacetTuple,
     SampleScheme,
     _composition,

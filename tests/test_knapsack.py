@@ -1,7 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import ge, le, mul
 
 import pytest
 from hypothesis import given, settings
@@ -405,8 +405,8 @@ class TestPackingSegments:
         if rel.sense == PACKING:
             points, free = lattice_points(rel)
             assert points == box_points(rel)
-            segments, _ = knapsack._packing_points(rel, DEFAULT_CELL_BUDGET)
-            assert knapsack._packing_core(segments) == packing_core(points)
+            pairs, _ = knapsack._segments(rel, DEFAULT_CELL_BUDGET)
+            assert knapsack._core(PACKING, pairs) == packing_core(points)
 
 
 class TestCgCut:
@@ -660,6 +660,33 @@ class TestGenerators:
         points, rays = knapsack._generators(rel, DEFAULT_CELL_BUDGET)
         units = [tuple(int(i == j) for i in range(inst.n)) + (0,) for j in rays]
         assert instance_generators(inst) == [p + (1,) for p in points] + units
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_relaxations())
+def test_segment_ends_match_a_box_scan(rel):
+    # each prefix of the lattice box with a feasible last coordinate has
+    # its largest (packing) or least (covering) one as its end.  Packing
+    # walks every such prefix; covering only those where each coordinate,
+    # one less and with 0 after it, still leaves a row short, which holds
+    # every prefix a walked one lowers to
+    rows, rhs = rel.aggregated_rows, rel.aggregated_rhs
+    bounds = [max(c or 0, 0) for c in column_bounds_scan(rel.sense, rows, rhs)]
+    holds = le if rel.sense == PACKING else ge
+
+    def feasible(point) -> bool:
+        return all(holds(sum(map(mul, row, point)), r) for row, r in zip(rows, rhs))
+
+    ends = []
+    for prefix in itertools.product(*(range(b + 1) for b in bounds[:-1])):
+        fits = [v for v in range(bounds[-1] + 1) if feasible(prefix + (v,))]
+        if not fits:
+            continue
+        if rel.sense == PACKING:
+            ends.append((prefix, max(fits)))
+        elif not any(c and feasible(prefix[:j] + (c - 1,)) for j, c in enumerate(prefix)):
+            ends.append((prefix, min(fits)))
+    assert knapsack._segments(rel, DEFAULT_CELL_BUDGET)[0] == ends
 
 
 @st.composite

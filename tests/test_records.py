@@ -269,9 +269,12 @@ def test_every_parameter_is_read():
 
 def test_every_import_is_used():
     # a name imported and never read is a dependency for nothing; a name
-    # listed in `__all__` is read by the package's importers
+    # listed in `__all__` is read by the package's importers.  The
+    # package, its tests and its demos are read
+    dirs = (SRC / "aggclosure", SRC.parent / "tests", SRC.parent / "demos")
+    paths = [path for d in dirs for path in sorted(d.glob("*.py"))]
     unused = []
-    for path in sorted((SRC / "aggclosure").glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text())
         imported = {}
         for node in ast.walk(tree):
@@ -366,14 +369,14 @@ def test_every_private_default_is_passed():
 
 
 def test_walkers_and_file_reads_have_their_one_caller():
-    # one generating set per relaxation: the lattice walkers are read
+    # one generating set per relaxation: the one lattice walk is read
     # through `knapsack._generators`, every instance file through
     # `cli._read_instance`, and every report file through
     # `cli._write_reports`.  A call counts for the top-level function
     # that holds it
     allowed = {
         "lattice_points": {"knapsack._generators"},
-        "_packing_points": {"knapsack._generators", "knapsack.lattice_points"},
+        "_segments": {"knapsack._generators", "knapsack.lattice_points"},
         "read_text": {"cli._read_instance"},
         "write_text": {"cli._write_reports"},
         "mkdir": {"cli._write_reports"},

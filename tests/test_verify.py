@@ -107,6 +107,13 @@ class TestEscapeWitness:
         box = vrep_to_hrep([(0, 0), (2, 0), (0, 2), (2, 2)])
         assert _escape_witness(box.generators, orthant(2).hrep) is None
 
+    def test_ray_escape_past_64_doublings(self):
+        # the ray breaks the row's recession cone, so some push crosses
+        # the row however far it lies
+        row = make_inequality((1,), 10**30, LE)
+        point, hit = _escape_witness(orthant(1).generators, [row])
+        assert point == (2**100,) and hit == row
+
 
 class TestOracle:
     def test_packing_fixture(self):
