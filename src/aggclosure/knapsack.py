@@ -44,11 +44,8 @@ from .polyhedra import (
     LE,
     LinearInequality,
     Polyhedron,
-    _build,
     _unit,
-    empty_polyhedron,
     interval,
-    make_inequality,
     vrep_to_hrep,
 )
 from .rational import (
@@ -335,11 +332,12 @@ def _segments(rel: KnapsackRelaxation, budget) -> tuple[list, set]:
     needs.  A covering prefix coordinate stops at the least value that
     meets every row, since a larger one can step down, and a covering
     prefix gets no segment when a row still short has 0 in the last
-    column.  Packing charges the whole box to ``budget`` and covering
-    the first n - 1 sides, by `_check_budget`.  Returns the ``(prefix,
-    end)`` pairs in lexicographic order, with the set of free packing
-    columns, which carry 0; a pair stands for the points ``prefix +
-    (v,)`` with ``0 <= v <= end`` for packing, ``v >= end`` for covering.
+    column.  Both senses charge the walked prefixes, the first n - 1
+    sides of the box, to ``budget`` by `_check_budget`.  Returns the
+    ``(prefix, end)`` pairs in lexicographic order, with the set of free
+    packing columns, which carry 0; a pair stands for the points
+    ``prefix + (v,)`` with ``0 <= v <= end`` for packing, ``v >= end``
+    for covering.
     """
     sense, rows, rhs = rel.sense, rel.aggregated_rows, rel.aggregated_rhs
     bounds = column_bounds(sense, rows, rhs)
@@ -347,16 +345,14 @@ def _segments(rel: KnapsackRelaxation, budget) -> tuple[list, set]:
         _zero_row_empties(COVERING, rows, rhs)
         free: set = set()
         bounds = [max(c or 0, 0) for c in bounds]
-        _check_budget(bounds[:-1], budget)
         end = _least
     else:
         free = {j for j, c in enumerate(bounds) if c is None}
         bounds = [0 if c is None else c for c in bounds]
-        if all(b >= 0 for b in bounds):
-            _check_budget(bounds, budget)
         if _zero_row_empties(PACKING, rows, rhs) or any(b < 0 for b in bounds):
             return [], free
         end = _most
+    _check_budget(bounds[:-1], budget)
     *cols, last = zip(*rows)
     pairs: list = []
     x = [0] * len(cols)
@@ -409,14 +405,18 @@ def lattice_points(rel: KnapsackRelaxation, budget: int = DEFAULT_CELL_BUDGET):
 
     Packing returns every feasible point over the bounded coordinates (zero
     columns are reported as free and carry coordinate 0 in the points),
-    expanded from the segments of `_segments`.
-    Covering returns only the domination-minimal feasible points, the
-    `_core` of the segments; together with the orthant cone they
+    expanded from the segments of `_segments`; the points may fill the
+    whole `column_bounds` box, so its last side is charged to ``budget``
+    too.  Covering returns only the domination-minimal feasible points,
+    the `_core` of the segments; together with the orthant cone they
     generate the full up-closed hull.
     """
     pairs, free = _segments(rel, budget)
     if rel.sense == COVERING:
         return _core(COVERING, pairs), free
+    if pairs:
+        bounds = column_bounds(PACKING, rel.aggregated_rows, rel.aggregated_rhs)
+        _check_budget([c or 0 for c in bounds], budget)
     return [prefix + (v,) for prefix, top in pairs for v in range(top + 1)], free
 
 
@@ -428,13 +428,13 @@ def _hull_1d(sense: str, rows, rhs) -> Polyhedron:
     """
     (c,) = column_bounds(sense, rows, rhs)
     if _zero_row_empties(sense, rows, rhs):
-        return empty_polyhedron(1)
+        return Polyhedron(1, (), (), -1)
     if sense == COVERING:
         return interval(max(c or 0, 0))
     if c is None:
         return interval(0)
     if c < 0:
-        return empty_polyhedron(1)
+        return Polyhedron(1, (), (), -1)
     return interval(0, c)
 
 
@@ -458,7 +458,7 @@ def _left_chain(points) -> list:
 def _left_side(p, q) -> LinearInequality:
     # the half-plane on the left of the directed line p -> q
     normal = (q[1] - p[1], p[0] - q[0])
-    return make_inequality(normal, normal[0] * p[0] + normal[1] * p[1], LE)
+    return LinearInequality(normal, normal[0] * p[0] + normal[1] * p[1], LE)
 
 
 def _covering_polygon(points) -> Polyhedron:
@@ -476,7 +476,7 @@ def _covering_polygon(points) -> Polyhedron:
         LinearInequality((0, 1), chain[-1][1], GE),
     ]
     rows += map(_left_side, chain, chain[1:])
-    return _build(2, [p + (1,) for p in chain] + [(1, 0, 0), (0, 1, 0)], rows, 2)
+    return Polyhedron(2, rows, [p + (1,) for p in chain] + [(1, 0, 0), (0, 1, 0)], 2)
 
 
 def _packing_polygon(points) -> Polyhedron:
@@ -489,7 +489,7 @@ def _packing_polygon(points) -> Polyhedron:
     """
     ring = _left_chain(points)[:-1] + _left_chain(reversed(points))[:-1]
     rows = map(_left_side, ring, ring[1:] + ring[:1])
-    return _build(2, [p + (1,) for p in ring], rows, 2)
+    return Polyhedron(2, rows, [p + (1,) for p in ring], 2)
 
 
 def _generators(rel: KnapsackRelaxation, budget) -> tuple[list, list]:
@@ -497,7 +497,7 @@ def _generators(rel: KnapsackRelaxation, budget) -> tuple[list, list]:
 
     Covering: the minimal points of `lattice_points` and every column.
     Packing: the `_core` of the segments of `_segments` and the sorted
-    free columns.  Both read one walk, which charges the lattice box to
+    free columns.  Both read one walk, which charges its prefixes to
     ``budget``, and the points come in lexicographic order.
     """
     if rel.sense == COVERING:
@@ -540,7 +540,7 @@ def _key_hull(key, budget) -> Polyhedron:
     rel = KnapsackRelaxation(sense, n, tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows))
     points, rays = _generators(rel, budget)
     if not points:
-        return empty_polyhedron(n)
+        return Polyhedron(n, (), (), -1)
     if n == 2 and sense == COVERING:
         # a covering hull in two variables holds a quadrant
         return _covering_polygon(points)
@@ -556,8 +556,8 @@ def instance_generators(inst: Instance, budget: int = DEFAULT_CELL_BUDGET) -> li
     with no hull built.
 
     The m rows are read as one relaxation by `_generators`, as
-    `integer_hull` reads an aggregated one, charging the lattice box to
-    ``budget``: the points come first, in lexicographic order, then the
+    `integer_hull` reads an aggregated one, charging the walked prefixes
+    to ``budget``: the points come first, in lexicographic order, then the
     unit rays by column.
     """
     rel = KnapsackRelaxation(inst.sense, inst.n, inst.A, inst.b)
@@ -585,4 +585,4 @@ def cg_cut(rel: KnapsackRelaxation):
     cut = _round_row(rel.sense, ints, den)
     if cut is None:
         return None
-    return make_inequality(cut[:-1], cut[-1], LE if rel.sense == PACKING else GE)
+    return LinearInequality(cut[:-1], cut[-1], LE if rel.sense == PACKING else GE)

@@ -34,15 +34,16 @@ the ray pairs it tests against a work budget.
 
 Shapes whose canonical form is known, `orthant`, `whole_space` and the
 one-variable `interval`, are written down and run no double description;
-`knapsack` writes down its two-variable polygons the same way, through
-`_build`.
+`knapsack` writes down its two-variable polygons the same way.  Every
+result is made by the one `Polyhedron` constructor, which writes it in
+the canonical form above.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DegenerateFacetError, ResourceBudgetError
 from .rational import (
@@ -71,25 +72,27 @@ _SENSES = (LE, GE)
 class LinearInequality(Record):
     """One canonical half-space: ``normal . x sense rhs``.
 
-    Entries are integers with overall gcd 1 (rhs included) and the first
-    nonzero coefficient is positive, so equal half-spaces compare equal.
+    The constructor takes rational data and writes it in canonical form,
+    as ``Fraction(2, -4)`` reduces its terms: the entries are cleared to
+    integers with overall gcd 1 (rhs included), and the first nonzero
+    coefficient is made positive, the sense flipping with the signs, so
+    equal half-spaces compare equal.  A bad sense or a zero normal raises
+    ValueError.
     """
 
     __slots__ = ("normal", "rhs", "sense")
 
-    def __init__(self, normal: tuple[int, ...], rhs: int, sense: str) -> None:
+    def __init__(self, normal, rhs, sense: str) -> None:
         if sense not in _SENSES:
             raise ValueError(f"bad sense {sense!r}")
-        if not any(normal):
+        ints = reduce_gcd(int_clear(tuple(normal) + (rhs,))[0])
+        normal, rhs = ints[:-1], ints[-1]
+        first = next((a for a in normal if a), 0)
+        if not first:
             raise ValueError("zero normal")
-        first = next(a for a in normal if a)
         if first < 0:
-            raise ValueError("normal not sign-normalized")
-        g = 0
-        for a in normal + (rhs,):
-            g = gcd(g, a)
-        if g != 1:
-            raise ValueError("entries not gcd-reduced")
+            normal, rhs = _negated(normal), -rhs
+            sense = GE if sense == LE else LE
         set_fields(self, normal, rhs, sense)
 
     def gap(self, g: IntVector) -> int:
@@ -111,23 +114,6 @@ class LinearInequality(Record):
     def render(self) -> str:
         coeffs = " ".join(str(a) for a in self.normal)
         return f"{coeffs} {self.sense} {self.rhs}"
-
-
-def make_inequality(normal, rhs, sense: str) -> LinearInequality:
-    """Canonicalize arbitrary rational data into a ``LinearInequality``."""
-    if sense not in _SENSES:
-        raise ValueError(f"bad sense {sense!r}")
-    ints, _ = int_clear(tuple(normal) + (rhs,))
-    ints = reduce_gcd(ints)
-    coeffs, r = ints[:-1], ints[-1]
-    if not any(coeffs):
-        raise ValueError("zero normal")
-    first = next(a for a in coeffs if a)
-    if first < 0:
-        coeffs = tuple(-a for a in coeffs)
-        r = -r
-        sense = GE if sense == LE else LE
-    return LinearInequality(coeffs, r, sense)
 
 
 def _nonneg_axis(iq: LinearInequality) -> int | None:
@@ -159,20 +145,30 @@ class Polyhedron(Record):
     the module docstring); `vrep_points` and `vrep_rays` read it back as
     rational vertices and integer rays.
 
+    The constructor writes both in canonical form: the rows sorted by
+    `sort_hrep`, duplicates dropped, and the generators in the order of
+    the module docstring.  The empty set is ``Polyhedron(dim, rows, (),
+    -1)`` and keeps the rows it is given.  ``feasible`` and
+    ``integral_flag`` are read off the generators.
+
     ``==`` compares the stored representations, not the sets: with a
     lineality space, which point of a minimal face is kept depends on the
     input, so two descriptions of one set may compare unequal.
     `poly_equal` is the test for set equality.
     """
 
-    __slots__ = ("dim", "hrep", "generators", "feasible", "integral_flag", "affine_dim")
+    __slots__ = ("dim", "hrep", "generators", "affine_dim")
 
-    def __init__(
-        self, dim: int, hrep: tuple[LinearInequality, ...],
-        generators: tuple[IntVector, ...], feasible: bool, integral_flag: bool,
-        affine_dim: int,
-    ) -> None:
-        set_fields(self, dim, hrep, generators, feasible, integral_flag, affine_dim)
+    def __init__(self, dim: int, hrep, generators, affine_dim: int) -> None:
+        set_fields(self, dim, sort_hrep(hrep), tuple(_canonical_order(generators)), affine_dim)
+
+    @property
+    def feasible(self) -> bool:
+        return bool(self.generators)
+
+    @property
+    def integral_flag(self) -> bool:
+        return self.feasible and all(g[-1] <= 1 for g in self.generators)
 
     @property
     def vrep_points(self) -> tuple[RatVector, ...]:
@@ -221,29 +217,6 @@ def _canonical_order(generators) -> list[IntVector]:
     den = lcm(*(g[-1] for g in verts))
     verts.sort(key=lambda g: tuple(a * (den // g[-1]) for a in g[:-1]))
     return verts + sorted(g for g in generators if not g[-1])
-
-
-def _build(dim, generators, hrep, affine_dim) -> Polyhedron:
-    generators = tuple(_canonical_order(generators))
-    return Polyhedron(
-        dim=dim,
-        hrep=sort_hrep(hrep),
-        generators=generators,
-        feasible=True,
-        integral_flag=all(g[-1] <= 1 for g in generators),
-        affine_dim=affine_dim,
-    )
-
-
-def empty_polyhedron(dim: int, hrep=()) -> Polyhedron:
-    return Polyhedron(
-        dim=dim,
-        hrep=sort_hrep(hrep),
-        generators=(),
-        feasible=False,
-        integral_flag=False,
-        affine_dim=-1,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +480,8 @@ def _equalities(nullbasis, dim) -> list[LinearInequality]:
             # span misses the homogenizing coordinate entirely: impossible
             # while at least one point is present
             raise RuntimeError("generator span lost homogenizing axis")
-        out.append(make_inequality(a, -c, LE))
-        out.append(make_inequality(a, -c, GE))
+        out.append(LinearInequality(a, -c, LE))
+        out.append(LinearInequality(a, -c, GE))
     return out
 
 
@@ -543,10 +516,10 @@ def vrep_to_hrep(points, rays=(), budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     width = dim + 1
     nullbasis, kept = _nullbasis(gens, width)
     normals = _polar(gens, nullbasis, kept, width, budget)
-    facets = {make_inequality(y[:-1], -y[-1], LE) for y, z in normals if z & on_points}
+    facets = {LinearInequality(y[:-1], -y[-1], LE) for y, z in normals if z & on_points}
     gens = _irredundant_generators(gens, normals, width, budget)
     ineqs = _equalities(nullbasis, dim) + list(facets)
-    return _build(dim, gens, ineqs, dim - len(nullbasis))
+    return Polyhedron(dim, ineqs, gens, dim - len(nullbasis))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +577,7 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     rays = _double_description(rows, width, "hrep_to_vrep", budget, start)
     gens = [g for g, _ in rays]
     if not any(g[-1] for g in gens):
-        return empty_polyhedron(dim, canon)
+        return Polyhedron(dim, canon, (), -1)
     # bit k of tight[i] is set when canon[i] is tight on ray k; the
     # lineality is tight on every input row
     tight = _transpose([z for _, z in rays], len(rows))
@@ -618,7 +591,7 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
     if not implied:
         # full-dimensional: a facet has one canonical supporting row
         facets = [canon[k] for k in faces.values()]
-        return _build(dim, gens + lines, facets, dim)
+        return Polyhedron(dim, facets, gens + lines, dim)
     nullbasis = int_row_basis(implied)
     base = int_echelon(nullbasis + lines)
     facets = []
@@ -631,9 +604,9 @@ def hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET) -> Polyhedr
         off = full & ~face
         if idot(y, gens[(off & -off).bit_length() - 1]) > 0:
             y = _negated(y)
-        facets.append(make_inequality(y[:-1], -y[-1], LE))
+        facets.append(LinearInequality(y[:-1], -y[-1], LE))
     ineqs = _equalities(nullbasis, dim) + facets
-    return _build(dim, gens + lines, ineqs, dim - len(nullbasis))
+    return Polyhedron(dim, ineqs, gens + lines, dim - len(nullbasis))
 
 
 # ---------------------------------------------------------------------------
@@ -750,21 +723,21 @@ def embed_with_free_axis(poly: Polyhedron, axis: int) -> Polyhedron:
     hrep.append(LinearInequality(unit, 0, GE))
     gens = [widen(g, 0) for g in poly.generators]
     gens.append(unit + (0,))
-    return _build(n, gens, hrep, poly.affine_dim + 1)
+    return Polyhedron(n, hrep, gens, poly.affine_dim + 1)
 
 
 @cache
 def orthant(dim: int) -> Polyhedron:
     units = [_unit(dim, j) for j in range(dim)]
     rows = [LinearInequality(u, 0, GE) for u in units]
-    return _build(dim, [(0,) * dim + (1,)] + [u + (0,) for u in units], rows, dim)
+    return Polyhedron(dim, rows, [(0,) * dim + (1,)] + [u + (0,) for u in units], dim)
 
 
 @cache
 def whole_space(dim: int) -> Polyhedron:
     units = [_unit(dim, j) for j in range(dim)]
     rays = [u + (0,) for u in units] + [_negated(u) + (0,) for u in units]
-    return _build(dim, [(0,) * dim + (1,)] + rays, (), dim)
+    return Polyhedron(dim, (), [(0,) * dim + (1,)] + rays, dim)
 
 
 @cache
@@ -773,9 +746,9 @@ def interval(lo: int, hi: int | None = None) -> Polyhedron:
     when ``hi`` is None; ``[c, c]`` keeps both rows as an equality pair."""
     rows = [LinearInequality((1,), lo, GE)]
     if hi is None:
-        return _build(1, [(lo, 1), (1, 0)], rows, 1)
+        return Polyhedron(1, rows, [(lo, 1), (1, 0)], 1)
     rows.append(LinearInequality((1,), hi, LE))
-    return _build(1, {(lo, 1), (hi, 1)}, rows, int(hi > lo))
+    return Polyhedron(1, rows, {(lo, 1), (hi, 1)}, int(hi > lo))
 
 
 def render_point(p: RatVector) -> str:

@@ -50,7 +50,6 @@ from .polyhedra import (
     LinearInequality,
     Polyhedron,
     homogenize,
-    make_inequality,
     render_point,
 )
 from .rational import RatVector, as_vector, format_rat, idot, int_clear
@@ -359,7 +358,7 @@ def check_cg_dominance(inst: Instance, scheme: SampleScheme) -> CheckReport:
                     "cg_dominance", inst.instance_id, FAIL,
                     witness_point=_point(g),
                     witness_lambda=_rational_aggregation((_composition(bars, d),)),
-                    witness_inequality=make_inequality(coeffs, rhs, LE),
+                    witness_inequality=LinearInequality(coeffs, rhs, LE),
                 )
     return CheckReport("cg_dominance", inst.instance_id, PASS)
 

@@ -29,6 +29,10 @@ kernel's set-up: `nullspace_start`, one null vector of the other rows per
 row, is the oracle of the simplicial start `polyhedra._inverse_columns`,
 and `echelon_hrep_to_vrep`, which reads every facet normal off an echelon
 of the rays on it, is the oracle of `polyhedra.hrep_to_vrep`.
+`make_inequality`, `build_polyhedron` and `empty_polyhedron`, the
+separate builders that wrote canonical values before the constructors
+did, return the fields they wrote and are the oracles of the
+`LinearInequality` and `Polyhedron` constructors.
 """
 
 from __future__ import annotations
@@ -57,18 +61,18 @@ from aggclosure.polyhedra import (
     GE,
     LE,
     LinearInequality,
-    _build,
+    Polyhedron,
+    _canonical_order,
     _canonical_system,
     _double_description,
     _equalities,
     _maximal,
     _negated,
     _transpose,
-    empty_polyhedron,
     hrep_to_vrep,
     intersect,
-    make_inequality,
     poly_subset,
+    sort_hrep,
     vrep_to_hrep,
 )
 from aggclosure.rational import (
@@ -83,7 +87,45 @@ from aggclosure.rational import (
     int_echelon,
     int_nullspace,
     int_row_basis,
+    reduce_gcd,
 )
+
+
+def make_inequality(normal, rhs, sense: str) -> tuple:
+    """The fields ``(normal, rhs, sense)`` of the canonical half-space,
+    as a separate function made them before the `LinearInequality`
+    constructor did: cleared to integers, divided by the gcd, the first
+    nonzero coefficient made positive with the sense flipped."""
+    if sense not in (LE, GE):
+        raise ValueError(f"bad sense {sense!r}")
+    ints, _ = int_clear(tuple(normal) + (rhs,))
+    ints = reduce_gcd(ints)
+    coeffs, r = ints[:-1], ints[-1]
+    if not any(coeffs):
+        raise ValueError("zero normal")
+    first = next(a for a in coeffs if a)
+    if first < 0:
+        coeffs = tuple(-a for a in coeffs)
+        r = -r
+        sense = GE if sense == LE else LE
+    return coeffs, r, sense
+
+
+def build_polyhedron(dim, generators, hrep, affine_dim) -> tuple:
+    """The fields ``(dim, hrep, generators, feasible, integral_flag,
+    affine_dim)`` of a nonempty polyhedron in canonical form, as a
+    separate builder wrote them before the `Polyhedron` constructor
+    did: sorted rows and ordered generators, with the two flags
+    stored."""
+    generators = tuple(_canonical_order(generators))
+    integral = all(g[-1] <= 1 for g in generators)
+    return dim, sort_hrep(hrep), generators, True, integral, affine_dim
+
+
+def empty_polyhedron(dim: int, hrep=()) -> tuple:
+    """The fields of the empty polyhedron with the rows ``hrep``, as
+    `build_polyhedron` gives them."""
+    return dim, sort_hrep(hrep), (), False, False, -1
 
 
 def rat(numerator: int | str | Fraction, denominator: int = 1) -> Rat:
@@ -261,7 +303,7 @@ def echelon_hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET):
     rays = _double_description(rows, width, "hrep_to_vrep", budget)
     gens = [g for g, _ in rays]
     if not any(g[-1] for g in gens):
-        return empty_polyhedron(dim, canon)
+        return Polyhedron(dim, canon, (), -1)
     tight = _transpose([z for _, z in rays], len(rows))
     at_infinity, tight = tight[0], tight[first:]
     full = (1 << len(gens)) - 1
@@ -279,9 +321,9 @@ def echelon_hrep_to_vrep(ineqs, dim: int, budget: int = DEFAULT_CELL_BUDGET):
         off = full & ~face
         if idot(y, gens[(off & -off).bit_length() - 1]) > 0:
             y = _negated(y)
-        facets.append(make_inequality(y[:-1], -y[-1], LE))
+        facets.append(LinearInequality(y[:-1], -y[-1], LE))
     ineqs = _equalities(nullbasis, dim) + facets
-    return _build(dim, gens + lines, ineqs, dim - len(nullbasis))
+    return Polyhedron(dim, ineqs, gens + lines, dim - len(nullbasis))
 
 
 def packing_core(points) -> list:
@@ -309,7 +351,7 @@ def vertex_hull(rel, budget: int = DEFAULT_CELL_BUDGET):
     no double description."""
     points, free = lattice_points(rel, budget)
     if not points:
-        return empty_polyhedron(rel.n)
+        return Polyhedron(rel.n, (), (), -1)
     units = [tuple(int(i == j) for i in range(rel.n)) for j in range(rel.n)]
     if rel.sense == COVERING:
         return vrep_to_hrep(points, units, budget=budget)
@@ -347,7 +389,7 @@ def cg_cut_floor_ceil(rel):
         coeffs, bound, sense = [ceil(a) for a in row], ceil(r), GE
     if not any(coeffs):
         return None
-    return make_inequality(coeffs, bound, sense)
+    return LinearInequality(coeffs, bound, sense)
 
 
 def rowwise_hulls(inst, budget: int = DEFAULT_CELL_BUDGET):
@@ -376,7 +418,7 @@ def tuple_to_inequality(t, sense: str) -> LinearInequality:
     (v,) = basis
     if v[-1] > 0:
         v = tuple(-a for a in v)
-    return make_inequality(v[:-1], -v[-1], LE if sense == PACKING else GE)
+    return LinearInequality(v[:-1], -v[-1], LE if sense == PACKING else GE)
 
 
 def _first_cut(bodies, g):

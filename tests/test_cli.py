@@ -17,7 +17,7 @@ from aggclosure import cli, verify
 from aggclosure.errors import UsageError
 from aggclosure.knapsack import COVERING, Instance, PACKING
 from aggclosure.verify import FAIL, CheckReport
-from aggclosure.polyhedra import make_inequality, LE
+from aggclosure.polyhedra import LE, LinearInequality
 from conftest import clear_caches
 from oracles import build_parser, serialize_instance
 
@@ -643,18 +643,19 @@ class TestVerifyCommand:
             "summary pass=3 fail=0 skipped=0\n"
         )
 
-    @pytest.mark.parametrize("k, cells", [("1", "48016001"), ("2", "36015001")])
-    def test_zero_cut_hull_over_budget_is_not_built(
-        self, tmp_path, capsys, k, cells
-    ):
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_zero_cut_hull_over_budget_is_not_built(self, tmp_path, capsys, k):
         # at grid 4 the weights (1, 3), (2, 2) and (3, 1) round to zero
-        # cuts, whose hulls have lattice boxes over the default budget;
-        # the rounding check builds only the hulls of nonzero cuts
+        # cuts, whose hulls walk 10000004 or more values of x1, over the
+        # default budget; the rounding check builds only the hulls of the
+        # nonzero cuts of (4, 0) and (0, 4), which walk 1 and 4 values
         clear_caches()
-        (tmp_path / "big.txt").write_text("sense packing\nn 2\nm 2\nA\n0 1\n1 0\nb\n3000 3000\n")
+        (tmp_path / "big.txt").write_text(
+            "sense packing\nn 2\nm 2\nA\n0 1\n1 0\nb\n30000000 3\n"
+        )
         code, out, err = run_cli(capsys, "verify", str(tmp_path), "--k", k)
         assert (code, err) == (0, "")
-        skip = f"skipped\t-\t0\tenumeration box of {cells}+ cells exceeds budget 10000000"
+        skip = "skipped\t-\t0\tenumeration box of 10000004+ cells exceeds budget 10000000"
         assert out == (
             f"sandwich\tbig\t{skip}\n"
             "cg_dominance\tbig\tpass\t-\t0\n"
@@ -665,12 +666,12 @@ class TestVerifyCommand:
     def test_packbox_rounding_check_passes_under_a_small_budget(
         self, tmp_path, capsys
     ):
-        # the zero cut of weights (1, 3) has a box of 48 cells
+        # the zero cut of weights (1, 3) walks 12 values of x1
         clear_caches()
         (tmp_path / "packbox.txt").write_text("sense packing\nn 2\nm 2\nA\n1 0\n0 1\nb\n2 3\n")
-        code, out, err = run_cli(capsys, "verify", str(tmp_path), "--budget", "40")
+        code, out, err = run_cli(capsys, "verify", str(tmp_path), "--budget", "10")
         assert (code, err) == (0, "")
-        skip = "skipped\t-\t0\tenumeration box of 48+ cells exceeds budget 40"
+        skip = "skipped\t-\t0\tenumeration box of 12+ cells exceeds budget 10"
         assert out == (
             f"sandwich\tpackbox\t{skip}\n"
             "cg_dominance\tpackbox\tpass\t-\t0\n"
@@ -770,7 +771,7 @@ class TestVerifyCommand:
     def test_failure_exit_code(self, fixture_dir, capsys, monkeypatch):
         bad = CheckReport(
             "sandwich", "x", FAIL,
-            witness_inequality=make_inequality((1, 0), 0, LE),
+            witness_inequality=LinearInequality((1, 0), 0, LE),
         )
         monkeypatch.setattr(cli, "run_suite", lambda *a, **k: [bad, bad])
         code, out, _ = run_cli(capsys, "verify", str(fixture_dir))

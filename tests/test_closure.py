@@ -43,11 +43,11 @@ from aggclosure.knapsack import (
 from aggclosure.polyhedra import (
     GE,
     LE,
+    LinearInequality,
     contains,
     facet_lattice_tuple,
     hrep_to_vrep,
     intersect,
-    make_inequality,
     orthant,
     poly_equal,
     poly_subset,
@@ -523,7 +523,7 @@ class TestTupleToInequality:
             with pytest.raises(RuntimeError):
                 tuple_to_inequality(points, sense)
         else:
-            expected = make_inequality(normal, 1, LE if sense == PACKING else GE)
+            expected = LinearInequality(normal, 1, LE if sense == PACKING else GE)
             assert tuple_to_inequality(points, sense) == expected
 
 

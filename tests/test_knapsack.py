@@ -30,8 +30,8 @@ from aggclosure.knapsack import (
     lattice_points,
 )
 from aggclosure.polyhedra import (
+    LinearInequality,
     contains,
-    make_inequality,
     poly_equal,
     poly_subset,
     vrep_to_hrep,
@@ -186,6 +186,18 @@ class TestLatticePoints:
     def test_budget_guard(self):
         with pytest.raises(ResourceBudgetError):
             lattice_points(single_row(PACKING, (1, 1), 9), budget=50)
+
+    def test_packing_hull_charges_the_walked_prefixes(self):
+        # the walk makes 10 prefixes of the 10 x 10 box; the hull needs no
+        # more, while the expanded points of `lattice_points` may fill it
+        rel = KnapsackRelaxation(PACKING, 2, ((1, 1),), (9,))
+        hull = integer_hull(rel, budget=50)
+        assert hull == vrep_to_hrep([(0, 0), (9, 0), (0, 9)])
+        assert integer_hull(rel, budget=10) == hull
+        with pytest.raises(ResourceBudgetError, match=r"box of 10\+ cells exceeds budget 9"):
+            integer_hull(rel, budget=9)
+        with pytest.raises(ResourceBudgetError, match=r"box of 100\+ cells exceeds budget 50"):
+            lattice_points(rel, budget=50)
 
     def test_covering_budget_counts_the_searched_prefix(self):
         # the search walks 61 x 61 prefixes; the whole box has 61**3 cells
@@ -412,13 +424,13 @@ class TestPackingSegments:
 class TestCgCut:
     def test_rounding(self):
         rel = build_relaxation(PACK_22, (half(), half()))
-        assert cg_cut(rel) == make_inequality((1, 3), 4, "<=")
+        assert cg_cut(rel) == LinearInequality((1, 3), 4, "<=")
 
     def test_covering_rounds_up(self):
         inst = Instance(COVERING, ((2, 3),), (4,))
         rel = build_relaxation(inst, (half(),))
         # row (1, 3/2) >= 2 rounds to x + 2y >= 2
-        assert cg_cut(rel) == make_inequality((1, 2), 2, ">=")
+        assert cg_cut(rel) == LinearInequality((1, 2), 2, ">=")
 
     def test_zero_normal_returns_none(self):
         assert cg_cut(single_row(PACKING, (half(), half(1)), 5)) is None
@@ -428,8 +440,8 @@ class TestCgCut:
         # (3/2, 7/2) <= 4 rounds to x + 3y <= 4, (3, 7) <= 8 is integral
         halves = build_relaxation(PACK_22, (half(), half()))
         doubled = build_relaxation(PACK_22, (1, 1))
-        assert cg_cut(halves) == make_inequality((1, 3), 4, "<=")
-        assert cg_cut(doubled) == make_inequality((3, 7), 8, "<=")
+        assert cg_cut(halves) == LinearInequality((1, 3), 4, "<=")
+        assert cg_cut(doubled) == LinearInequality((3, 7), 8, "<=")
         assert integer_hull(halves) is integer_hull(doubled)
 
     @settings(max_examples=200, deadline=None)

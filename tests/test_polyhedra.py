@@ -12,7 +12,7 @@ from aggclosure.polyhedra import (
     LE,
     DEFAULT_CELL_BUDGET,
     LinearInequality,
-    _build,
+    Polyhedron,
     _canonical_order,
     _canonical_rays,
     _canonical_system,
@@ -23,14 +23,12 @@ from aggclosure.polyhedra import (
     _nullbasis,
     contains,
     embed_with_free_axis,
-    empty_polyhedron,
     facet_lattice_tuple,
     homogenize,
     hrep_to_vrep,
     intersect,
     interval,
     lp_feasible,
-    make_inequality,
     orthant,
     poly_equal,
     poly_subset,
@@ -49,15 +47,17 @@ from aggclosure.rational import (
 )
 from oracles import (
     affine_rank,
+    build_polyhedron,
     echelon_hrep_to_vrep,
+    empty_polyhedron,
     intersect_fold,
+    make_inequality,
     nullspace_start,
     solve_linear,
 )
 
 
-def mk(normal, rhs, sense):
-    return make_inequality(normal, rhs, sense)
+mk = LinearInequality
 
 
 def rendered(poly):
@@ -82,12 +82,14 @@ class TestInequalityCanonicalForm:
         assert mk((1, 2), 2, LE).render() == "1 2 <= 2"
 
     def test_direct_construction_validates(self):
-        with pytest.raises(ValueError):
-            LinearInequality((2, 4), 6, LE)
-        with pytest.raises(ValueError):
-            LinearInequality((-1, 2), 3, LE)
-        with pytest.raises(ValueError):
+        assert LinearInequality((2, -4), 6, LE).render() == "1 -2 <= 3"
+        assert LinearInequality((-1, 0), 0, LE).render() == "1 0 >= 0"
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        assert LinearInequality((half, third), 1, LE).render() == "3 2 <= 6"
+        with pytest.raises(ValueError, match="bad sense"):
             LinearInequality((1, 2), 3, "==")
+        with pytest.raises(ValueError, match="zero normal"):
+            LinearInequality((0, 0), 3, LE)
 
 
 class TestVrepToHrep:
@@ -219,7 +221,7 @@ class TestIntersect:
         a = hrep_to_vrep([mk((1,), 0, GE), mk((1,), 2, LE)], 1)
         gap = hrep_to_vrep([mk((1,), 2, GE), mk((1,), 1, LE)], 1)
         assert not gap.feasible
-        assert intersect([a, gap, empty_polyhedron(1)]) is gap
+        assert intersect([a, gap, Polyhedron(1, (), (), -1)]) is gap
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -510,7 +512,7 @@ def _orient_and_add(direction, gens, infinity: IntEchelon, facets) -> None:
         return
     if pos:
         direction = tuple(-a for a in direction)
-    facets.add(make_inequality(direction[:-1], -direction[-1], LE))
+    facets.add(LinearInequality(direction[:-1], -direction[-1], LE))
 
 
 def subset_vrep_to_hrep(points, rays=(), reduce_generators=True):
@@ -530,7 +532,7 @@ def subset_vrep_to_hrep(points, rays=(), reduce_generators=True):
             (normal,) = ech.nullspace(width)
             _orient_and_add(normal, gens, infinity, facets)
     ineqs = _equalities(nullbasis, dim) + sorted(facets, key=_hrep_sort_key)
-    return _build(dim, gens, ineqs, dim - len(nullbasis))
+    return Polyhedron(dim, ineqs, gens, dim - len(nullbasis))
 
 
 def subset_hrep_to_vrep(ineqs, dim):
@@ -540,17 +542,17 @@ def subset_hrep_to_vrep(ineqs, dim):
     if lineality:
         aug = list(canon)
         for ell in lineality:
-            aug += [make_inequality(ell, 0, LE), make_inequality(ell, 0, GE)]
+            aug += [LinearInequality(ell, 0, LE), LinearInequality(ell, 0, GE)]
         sub = subset_hrep_to_vrep(aug, dim)
         if not sub.feasible:
-            return empty_polyhedron(dim, canon)
+            return Polyhedron(dim, canon, (), -1)
         rays = list(sub.vrep_rays)
         for ell in lineality:
             rays += [ell, tuple(-a for a in ell)]
         return subset_vrep_to_hrep(sub.vrep_points, rays, reduce_generators=False)
     verts = _enum_vertices(canon, dim)
     if not verts:
-        return empty_polyhedron(dim, canon)
+        return Polyhedron(dim, canon, (), -1)
     points = [tuple(Fraction(a, g[-1]) for a in g[:-1]) for g in verts]
     rays = [g[:-1] for g in _enum_rays(canon, dim)]
     return subset_vrep_to_hrep(points, rays, reduce_generators=False)
@@ -923,3 +925,86 @@ class TestGeneratorFormat:
         dim, rows = case
         poly = hrep_to_vrep(rows, dim)
         assert_matches_fraction_vrep(poly, *fraction_vrep_of_rows(rows, dim))
+
+
+# entries of raw rows: ints and Fractions of mixed signs, zero included
+raw_entry = st.one_of(
+    st.integers(-12, 12), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+)
+
+
+@st.composite
+def raw_row(draw, dim=None):
+    # a row with a common factor, possibly a zero normal, either sense
+    dim = dim or draw(st.integers(1, 4))
+    normal = draw(st.lists(raw_entry, min_size=dim, max_size=dim))
+    factor = draw(st.sampled_from((1, -1, 2, -3, 6, Fraction(1, 4))))
+    rhs = draw(raw_entry)
+    return tuple(a * factor for a in normal), rhs * factor, draw(st.sampled_from((LE, GE)))
+
+
+@st.composite
+def raw_polyhedron(draw):
+    # constructor arguments: rows with duplicates, rational vertices,
+    # rays, or no generator at all for the empty set
+    dim = draw(st.integers(1, 3))
+    rows = [
+        (normal, rhs, sense)
+        for normal, rhs, sense in draw(st.lists(raw_row(dim), max_size=5))
+        if any(normal)
+    ]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    points = draw(st.lists(st.tuples(*[raw_entry] * dim), max_size=4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=3))
+    gens = [homogenize(p) for p in points]
+    if gens:
+        gens += [r + (0,) for r in rays if any(r)]
+    return dim, rows, gens, draw(st.integers(0, dim)) if gens else -1
+
+
+def poly_fields(poly):
+    return (
+        poly.dim, poly.hrep, poly.generators, poly.feasible, poly.integral_flag,
+        poly.affine_dim,
+    )
+
+
+class TestConstructorsMatchTheOldBuilders:
+    """The canonicalizing constructors against the separate builders
+    (`oracles.make_inequality`, `build_polyhedron`, `empty_polyhedron`)
+    that made canonical values before them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_row())
+    def test_linear_inequality(self, row):
+        try:
+            expected = make_inequality(*row)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                LinearInequality(*row)
+            return
+        iq = LinearInequality(*row)
+        assert (iq.normal, iq.rhs, iq.sense) == expected
+        assert all(type(a) is int for a in iq.normal + (iq.rhs,))
+        assert LinearInequality(*expected) == iq
+
+    def test_zero_normal_and_bad_sense_raise_on_both_sides(self):
+        for row in [((0, 0), 1, LE), ((Fraction(0), 0), 0, GE), ((1, 2), 3, "==")]:
+            with pytest.raises(ValueError):
+                make_inequality(*row)
+            with pytest.raises(ValueError):
+                LinearInequality(*row)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_polyhedron())
+    def test_polyhedron(self, case):
+        dim, rows, gens, affine_dim = case
+        hrep = [LinearInequality(*row) for row in rows]
+        poly = Polyhedron(dim, hrep, gens, affine_dim)
+        if gens:
+            expected = build_polyhedron(dim, gens, hrep, affine_dim)
+        else:
+            expected = empty_polyhedron(dim, hrep)
+        assert poly_fields(poly) == expected
+        # a canonical value is a fixed point of its constructor
+        assert Polyhedron(dim, poly.hrep, poly.generators, affine_dim) == poly

@@ -27,7 +27,7 @@ from aggclosure.knapsack import (
     KnapsackRelaxation,
     build_relaxation,
 )
-from aggclosure.polyhedra import LE, LinearInequality, Polyhedron, orthant
+from aggclosure.polyhedra import GE, LE, LinearInequality, Polyhedron, orthant
 from aggclosure.record import Record
 from aggclosure.verify import FAIL, PASS, CheckReport
 
@@ -46,8 +46,6 @@ FIELDS = {
         dim=2,
         hrep=QUAD.hrep,
         generators=QUAD.generators,
-        feasible=True,
-        integral_flag=True,
         affine_dim=2,
     ),
     Aggregation: dict(weights=((1, 1),)),
@@ -197,10 +195,17 @@ class TestDefaults:
             CheckReport("sandwich", "x", FAIL)
 
     def test_linear_inequality_validates(self):
+        def fields(iq):
+            return iq.normal, iq.rhs, iq.sense
+
+        assert fields(LinearInequality((2, -4), 6, LE)) == ((1, -2), 3, LE)
+        assert fields(LinearInequality((-1, 0), 0, LE)) == ((1, 0), 0, GE)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        assert fields(LinearInequality((half, third), 1, LE)) == ((3, 2), 6, LE)
         with pytest.raises(ValueError):
-            LinearInequality((2, 4), 2, LE)
+            LinearInequality((1, 2), 2, "==")
         with pytest.raises(ValueError):
-            LinearInequality((-1, 2), 2, LE)
+            LinearInequality((0, 0), 2, LE)
 
     def test_relaxation_from_builder(self):
         rel = build_relaxation(INST, (1,))

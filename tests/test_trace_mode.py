@@ -4,6 +4,9 @@
 before it runs the command.  A renamed or removed function makes that
 install fail, so each request runs here once traced and once untraced,
 in fresh interpreters, and must exit 0 with the same output both ways.
+A traced `verify` must also see work in every layer it runs, so a
+refactor that moves the work out of a traced function cannot leave its
+metric reading 0 unseen.
 """
 
 import json
@@ -71,3 +74,32 @@ def test_one_variable_closure_builds_no_hull(instance_dir):
     assert traced["trace"]["knapsack.build_relaxation"]["calls"] == 0
     assert traced["stdout"] == plain["stdout"]
     assert traced["stdout"]
+
+
+# the counter of each layer a traced `verify` over `instance_dir` runs;
+# a refactor that moves work past a wrapped name would read 0 here
+VERIFY_LAYERS = (
+    ("closure.aggregation_closure", "calls"),
+    ("closure.build_L", "calls"),
+    ("closure.enumerate_tuples", "tuples_out"),
+    ("closure.filter_minimal_tuples", "kept_out"),
+    ("closure.sampled_closure", "calls"),
+    ("knapsack.build_relaxation", "calls"),
+    ("knapsack.integer_hull", "calls"),
+    ("knapsack.integer_hull", "distinct_keys"),
+    ("knapsack.lattice_points", "points_out"),
+    ("polyhedra.hrep_to_vrep", "rows_in"),
+    ("polyhedra.intersect", "inputs"),
+    ("polyhedra.vrep_to_hrep", "facets_out"),
+    ("verify.check_sandwich", "calls"),
+    ("verify.check_gamma", "calls"),
+    ("verify.check_cg_dominance", "calls"),
+    ("verify.check_onerow_ratio", "calls"),
+    ("cli.parse_instance", "calls"),
+)
+
+
+def test_traced_verify_reads_every_layer(instance_dir):
+    trace = _request(1, ["verify", str(instance_dir)])["trace"]
+    zero = [f"{name}.{field}" for name, field in VERIFY_LAYERS if not trace[name][field]]
+    assert zero == []

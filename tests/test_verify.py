@@ -28,9 +28,9 @@ from aggclosure.knapsack import (
 from aggclosure.polyhedra import (
     GE,
     LE,
+    LinearInequality,
     hrep_to_vrep,
     intersect,
-    make_inequality,
     orthant,
     poly_equal,
     vrep_to_hrep,
@@ -110,7 +110,7 @@ class TestEscapeWitness:
     def test_ray_escape_past_64_doublings(self):
         # the ray breaks the row's recession cone, so some push crosses
         # the row however far it lies
-        row = make_inequality((1,), 10**30, LE)
+        row = LinearInequality((1,), 10**30, LE)
         point, hit = _escape_witness(orthant(1).generators, [row])
         assert point == (2**100,) and hit == row
 
@@ -152,19 +152,19 @@ class TestSandwich:
 
 
     def test_wide_box_passes_within_budget(self, monkeypatch):
-        # 401 * 201 lattice cells: checked, and charged to the scheme's
-        # budget, which trips only in the lattice walk once the closures
-        # exist
+        # 401 * 201 lattice cells, walked as 401 prefixes: checked, and
+        # the prefixes charged to the scheme's budget, which trips only in
+        # the lattice walk once the closures exist
         inst = Instance(PACKING, ((1, 2),), (400,), instance_id="widebox")
         (rep,) = [r for r in run_suite([inst], scheme()) if r.check_name == "sandwich"]
         assert rep.tsv_line() == "sandwich\twidebox\tpass\t-\t0\tsaturation=true"
         art, sc = aggregation_closure(inst, scheme()), sampled_closure(inst, scheme())
         monkeypatch.setattr(verify, "aggregation_closure", lambda *_: art)
         monkeypatch.setattr(verify, "sampled_closure", lambda *_: sc)
-        assert check_sandwich(inst, SampleScheme(2, budget=80601)) == rep
+        assert check_sandwich(inst, SampleScheme(2, budget=401)) == rep
         with pytest.raises(ResourceBudgetError) as exc:
-            check_sandwich(inst, SampleScheme(2, budget=80600))
-        assert str(exc.value) == "enumeration box of 80601+ cells exceeds budget 80600"
+            check_sandwich(inst, SampleScheme(2, budget=400))
+        assert str(exc.value) == "enumeration box of 401+ cells exceeds budget 400"
 
     @pytest.mark.parametrize("inst, d", [(PACK2ROWS, 4), (COVERFIX, 3)])
     def test_passing_check_builds_neither_body(self, inst, d, monkeypatch):
@@ -255,7 +255,7 @@ def sandwich_cases(draw):
     row = None
     if target is not None:
         normal = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
-        row = make_inequality(normal, draw(st.integers(-4, 12)), draw(st.sampled_from((LE, GE))))
+        row = LinearInequality(normal, draw(st.integers(-4, 12)), draw(st.sampled_from((LE, GE))))
     return inst, d, target, row, draw(st.booleans())
 
 
@@ -265,11 +265,11 @@ ZEROCOL = Instance(PACKING, ((0, 0, 1),), (1,), instance_id="zerocol")
 # a row that cuts feasible points off K or L and off sc alike, at a hull
 # point or along the ray of a zero column
 FAILING_CASES = [
-    (PACK2ROWS, 4, "K", make_inequality((1, 1), 0, LE), False),
-    (PACK2ROWS, 4, "L", make_inequality((1, 1), 0, LE), False),
-    (PACK2ROWS, 4, "K", make_inequality((1, 0), 0, LE), True),
-    (COVERFIX, 3, "L", make_inequality((0, 1), 1, LE), True),
-    (ZEROCOL, 2, "K", make_inequality((0, 1, 0), 3, LE), True),
+    (PACK2ROWS, 4, "K", LinearInequality((1, 1), 0, LE), False),
+    (PACK2ROWS, 4, "L", LinearInequality((1, 1), 0, LE), False),
+    (PACK2ROWS, 4, "K", LinearInequality((1, 0), 0, LE), True),
+    (COVERFIX, 3, "L", LinearInequality((0, 1), 1, LE), True),
+    (ZEROCOL, 2, "K", LinearInequality((0, 1, 0), 3, LE), True),
 ]
 
 
